@@ -180,6 +180,13 @@ def read_dataset_csv(path) -> Dataset:
         if yv not in (0.0, 1.0):
             raise CliError(f"{path}: row {i + 2} has y={row[cols['y']]!r}, must be 0 or 1")
         y[i] = int(yv)
+    finite = np.isfinite(z).all(axis=1) & np.isfinite(x).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        name = next(c for c, v in zip(z_names + x_names, [*z[i], *x[i]])
+                    if not math.isfinite(v))
+        raise CliError(f"{path}: row {i + 2}, column {name!r} has non-finite value "
+                       f"{rows[i][cols[name]]!r}")
     return Dataset(y, z, x)
 
 
@@ -415,11 +422,13 @@ def _config_from_args(args) -> RunConfig:
     rc.basis_terms = cfg.get("basis", [])
     rc.z_families = list(cfg.get("z_families", []))
     rc.estimators = list(cfg.get("estimators", []))
-    rc.level = float(args.level) if getattr(args, "level", None) else float(cfg.get("level", 0.95))
+    level_flag = getattr(args, "level", None)
+    rc.level = float(level_flag if level_flag is not None else cfg.get("level", 0.95))
     rc.seed = _resolve_seed(getattr(args, "seed", None), cfg)
     out_flag = getattr(args, "out", None)
     rc.out_dir = Path(out_flag) if out_flag else Path(cfg.get("out", "."))
-    rc.workers = int(getattr(args, "workers", None) or cfg.get("workers", 1))
+    workers_flag = getattr(args, "workers", None)
+    rc.workers = int(workers_flag if workers_flag is not None else cfg.get("workers", 1))
     rc.n = int(cfg["n"]) if "n" in cfg else None
     rc.replications = int(cfg["replications"]) if "replications" in cfg else None
     scen_flag = getattr(args, "scenarios", None)

@@ -150,20 +150,20 @@ class Basis:
         """Evaluate the basis on rows of x; returns an (n, m) matrix."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n, q = x.shape
-        cols = []
-        for t in self.terms:
+        out = np.empty((n, self.m))
+        for i, t in enumerate(self.terms):
             if t.kind == "intercept":
-                cols.append(np.ones(n))
+                out[:, i] = 1.0
                 continue
             if t.j >= q or (t.kind == "interaction" and t.k >= q):
                 raise ValueError(f"basis term {t} references a coordinate beyond q={q}")
             if t.kind == "linear":
-                cols.append(x[:, t.j])
+                out[:, i] = x[:, t.j]
             elif t.kind == "square":
-                cols.append(x[:, t.j] ** 2)
+                out[:, i] = x[:, t.j] ** 2
             else:
-                cols.append(x[:, t.j] * x[:, t.k])
-        return np.column_stack(cols)
+                out[:, i] = x[:, t.j] * x[:, t.k]
+        return out
 
     def row(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the basis at a single point; returns an (m,) vector."""
@@ -207,6 +207,12 @@ class Dataset:
         n = y.shape[0]
         if z.shape[0] != n or x.shape[0] != n:
             raise ValueError("y, z, x must have the same number of rows")
+        for name, arr in (("z", z), ("x", x)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"{name} has non-finite value {float(arr[i, j])!r} "
+                                 f"at row {i}, column {j}")
         yi = np.array(y, dtype=np.int64, copy=True)
         yi.setflags(write=False)
         object.__setattr__(self, "y", yi)
@@ -292,9 +298,11 @@ class InstrumentSpec:
     identity: the identity matrix.
     simple:   expit(alpha'b(x)) times the identity.
     optimal:  variance-minimizing matrix built from conditional moments of
-              Z given (Y=0, X) under the declared families; Gaussian
-              components are integrated by Gauss-Hermite quadrature of
-              order `gh_order`, Bernoulli ones by exact two-point sums.
+              Z given (Y=0, X) under the declared families.  Components
+              are independent, so each moment is a product of
+              per-component one-dimensional moments: a Gaussian component
+              uses a Gauss-Hermite rule of order `gh_order`, a Bernoulli
+              one an exact two-point sum.
     """
 
     variant: Variant = "simple"
@@ -333,22 +341,31 @@ def covariate_means(covar: CovariateModelParams, x: np.ndarray, basis: Basis) ->
     Returns an (n, p) array; Gaussian components are linear in b(x),
     Bernoulli ones pass through expit.
     """
-    bx = basis.design(x)
+    return _means_from_design(covar, basis.design(x))
+
+
+def _means_from_design(covar: CovariateModelParams, bx: np.ndarray) -> np.ndarray:
     lin = bx @ covar.gamma.T
-    out = np.empty_like(lin)
     for j, fam in enumerate(covar.families):
-        out[:, j] = expit(lin[:, j]) if fam == "bernoulli" else lin[:, j]
-    return out
+        if fam == "bernoulli":
+            lin[:, j] = expit(lin[:, j])
+    return lin
 
 
-def _eta(z: np.ndarray, x: np.ndarray, params: OutcomeModelParams, basis: Basis) -> float:
+def _linear_predictor(z, x, beta: np.ndarray, alpha: np.ndarray, basis: Basis):
+    """z as an array, b(x), g = alpha'b(x) and eta = beta'z + g at one point."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != params.beta.shape:
-        raise ValueError(f"z has shape {z.shape}, beta has shape {params.beta.shape}")
+    if z.shape != beta.shape:
+        raise ValueError(f"z has shape {z.shape}, beta has shape {beta.shape}")
     bx = basis.row(np.atleast_1d(np.asarray(x, dtype=float)))
-    if bx.shape != params.alpha.shape:
-        raise ValueError(f"basis gives {bx.shape[0]} features, alpha has {params.alpha.shape[0]}")
-    return float(params.beta @ z + params.alpha @ bx)
+    if bx.shape != alpha.shape:
+        raise ValueError(f"basis gives {bx.shape[0]} features, alpha has {alpha.shape[0]}")
+    g = float(alpha @ bx)
+    return z, bx, g, float(beta @ z) + g
+
+
+def _eta(z, x, params: OutcomeModelParams, basis: Basis) -> float:
+    return _linear_predictor(z, x, params.beta, params.alpha, basis)[3]
 
 
 def response_prob(z, x, params: OutcomeModelParams, basis: Basis) -> float:
@@ -412,7 +429,14 @@ def _optimal_instrument_batch(
     phi(x) = A(x) B(x)^{-1} where A = E[(Z-f)(Z-f)' | Y=y0, x] and
     B = E[w (Z-f)(Z-f)' | Y=y0, x], with weight w = 1/pi for the Y=0
     conditioning and 1/(1-pi) for the Y=1 mirror.  Components of Z are
-    treated as mutually independent under their declared families.
+    treated as mutually independent under their declared families, and
+    w = 1 + exp(s(g + beta'f)) prod_l exp(s beta_l r_l) with r = Z - f and
+    s = -1 (Y=0) or +1 (Y=1), so every entry of A and B is a product of
+    one-dimensional moments E[r_l^k] and E[exp(s beta_l r_l) r_l^k],
+    k = 0, 1, 2.  A Gaussian component takes them from a Gauss-Hermite
+    rule of order `order` (the same for every row), a Bernoulli one from
+    its two-point sum per row.  This equals the tensor-product rule over
+    all components up to rounding, at O(n p^3) cost.
     """
     p = covar.p
     if outcome.beta.shape[0] != p:
@@ -421,65 +445,63 @@ def _optimal_instrument_batch(
     if n_gauss > 3:
         raise ValueError("optimal instrument with more than 3 Gaussian components: "
                          "tensor quadrature refused")
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x2.shape[0]
-    f = covariate_means(covar, x2, basis)
-    g = basis.design(x2) @ outcome.alpha
-    beta = outcome.beta
+    bx = basis.design(x)
+    n = bx.shape[0]
+    f = _means_from_design(covar, bx)
+    sign = 1.0 if condition_on_y1 else -1.0
 
-    node_vals: list[np.ndarray] = []
-    node_wts: list[np.ndarray | None] = []
+    # entry (j, k) of A and B takes moment order [l == j] + [l == k] from component l
+    comp = np.arange(p)
+    order_jkl = (comp[:, None, None] == comp).astype(int) + (comp[None, :, None] == comp)
+    a_mat = np.ones((n, p, p))
+    tilt_mat = np.ones((n, p, p))
     for j, fam in enumerate(covar.families):
-        if fam == "gaussian":
-            t, w = gauss_hermite_points(order)
-            node_vals.append(math.sqrt(2.0 * covar.resid_var[j]) * t)  # residual offsets
-            node_wts.append(w)
-        else:
-            node_vals.append(np.array([0.0, 1.0]))  # z values
-            node_wts.append(None)
-    sizes = [v.shape[0] for v in node_vals]
-    grid = np.indices(sizes).reshape(p, -1).T  # (N, p) node indices
-    N = grid.shape[0]
+        plain, tilted = _component_moments(fam, f[:, j], covar.resid_var[j],
+                                           sign * outcome.beta[j], order)
+        a_mat *= plain[:, order_jkl[:, :, j]]
+        tilt_mat *= tilted[:, order_jkl[:, :, j]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tilt_mat *= np.exp(sign * (bx @ outcome.alpha + f @ outcome.beta))[:, None, None]
+    b_mat = a_mat + tilt_mat
 
-    mats = np.empty((n, p, p))
-    conds = np.empty(n)
-    chunk = max(1, int(2_000_000 // max(N * p, 1)))
-    for lo in range(0, n, chunk):
-        sl = slice(lo, min(lo + chunk, n))
-        fc, gc = f[sl], g[sl]
-        c = fc.shape[0]
-        resid = np.empty((c, N, p))
-        wts = np.ones((c, N))
-        bz = np.zeros((c, N))
-        for j, fam in enumerate(covar.families):
-            ij = grid[:, j]
-            if fam == "gaussian":
-                r = node_vals[j][ij][None, :]
-                resid[:, :, j] = r
-                wts = wts * node_wts[j][ij][None, :]
-                zj = fc[:, j][:, None] + r
-            else:
-                zj = np.broadcast_to(node_vals[j][ij][None, :], (c, N))
-                pj = fc[:, j][:, None]
-                resid[:, :, j] = zj - pj
-                wts = wts * np.where(zj > 0.5, pj, 1.0 - pj)
-            bz = bz + beta[j] * zj
-        eta = gc[:, None] + bz
-        with np.errstate(over="ignore"):
-            inv_prob = 1.0 + np.exp(eta if condition_on_y1 else -eta)
-        a_mat = np.einsum("cn,cnj,cnk->cjk", wts, resid, resid)
-        b_mat = np.einsum("cn,cn,cnj,cnk->cjk", wts, inv_prob, resid, resid)
-        with np.errstate(all="ignore"):
-            cnd = np.linalg.cond(b_mat)
-        cnd = np.where(np.isfinite(cnd), cnd, np.inf)
-        if np.any(cnd > COND_LIMIT) or not np.isfinite(b_mat).all():
-            worst = int(np.argmax(cnd))
-            raise SingularMatrixError(
-                f"optimal instrument: inner moment matrix has condition number "
-                f"{cnd[worst]:.3g} > {COND_LIMIT:.0e} at row {lo + worst}")
-        mats[sl] = np.linalg.solve(b_mat, a_mat).transpose(0, 2, 1)
-        conds[sl] = cnd
-    return mats, conds
+    finite = np.isfinite(b_mat).all(axis=(1, 2))
+    if p == 1:
+        eig = np.abs(b_mat[:, 0])
+    else:
+        eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], b_mat, 0.0)))
+    lo, hi = eig.min(axis=1), eig.max(axis=1)
+    ok = finite & (lo > 0)
+    conds = np.full(n, np.inf)
+    conds[ok] = hi[ok] / lo[ok]
+    if np.any(conds > COND_LIMIT):
+        worst = int(np.argmax(conds))
+        raise SingularMatrixError(
+            f"optimal instrument: inner moment matrix has condition number "
+            f"{conds[worst]:.3g} > {COND_LIMIT:.0e} at row {worst}")
+    if p == 1:
+        return a_mat / b_mat, conds
+    return np.linalg.solve(b_mat, a_mat).transpose(0, 2, 1), conds
+
+
+def _component_moments(family: Family, f_j: np.ndarray, resid_var: float, tilt: float,
+                       order: int) -> tuple[np.ndarray, np.ndarray]:
+    """E[r^k] and E[exp(tilt r) r^k] for k = 0, 1, 2, with r = Z_j - f_j, as
+    (rows, 3) arrays: one row from a Gauss-Hermite rule for a Gaussian
+    component (it does not depend on x), a two-point sum per row for a
+    Bernoulli one."""
+    if family == "gaussian":
+        t, w = gauss_hermite_points(order)
+        r = (math.sqrt(2.0 * resid_var) * t)[None, :]
+        w = w[None, :]
+    else:
+        r = np.column_stack([-f_j, 1.0 - f_j])
+        w = np.column_stack([1.0 - f_j, f_j])
+    with np.errstate(over="ignore"):
+        w_tilt = np.exp(tilt * r)
+    w_tilt *= w
+    r2 = r * r
+    return tuple(np.column_stack([v.sum(axis=1), np.einsum("ik,ik->i", v, r),
+                                  np.einsum("ik,ik->i", v, r2)]) for v in (w, w_tilt))
 
 
 def instrument_matrices(
@@ -534,6 +556,31 @@ def instrument_matrix(
 # ---------------------------------------------------------------------------
 
 
+def _point_terms(z, x, beta, alpha, covar: CovariateModelParams, basis: Basis):
+    """z, g = alpha'b(x), eta = beta'z + g and f(x) at one point, all from a
+    single evaluation of b(x)."""
+    z, bx, g, eta = _linear_predictor(
+        z, x, np.atleast_1d(np.asarray(beta, dtype=float)),
+        np.atleast_1d(np.asarray(alpha, dtype=float)), basis)
+    lin = (covar.gamma @ bx).tolist()
+    f = np.array([_scalar_expit(v) if fam == "bernoulli" else v
+                  for v, fam in zip(lin, covar.families)])
+    return z, g, eta, f
+
+
+def _apply_phi(spec: InstrumentSpec, v: np.ndarray, g: float, x, beta, alpha,
+               covar: CovariateModelParams, basis: Basis, *,
+               condition_on_y1: bool = False) -> np.ndarray:
+    """phi(x) v at one point; identity and simple need only g = alpha'b(x)."""
+    if spec.variant == "identity":
+        return v
+    if spec.variant == "simple":
+        return _scalar_expit(-g if condition_on_y1 else g) * v
+    phi = instrument_matrix(spec, x, OutcomeModelParams(beta, alpha), covar, basis,
+                            condition_on_y1=condition_on_y1)
+    return phi @ v
+
+
 def ee_dr(y, z, x, beta, alpha, covar: CovariateModelParams,
           instrument: InstrumentSpec, basis: Basis) -> np.ndarray:
     """Doubly robust estimating function
@@ -542,22 +589,21 @@ def ee_dr(y, z, x, beta, alpha, covar: CovariateModelParams,
     Unbiased for the true beta whenever the outcome model or the
     covariate-mean model is correctly specified, for any phi.
     """
-    params = OutcomeModelParams(beta, alpha)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    phi = instrument_matrix(instrument, x, params, covar, basis)
-    resid = z - covariate_means(covar, np.atleast_1d(x), basis)[0]
-    return calibrated_residual(y, z, x, params, basis) * (phi @ resid)
+    y = _check_y(y)
+    z, g, eta, f = _point_terms(z, x, beta, alpha, covar, basis)
+    resid = math.exp(-eta) if y == 1 else -1.0
+    return resid * _apply_phi(instrument, z - f, g, x, beta, alpha, covar, basis)
 
 
 def ee_dr_y1(y, z, x, beta, alpha, covar1: CovariateModelParams,
              instrument: InstrumentSpec, basis: Basis) -> np.ndarray:
     """Mirror of ee_dr conditioning on Y=1: the residual anchors at Y=1 and
     f models E(Z | Y=1, X)."""
-    params = OutcomeModelParams(beta, alpha)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    phi = instrument_matrix(instrument, x, params, covar1, basis, condition_on_y1=True)
-    resid = z - covariate_means(covar1, np.atleast_1d(x), basis)[0]
-    return calibrated_residual_y1(y, z, x, params, basis) * (phi @ resid)
+    y = _check_y(y)
+    z, g, eta, f = _point_terms(z, x, beta, alpha, covar1, basis)
+    resid = 1.0 if y == 1 else -math.exp(eta)
+    return resid * _apply_phi(instrument, z - f, g, x, beta, alpha, covar1, basis,
+                              condition_on_y1=True)
 
 
 def ee_instrument(y, z, x, beta, alpha, covar: CovariateModelParams,
@@ -570,28 +616,23 @@ def ee_instrument(y, z, x, beta, alpha, covar: CovariateModelParams,
     are supported for scalar binary Z only, where the conditional mean is
     an exact two-point sum.
     """
-    params = OutcomeModelParams(beta, alpha)
     y = _check_y(y)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    eta = _eta(z, x, params, basis)
+    z, g, eta, f = _point_terms(z, x, beta, alpha, covar, basis)
     # y/pi - 1 evaluated in the stable factored form (1-pi)/pi for y=1.
     w = _scalar_expit(-eta) / _scalar_expit(eta) if y == 1 else -1.0
 
     if isinstance(u, LinearInstrument):
-        phi = instrument_matrix(u.spec, x, params, covar, basis)
-        centered = phi @ (z - covariate_means(covar, np.atleast_1d(x), basis)[0])
-        return w * centered
+        return w * _apply_phi(u.spec, z - f, g, x, beta, alpha, covar, basis)
     if isinstance(u, BinaryInstrument):
         if covar.p != 1 or covar.families[0] != "bernoulli":
             raise ValueError("tabulated instruments only support scalar binary Z; "
                              "continuous Z is limited to linear-in-Z instruments")
         if z[0] not in (0.0, 1.0):
             raise ValueError("tabulated instrument evaluated at a non-binary z")
-        f = covariate_means(covar, np.atleast_1d(x), basis)[0, 0]
         u0 = np.atleast_1d(np.asarray(u.u0(np.asarray(x, dtype=float)), dtype=float))
         u1 = np.atleast_1d(np.asarray(u.u1(np.asarray(x, dtype=float)), dtype=float))
         uval = u1 if z[0] == 1.0 else u0
-        return w * (uval - ((1.0 - f) * u0 + f * u1))
+        return w * (uval - ((1.0 - f[0]) * u0 + f[0] * u1))
     raise TypeError(f"unsupported instrument type {type(u).__name__}")
 
 

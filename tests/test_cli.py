@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drlogit.cli import main, read_dataset_csv
+from drlogit.cli import CliError, main, read_dataset_csv
 from drlogit.model import InstrumentSpec
 from drlogit.nuisance import fit_covariate, fit_outcome_mle
 from drlogit.estimators import solve_dr
@@ -94,6 +99,58 @@ def test_fit_ragged_row(tmp_path, capsys):
     cfg.write_text(json.dumps({"basis": [{"kind": "intercept"}]}))
     assert main(["fit", "--data", str(bad), "--config", str(cfg)]) == 2
     assert "row 3" in capsys.readouterr().err
+
+
+_NON_FINITE_TOKENS = ("nan", "NaN", "inf", "-inf", "Infinity", "-Infinity", "1e999")
+
+
+@given(st.integers(0, 3), st.sampled_from(["z1", "x1", "x2"]),
+       st.sampled_from(_NON_FINITE_TOKENS))
+@settings(max_examples=40, deadline=None)
+def test_read_csv_rejects_non_finite_cell(row, column, token):
+    """A non-finite number parses as a float; the reader refuses it and
+    names its row (counting the header as row 1) and column."""
+    header = ["y", "z1", "x1", "x2"]
+    cells = [["0", "0.5", "1.0", "-1.0"] for _ in range(4)]
+    cells[row][header.index(column)] = token
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text("\n".join(",".join(r) for r in [header, *cells]) + "\n")
+        with pytest.raises(CliError, match=f"row {row + 2}, column '{column}'"):
+            read_dataset_csv(path)
+
+
+def test_fit_non_finite_cell(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("y,z1,x1\n0,1.0,2.0\n1,0.5,nan\n0,0.2,0.1\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": [{"kind": "intercept"}, {"kind": "linear", "j": 0}]}))
+    assert main(["fit", "--data", str(bad), "--config", str(cfg)]) == 2
+    assert "row 3, column 'x1'" in capsys.readouterr().err
+
+
+def _main_stderr(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@given(st.integers(-3, 0))
+@settings(max_examples=10, deadline=None)
+def test_simulate_rejects_nonpositive_workers(workers):
+    rc, err = _main_stderr(["simulate", "--scenarios", "S1-binary",
+                            "--workers", str(workers)])
+    assert rc == 2 and "workers" in err
+
+
+@given(st.one_of(st.just(0.0), st.just(1.0), st.just(math.nan),
+                 st.floats(max_value=0.0), st.floats(min_value=1.0)))
+@settings(max_examples=30, deadline=None)
+def test_fit_rejects_level_outside_unit_interval(level):
+    rc, err = _main_stderr(["fit", "--data", str(EXAMPLE_CSV), "--config", str(EXAMPLE_CFG),
+                            f"--level={level!r}"])
+    assert rc == 2 and "level" in err
 
 
 def test_fit_phi_flag_overrides(tmp_path):

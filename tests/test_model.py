@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -110,6 +111,16 @@ def test_dataset_validation():
     assert (ds.n, ds.p, ds.q) == (2, 1, 1)
     with pytest.raises(ValueError):
         ds.y[0] = 1  # frozen arrays
+
+
+@given(st.sampled_from(["z", "x"]), st.integers(0, 4), st.integers(0, 1),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_dataset_rejects_non_finite(which, row, col, bad):
+    arrays = {"z": np.zeros((5, 2)), "x": np.ones((5, 2))}
+    arrays[which][row, col] = bad
+    with pytest.raises(ValueError, match=f"{which} has non-finite value .* "
+                                         f"at row {row}, column {col}"):
+        Dataset(np.zeros(5, dtype=int), arrays["z"], arrays["x"])
 
 
 def test_covariate_params_validation():
@@ -268,7 +279,7 @@ def test_instrument_optimal_beta_zero_gaussian(lin_basis, rng):
 
 def test_instrument_optimal_vector_z_mixed_families(rng):
     """p=2 with one Gaussian and one Bernoulli component: the moment
-    matrices from the tensor grid match a brute-force two-block sum."""
+    matrices from per-component moments match a brute-force two-block sum."""
     basis = Basis.linear_in(1)
     beta = np.array([0.6, -0.4])
     alpha = np.array([0.2, 0.3])
@@ -295,6 +306,81 @@ def test_instrument_optimal_vector_z_mixed_families(rng):
             b_mat += weight * inv_pi * np.outer(resid, resid)
     want = a_mat @ np.linalg.inv(b_mat)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def _tensor_grid_moments(x, out, covar, basis, order, condition_on_y1):
+    """A and B summed node by node over the full tensor grid: Gauss-Hermite
+    nodes for Gaussian components, {0, 1} for Bernoulli ones."""
+    t, w = gauss_hermite_points(order)
+    f = covariate_means(covar, x[None, :], basis)[0]
+    g = float(basis.row(x) @ out.alpha)
+    axes = []
+    for j, fam in enumerate(covar.families):
+        if fam == "gaussian":
+            s = math.sqrt(2.0 * covar.resid_var[j])
+            axes.append([(f[j] + s * tk, wk) for tk, wk in zip(t, w)])
+        else:
+            axes.append([(0.0, 1.0 - f[j]), (1.0, f[j])])
+    p = covar.p
+    a_mat = np.zeros((p, p))
+    b_mat = np.zeros((p, p))
+    for node in itertools.product(*axes):
+        z = np.array([v for v, _ in node])
+        weight = math.prod(wk for _, wk in node)
+        eta = float(out.beta @ z) + g
+        inv_pi = 1.0 + math.exp(eta if condition_on_y1 else -eta)
+        outer = np.outer(z - f, z - f)
+        a_mat += weight * outer
+        b_mat += weight * inv_pi * outer
+    return a_mat, b_mat
+
+
+@pytest.mark.parametrize("order", [5, 21])
+@pytest.mark.parametrize("condition_on_y1", [False, True])
+def test_instrument_optimal_p3_matches_tensor_grid(order, condition_on_y1, rng):
+    """p=3 (two Gaussian components, one Bernoulli): the product of
+    one-dimensional moments equals the tensor-grid sum over all nodes."""
+    basis = Basis.linear_in(2)
+    covar = CovariateModelParams(
+        rng.uniform(-1.0, 1.0, (3, 3)), ("gaussian", "bernoulli", "gaussian"),
+        np.array([0.7, math.nan, 1.6]))
+    for _ in range(4):
+        out = OutcomeModelParams(rng.uniform(-1.2, 1.2, 3), rng.uniform(-1.0, 1.0, 3))
+        x = rng.uniform(-1.5, 1.5, 2)
+        got = instrument_matrix(InstrumentSpec("optimal", gh_order=order), x, out, covar,
+                                basis, condition_on_y1=condition_on_y1)
+        a_mat, b_mat = _tensor_grid_moments(x, out, covar, basis, order, condition_on_y1)
+        want = a_mat @ np.linalg.inv(b_mat)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("g, condition_on_y1", [(-750.0, False), (750.0, True)])
+def test_instrument_optimal_overflowing_row_refused(g, condition_on_y1):
+    """|g| near 750 overflows the inverse-probability weight of that row."""
+    basis = Basis.linear_in(1)
+    covar = CovariateModelParams(np.array([[0.1, 0.5], [-0.2, 0.7]]),
+                                 ("gaussian", "bernoulli"), np.array([0.9, math.nan]))
+    out = OutcomeModelParams(np.array([0.6, -0.4]), np.array([g, 0.0]))
+    xs = np.array([[0.3], [0.0]])
+    ok = OutcomeModelParams(out.beta, np.zeros(2))
+    assert np.isfinite(instrument_matrices(InstrumentSpec("optimal"), xs, ok, covar, basis,
+                                           condition_on_y1=condition_on_y1)).all()
+    with pytest.raises(SingularMatrixError, match="condition number"):
+        instrument_matrices(InstrumentSpec("optimal"), xs, out, covar, basis,
+                            condition_on_y1=condition_on_y1)
+
+
+def test_instrument_condition_number_p2_matches_svd():
+    basis = Basis.linear_in(1)
+    covar = CovariateModelParams(np.array([[0.1, 0.5], [-0.3, 0.2]]),
+                                 ("gaussian", "gaussian"), np.array([0.4, 2.5]))
+    out = OutcomeModelParams(np.array([0.9, -0.6]), np.array([0.3, -0.5]))
+    x = np.array([0.7])
+    _, cond = instrument_matrix(InstrumentSpec("optimal"), x, out, covar, basis,
+                                return_cond=True)
+    _, b_mat = _tensor_grid_moments(x, out, covar, basis, 21, False)
+    assert cond > 2.0
+    assert cond == pytest.approx(np.linalg.cond(b_mat), rel=1e-10)
 
 
 def test_instrument_optimal_refuses_many_gaussian_components():
