@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from statistics import NormalDist
 
@@ -125,6 +126,21 @@ def basis_from_terms(terms: list[dict]) -> Basis:
 # ---------------------------------------------------------------------------
 
 
+def _raise_first_row_fault(path, rows, width: int, order: list[int]) -> None:
+    """Raise the CliError for the first row (the header is row 1) with a
+    wrong cell count, a non-numeric cell (cells tried in y, z1.., x1..
+    order) or a y other than 0 or 1, checked in that order per row."""
+    for i, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise CliError(f"{path}: row {i} has {len(row)} cells, header has {width}")
+        try:
+            values = [float(row[j]) for j in order]
+        except ValueError as exc:
+            raise CliError(f"{path}: non-numeric cell in row {i}: {exc}") from exc
+        if values[0] not in (0.0, 1.0):
+            raise CliError(f"{path}: row {i} has y={row[order[0]]!r}, must be 0 or 1")
+
+
 def read_dataset_csv(path) -> Dataset:
     """Read a dataset with header y,z1..zp,x1..xq (column order free,
     numbering dense from 1).  Raises CliError naming the offending
@@ -155,31 +171,28 @@ def read_dataset_csv(path) -> Dataset:
 
     z_names = numbered("z")
     x_names = numbered("x")
-    p, q = len(z_names), len(x_names)
     extra = set(cols) - {"y", *z_names, *x_names}
     if extra:
         raise CliError(f"{path}: unexpected columns {sorted(extra)}")
 
-    n = len(rows)
+    n, width = len(rows), len(header)
     if n == 0:
         raise CliError(f"{path}: no data rows")
-    y = np.empty(n, dtype=np.int64)
-    z = np.empty((n, p))
-    x = np.empty((n, q))
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise CliError(f"{path}: row {i + 2} has {len(row)} cells, header has {len(header)}")
-        try:
-            yv = float(row[cols["y"]])
-            for j, name in enumerate(z_names):
-                z[i, j] = float(row[cols[name]])
-            for j, name in enumerate(x_names):
-                x[i, j] = float(row[cols[name]])
-        except ValueError as exc:
-            raise CliError(f"{path}: non-numeric cell in row {i + 2}: {exc}") from exc
-        if yv not in (0.0, 1.0):
-            raise CliError(f"{path}: row {i + 2} has y={row[cols['y']]!r}, must be 0 or 1")
-        y[i] = int(yv)
+    try:
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows")
+        # Python's float, so the accepted tokens are exactly float()'s
+        cells = np.fromiter(map(float, chain.from_iterable(rows)), dtype=float,
+                            count=n * width).reshape(n, width)
+        y = cells[:, cols["y"]]
+        if not ((y == 0.0) | (y == 1.0)).all():
+            raise ValueError("y outside {0, 1}")
+    except ValueError:
+        order = [cols[name] for name in ("y", *z_names, *x_names)]
+        _raise_first_row_fault(path, rows, width, order)
+        raise  # not reached: the walk finds the fault the fast pass hit
+    z = cells[:, [cols[name] for name in z_names]]
+    x = cells[:, [cols[name] for name in x_names]]
     finite = np.isfinite(z).all(axis=1) & np.isfinite(x).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))

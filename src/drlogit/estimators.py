@@ -156,10 +156,14 @@ def _report(data, kernel, outcome, covar, instrument, basis, res, level):
     zq = NormalDist().inv_cdf(0.5 + level / 2.0)
     ci = np.column_stack([res.params - zq * se, res.params + zq * se])
     jac = kernel.jacobian(res.params)
+    if jac.shape == (1, 1) and math.isfinite(jac[0, 0]) and jac[0, 0] != 0.0:
+        condition = 1.0  # what np.linalg.cond's SVD gives a finite nonzero 1x1
+    else:
+        condition = float(np.linalg.cond(jac))
     diagnostics = SolveDiagnostics(
         iterations=res.iterations,
         final_eq_norm=res.final_norm,
-        jacobian_condition=float(np.linalg.cond(jac)),
+        jacobian_condition=condition,
         step_halvings=res.step_halvings,
     )
     return EstimateReport(

@@ -71,19 +71,17 @@ COND_LIMIT = 1e12
 def expit(c):
     """Inverse logit 1 / (1 + exp(-c)), stable on both tails.
 
-    Uses the sign of c to pick the overflow-free branch, so arguments of
-    magnitude well beyond 700 neither overflow nor underflow to garbage.
-    Accepts scalars or arrays; returns a float for scalar input.
+    With e = exp(-|c|), it is 1 / (1 + e) for c >= 0 and e / (1 + e)
+    otherwise, so arguments of magnitude well beyond 700 neither overflow
+    nor underflow to garbage; elementwise it is bit-identical to the
+    sign-split form of `_scalar_expit`.  Accepts scalars or arrays;
+    returns a float for scalar input.
     """
     arr = np.asarray(c, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    e = np.exp(arr[~pos])
-    out[~pos] = e / (1.0 + e)
-    return float(out[0]) if scalar else out
+    # min(c, -c) rather than -abs(c): it keeps the sign bit of a NaN input
+    e = np.exp(np.minimum(arr, -arr))
+    out = np.where(arr >= 0.0, 1.0, e) / (1.0 + e)
+    return float(out) if out.ndim == 0 else out
 
 
 def _scalar_expit(c: float) -> float:

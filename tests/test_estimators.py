@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from drlogit.estimators import (
+    _Kernel,
     assemble_influence,
     closed_form_binary,
     compare_efficiency,
@@ -110,6 +111,30 @@ def test_report_covariance_psd_and_cis(rng):
     assert rep.level == 0.9
     # influence rows average to ~0 at the solution
     assert np.max(np.abs(rep.influence.mean(axis=0))) <= 1e-8
+
+
+def test_jacobian_condition_equals_svd_condition(rng):
+    """The reported condition number is np.linalg.cond of the Jacobian at
+    beta_hat, for p=1 (where no SVD is run) and p=2 alike."""
+    ds1, basis1, outcome1, covar1 = _binary_fixture(rng)
+    covar1_y1 = fit_covariate_y1(ds1, basis1, ("bernoulli",))
+    n = 800
+    x = rng.uniform(-1.0, 1.0, (n, 1))
+    z = rng.standard_normal((n, 2)) + 0.3 * x
+    y = (rng.random(n) < expit(0.2 + z @ np.array([0.5, -0.4]) + 0.5 * x[:, 0])).astype(int)
+    ds2, basis2 = Dataset(y, z, x), Basis.linear_in(1)
+    outcome2 = fit_outcome_mle(ds2, basis2)
+    covar2 = fit_covariate(ds2, basis2, ("gaussian", "gaussian"))
+    cases = [(solve_dr, ds1, basis1, outcome1, covar1, False),
+             (solve_dr_y1, ds1, basis1, outcome1, covar1_y1, True),
+             (solve_dr, ds2, basis2, outcome2, covar2, False)]
+    for solve, ds, basis, outcome, covar, y1 in cases:
+        for variant in ("identity", "simple", "optimal"):
+            spec = InstrumentSpec(variant)
+            rep = solve(ds, outcome, covar, spec, basis)
+            jac = _Kernel(ds, outcome, covar, spec, basis, y1=y1).jacobian(rep.beta_hat)
+            assert jac.shape == (ds.p, ds.p)
+            assert rep.diagnostics.jacobian_condition == float(np.linalg.cond(jac))
 
 
 def test_solve_rejects_mismatched_fits(rng):

@@ -63,6 +63,33 @@ def test_expit_array_matches_scalar():
         assert expit(float(ci)) == oi
 
 
+def _sign_split_expit(c: np.ndarray) -> np.ndarray:
+    # reference: 1 / (1 + exp(-c)) where c >= 0, exp(c) / (1 + exp(c)) elsewhere
+    out = np.empty_like(c)
+    pos = c >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-c[pos]))
+    e = np.exp(c[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_expit_bit_identical_to_sign_split():
+    special = [0.0, -0.0, 1e-320, -1e-320, 745.0, -745.0, 800.0, -800.0,
+               math.inf, -math.inf, math.nan, -math.nan]
+    c = np.concatenate([special, np.random.default_rng(3).normal(0.0, 30.0, 4000)])
+    want = _sign_split_expit(c)
+    assert expit(c).tobytes() == want.tobytes()
+    grid = c[:4000].reshape(40, 100)
+    got = expit(grid)
+    assert got.shape == grid.shape
+    assert got.tobytes() == _sign_split_expit(grid.ravel()).tobytes()
+    for v, w in zip(special, want):
+        s = expit(v)
+        assert type(s) is float and np.float64(s).tobytes() == w.tobytes()
+        s0 = expit(np.array(v))
+        assert type(s0) is float and np.float64(s0).tobytes() == w.tobytes()
+
+
 @given(st.floats(min_value=-700, max_value=700))
 def test_expit_complement_identity(c):
     assert expit(-c) == pytest.approx(1.0 - expit(c), abs=1e-15)
