@@ -23,12 +23,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .estimators import assemble_influence, closed_form_binary, solve_dr, solve_dr_y1
-from .model import Basis, BasisTerm, Dataset, EstimationError, InstrumentSpec
-from .nuisance import fit_covariate, fit_covariate_y1, fit_outcome_mle
+from .model import Basis, BasisTerm, Dataset, EstimationError
 from .simulate import (
     KNOWN_ESTIMATORS,
     MonteCarloSummary,
+    estimate,
     run_scenario,
     scenario_catalog,
     summary_rows,
@@ -208,52 +207,6 @@ def read_dataset_csv(path) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _fit_one(name: str, data: Dataset, basis: Basis, z_families, level: float,
-             fits: dict) -> dict:
-    if "outcome" not in fits:
-        fits["outcome"] = fit_outcome_mle(data, basis)
-    outcome = fits["outcome"]
-    if name == "mle":
-        cov = outcome.s1.T @ outcome.s1 / data.n**2
-        se = np.sqrt(np.diag(cov)[:data.p])
-        beta = outcome.params.beta
-        zq = NormalDist().inv_cdf(0.5 + level / 2.0)
-        ci = np.column_stack([beta - zq * se, beta + zq * se])
-        return {"beta": beta.tolist(), "se": se.tolist(), "ci": ci.tolist(),
-                "diagnostics": {"iterations": outcome.iterations}}
-    if name == "closed_form":
-        if "covar" not in fits:
-            fits["covar"] = fit_covariate(data, basis, z_families)
-        beta = closed_form_binary(data, outcome, fits["covar"])
-        pieces = assemble_influence(data, np.array([beta]), outcome, fits["covar"],
-                                    InstrumentSpec("simple"), basis)
-        se = float(math.sqrt(pieces.covariance[0, 0]))
-        zq = NormalDist().inv_cdf(0.5 + level / 2.0)
-        return {"beta": [beta], "se": [se], "ci": [[beta - zq * se, beta + zq * se]],
-                "diagnostics": {}}
-    if name.startswith("dr_y1_"):
-        if "covar1" not in fits:
-            fits["covar1"] = fit_covariate_y1(data, basis, z_families)
-        rep = solve_dr_y1(data, outcome, fits["covar1"],
-                          InstrumentSpec(name.removeprefix("dr_y1_")), basis, level=level)
-    else:
-        if "covar" not in fits:
-            fits["covar"] = fit_covariate(data, basis, z_families)
-        rep = solve_dr(data, outcome, fits["covar"],
-                       InstrumentSpec(name.removeprefix("dr_")), basis, level=level)
-    return {
-        "beta": rep.beta_hat.tolist(),
-        "se": rep.std_errors.tolist(),
-        "ci": rep.wald_ci.tolist(),
-        "diagnostics": {
-            "iterations": rep.diagnostics.iterations,
-            "final_eq_norm": rep.diagnostics.final_eq_norm,
-            "jacobian_condition": rep.diagnostics.jacobian_condition,
-            "step_halvings": rep.diagnostics.step_halvings,
-        },
-    }
-
-
 def cmd_fit(rc: RunConfig) -> int:
     if rc.data is None:
         raise CliError("fit needs --data FILE")
@@ -266,13 +219,17 @@ def cmd_fit(rc: RunConfig) -> int:
         raise CliError(f"config lists {len(z_families)} z_families but data has p={data.p}")
     estimators = rc.estimators or ["mle", "dr_simple"]
 
+    zq = NormalDist().inv_cdf(0.5 + rc.level / 2.0)
     results = {}
     fits: dict = {}
     for name in estimators:
         try:
-            results[name] = _fit_one(name, data, basis, z_families, rc.level, fits)
+            beta, se, diagnostics = estimate(name, data, basis, z_families, rc.level, fits)
         except (EstimationError, ValueError) as exc:
             raise CliError(f"estimator {name!r} failed: {exc}") from exc
+        results[name] = {"beta": beta.tolist(), "se": se.tolist(),
+                         "ci": np.column_stack([beta - zq * se, beta + zq * se]).tolist(),
+                         "diagnostics": diagnostics}
 
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"n": data.n, "p": data.p, "q": data.q, "level": rc.level,

@@ -14,7 +14,7 @@ covariate model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -26,6 +26,7 @@ from .model import (
     Dataset,
     InstrumentSpec,
     SingularMatrixError,
+    _negated,
     expit,
     instrument_matrices,
     covariate_means,
@@ -88,16 +89,12 @@ class _Kernel:
     instrument held fixed at the plugged-in nuisance estimates."""
 
     def __init__(self, data: Dataset, outcome: OutcomeFit, covar: CovariateFit,
-                 instrument: InstrumentSpec, basis: Basis, y1: bool):
+                 instrument: InstrumentSpec, basis: Basis):
         if not outcome.converged or not covar.converged:
             raise ValueError("nuisance fits must have converged")
-        if covar.response_level != (1 if y1 else 0):
-            raise ValueError(
-                f"covariate fit conditions on Y={covar.response_level}, "
-                f"but this estimator needs Y={1 if y1 else 0}")
+        _check_level(covar, 0)
         if not (data.y == 1).any() or not (data.y == 0).any():
             raise ValueError("need both response classes to estimate beta")
-        self.y1 = y1
         self.y = data.y
         self.z = data.z
         self.n = data.n
@@ -105,29 +102,33 @@ class _Kernel:
         self.g = self.bmat @ outcome.params.alpha
         self.f = covariate_means(covar.params, data.x, basis)
         self.phi = instrument_matrices(instrument, data.x, outcome.params,
-                                       covar.params, basis, condition_on_y1=y1)
+                                       covar.params, basis)
         self.phi_resid = np.einsum("nij,nj->ni", self.phi, self.z - self.f)
 
+    # Callers silence overflow: a trial beta may overflow exp, and
+    # damped_newton reads the resulting inf/NaN norm as no improvement.
     def residual(self, beta: np.ndarray) -> np.ndarray:
         eta = self.z @ beta + self.g
-        with np.errstate(over="ignore"):
-            if self.y1:
-                return np.where(self.y == 1, 1.0, -np.exp(eta))
-            return np.where(self.y == 1, np.exp(-eta), -1.0)
+        return np.where(self.y == 1, np.exp(-eta), -1.0)
 
     def weight(self, beta: np.ndarray) -> np.ndarray:
         """Negated derivative of the residual in eta (nonnegative)."""
         eta = self.z @ beta + self.g
-        with np.errstate(over="ignore"):
-            if self.y1:
-                return np.where(self.y == 0, np.exp(eta), 0.0)
-            return np.where(self.y == 1, np.exp(-eta), 0.0)
+        return np.where(self.y == 1, np.exp(-eta), 0.0)
 
     def equation(self, beta: np.ndarray) -> np.ndarray:
-        return self.phi_resid.T @ self.residual(beta) / self.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.phi_resid.T @ self.residual(beta) / self.n
 
     def jacobian(self, beta: np.ndarray) -> np.ndarray:
-        return -(self.phi_resid * self.weight(beta)[:, None]).T @ self.z / self.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -(self.phi_resid * self.weight(beta)[:, None]).T @ self.z / self.n
+
+
+def _check_level(covar: CovariateFit, level: int) -> None:
+    if covar.response_level != level:
+        raise ValueError(f"covariate fit conditions on Y={covar.response_level}, "
+                         f"but this estimator needs Y={level}")
 
 
 def _solve(kernel: _Kernel, start: np.ndarray):
@@ -187,7 +188,7 @@ def solve_dr(data: Dataset, outcome: OutcomeFit, covar: CovariateFit,
     fit's beta and restarted from zero on non-convergence.  The returned
     covariance is the sandwich built from the estimated influence values.
     """
-    kernel = _Kernel(data, outcome, covar, instrument, basis, y1=False)
+    kernel = _Kernel(data, outcome, covar, instrument, basis)
     res = _solve(kernel, outcome.params.beta)
     return _report(data, kernel, outcome, covar, instrument, basis, res, level)
 
@@ -196,10 +197,18 @@ def solve_dr_y1(data: Dataset, outcome: OutcomeFit, covar1: CovariateFit,
                 instrument: InstrumentSpec, basis: Basis, *,
                 level: float = 0.95) -> EstimateReport:
     """Symmetric variant of solve_dr anchored at Y=1: uses the Y=1
-    calibrated residual and a covariate model for E(Z | Y=1, X)."""
-    kernel = _Kernel(data, outcome, covar1, instrument, basis, y1=True)
-    res = _solve(kernel, outcome.params.beta)
-    return _report(data, kernel, outcome, covar1, instrument, basis, res, level)
+    calibrated residual and a covariate model for E(Z | Y=1, X).
+
+    By the odds-ratio symmetry it is solve_dr on the relabeled data
+    (Y -> 1 - Y) under the negated outcome fit, with beta_hat, the influence
+    rows and the Wald interval negated back; the rest carries over.
+    """
+    _check_level(covar1, 1)
+    mirror = solve_dr(Dataset(1 - data.y, data.z, data.x),
+                      replace(outcome, params=_negated(outcome.params), s1=-outcome.s1),
+                      replace(covar1, response_level=0), instrument, basis, level=level)
+    return replace(mirror, beta_hat=-mirror.beta_hat, influence=-mirror.influence,
+                   wald_ci=-mirror.wald_ci[:, ::-1])
 
 
 def closed_form_binary(data: Dataset, outcome: OutcomeFit,
@@ -234,7 +243,7 @@ def closed_form_binary(data: Dataset, outcome: OutcomeFit,
 
 def assemble_influence(data: Dataset, beta_hat: np.ndarray, outcome: OutcomeFit,
                        covar: CovariateFit, instrument: InstrumentSpec,
-                       basis: Basis, *, y1: bool = False) -> InfluencePieces:
+                       basis: Basis) -> InfluencePieces:
     """Expansion pieces of the estimating equation at beta_hat.
 
     h_matrix, b1 and b2 are sample means of the analytic derivatives of
@@ -244,7 +253,7 @@ def assemble_influence(data: Dataset, beta_hat: np.ndarray, outcome: OutcomeFit,
     beta_hat - beta_bar is their sample mean to first order; the
     covariance is their scaled Gram matrix, symmetric PSD by construction.
     """
-    kernel = _Kernel(data, outcome, covar, instrument, basis, y1=y1)
+    kernel = _Kernel(data, outcome, covar, instrument, basis)
     return _assemble(kernel, np.atleast_1d(np.asarray(beta_hat, float)), outcome, covar)
 
 
@@ -253,8 +262,9 @@ def _assemble(kernel: _Kernel, beta: np.ndarray, outcome: OutcomeFit,
     n = kernel.n
     p = beta.shape[0]
     m = kernel.bmat.shape[1]
-    resid = kernel.residual(beta)
-    wt = kernel.weight(beta)
+    with np.errstate(over="ignore"):
+        resid = kernel.residual(beta)
+        wt = kernel.weight(beta)
     r_rows = resid[:, None] * kernel.phi_resid
 
     h_matrix = -(kernel.phi_resid * wt[:, None]).T @ kernel.z / n

@@ -246,6 +246,12 @@ class OutcomeModelParams:
         object.__setattr__(self, "alpha", _readonly(alpha))
 
 
+def _negated(params: OutcomeModelParams) -> OutcomeModelParams:
+    """Outcome model of the relabeled response 1 - Y, by the odds-ratio
+    symmetry P(1-Y=1 | z, x) = expit(-beta'z - alpha'b(x))."""
+    return OutcomeModelParams(-params.beta, -params.alpha)
+
+
 Family = Literal["gaussian", "bernoulli"]
 
 
@@ -390,11 +396,9 @@ def calibrated_residual(y, z, x, params: OutcomeModelParams, basis: Basis) -> fl
 
 
 def calibrated_residual_y1(y, z, x, params: OutcomeModelParams, basis: Basis) -> float:
-    """Mirror residual anchored at Y=1: y - (1-y)*exp(eta) = (y - pi)/(1 - pi)."""
-    y = _check_y(y)
-    if y == 1:
-        return 1.0
-    return -math.exp(_eta(z, x, params, basis))
+    """Mirror residual anchored at Y=1: y - (1-y)*exp(eta) = (y - pi)/(1 - pi),
+    which is minus calibrated_residual of 1 - y under the negated model."""
+    return -calibrated_residual(1 - _check_y(y), z, x, _negated(params), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -419,34 +423,26 @@ def _optimal_instrument_batch(
     covar: CovariateModelParams,
     basis: Basis,
     order: int,
-    *,
-    condition_on_y1: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Variance-minimizing phi(x) per row, with condition numbers.
 
-    phi(x) = A(x) B(x)^{-1} where A = E[(Z-f)(Z-f)' | Y=y0, x] and
-    B = E[w (Z-f)(Z-f)' | Y=y0, x], with weight w = 1/pi for the Y=0
-    conditioning and 1/(1-pi) for the Y=1 mirror.  Components of Z are
-    treated as mutually independent under their declared families, and
-    w = 1 + exp(s(g + beta'f)) prod_l exp(s beta_l r_l) with r = Z - f and
-    s = -1 (Y=0) or +1 (Y=1), so every entry of A and B is a product of
-    one-dimensional moments E[r_l^k] and E[exp(s beta_l r_l) r_l^k],
-    k = 0, 1, 2.  A Gaussian component takes them from a Gauss-Hermite
-    rule of order `order` (the same for every row), a Bernoulli one from
-    its two-point sum per row.  This equals the tensor-product rule over
-    all components up to rounding, at O(n p^3) cost.
+    phi(x) = A(x) B(x)^{-1} where A = E[(Z-f)(Z-f)' | Y=0, x] and
+    B = E[(Z-f)(Z-f)' / pi | Y=0, x].  Components of Z are treated as
+    mutually independent under their declared families, and
+    1/pi = 1 + exp(-(g + beta'f)) prod_l exp(-beta_l r_l) with r = Z - f,
+    so every entry of A and B is a product of one-dimensional moments
+    E[r_l^k] and E[exp(-beta_l r_l) r_l^k], k = 0, 1, 2.  A Gaussian
+    component takes them from a Gauss-Hermite rule of order `order` (the
+    same for every row), a Bernoulli one from its two-point sum per row.
+    This equals the tensor-product rule over all components up to
+    rounding, at O(n p^3) cost.
     """
     p = covar.p
     if outcome.beta.shape[0] != p:
         raise ValueError("beta and covariate model disagree on dim(Z)")
-    n_gauss = sum(1 for f in covar.families if f == "gaussian")
-    if n_gauss > 3:
-        raise ValueError("optimal instrument with more than 3 Gaussian components: "
-                         "tensor quadrature refused")
     bx = basis.design(x)
     n = bx.shape[0]
     f = _means_from_design(covar, bx)
-    sign = 1.0 if condition_on_y1 else -1.0
 
     # entry (j, k) of A and B takes moment order [l == j] + [l == k] from component l
     comp = np.arange(p)
@@ -455,11 +451,11 @@ def _optimal_instrument_batch(
     tilt_mat = np.ones((n, p, p))
     for j, fam in enumerate(covar.families):
         plain, tilted = _component_moments(fam, f[:, j], covar.resid_var[j],
-                                           sign * outcome.beta[j], order)
+                                           -outcome.beta[j], order)
         a_mat *= plain[:, order_jkl[:, :, j]]
         tilt_mat *= tilted[:, order_jkl[:, :, j]]
     with np.errstate(over="ignore", invalid="ignore"):
-        tilt_mat *= np.exp(sign * (bx @ outcome.alpha + f @ outcome.beta))[:, None, None]
+        tilt_mat *= np.exp(-(bx @ outcome.alpha + f @ outcome.beta))[:, None, None]
     b_mat = a_mat + tilt_mat
 
     finite = np.isfinite(b_mat).all(axis=(1, 2))
@@ -511,18 +507,19 @@ def instrument_matrices(
     *,
     condition_on_y1: bool = False,
 ) -> np.ndarray:
-    """Evaluate phi at every row of x; returns an (n, p, p) array."""
+    """Evaluate phi at every row of x; returns an (n, p, p) array.  With
+    condition_on_y1, covar models E(Z | Y=1, X) and phi is the Y=1 mirror."""
+    if condition_on_y1:
+        outcome = _negated(outcome)
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     n = x2.shape[0]
     p = covar.p
     if spec.variant == "identity":
         return np.broadcast_to(np.eye(p), (n, p, p)).copy()
     if spec.variant == "simple":
-        g = basis.design(x2) @ outcome.alpha
-        scale = expit(-g if condition_on_y1 else g)
+        scale = expit(basis.design(x2) @ outcome.alpha)
         return np.atleast_1d(scale)[:, None, None] * np.eye(p)[None, :, :]
-    mats, _ = _optimal_instrument_batch(
-        x2, outcome, covar, basis, spec.gh_order, condition_on_y1=condition_on_y1)
+    mats, _ = _optimal_instrument_batch(x2, outcome, covar, basis, spec.gh_order)
     return mats
 
 
@@ -539,13 +536,13 @@ def instrument_matrix(
     """phi at a single point x; with return_cond=True also reports the
     condition number of the inverted moment matrix (1 for the scalar
     identity and simple variants)."""
+    if condition_on_y1:
+        outcome = _negated(outcome)
     x1 = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     if spec.variant == "optimal":
-        mats, conds = _optimal_instrument_batch(
-            x1, outcome, covar, basis, spec.gh_order, condition_on_y1=condition_on_y1)
+        mats, conds = _optimal_instrument_batch(x1, outcome, covar, basis, spec.gh_order)
         return (mats[0], float(conds[0])) if return_cond else mats[0]
-    mat = instrument_matrices(spec, x1, outcome, covar, basis,
-                              condition_on_y1=condition_on_y1)[0]
+    mat = instrument_matrices(spec, x1, outcome, covar, basis)[0]
     return (mat, 1.0) if return_cond else mat
 
 
@@ -567,15 +564,13 @@ def _point_terms(z, x, beta, alpha, covar: CovariateModelParams, basis: Basis):
 
 
 def _apply_phi(spec: InstrumentSpec, v: np.ndarray, g: float, x, beta, alpha,
-               covar: CovariateModelParams, basis: Basis, *,
-               condition_on_y1: bool = False) -> np.ndarray:
+               covar: CovariateModelParams, basis: Basis) -> np.ndarray:
     """phi(x) v at one point; identity and simple need only g = alpha'b(x)."""
     if spec.variant == "identity":
         return v
     if spec.variant == "simple":
-        return _scalar_expit(-g if condition_on_y1 else g) * v
-    phi = instrument_matrix(spec, x, OutcomeModelParams(beta, alpha), covar, basis,
-                            condition_on_y1=condition_on_y1)
+        return _scalar_expit(g) * v
+    phi = instrument_matrix(spec, x, OutcomeModelParams(beta, alpha), covar, basis)
     return phi @ v
 
 
@@ -596,12 +591,10 @@ def ee_dr(y, z, x, beta, alpha, covar: CovariateModelParams,
 def ee_dr_y1(y, z, x, beta, alpha, covar1: CovariateModelParams,
              instrument: InstrumentSpec, basis: Basis) -> np.ndarray:
     """Mirror of ee_dr conditioning on Y=1: the residual anchors at Y=1 and
-    f models E(Z | Y=1, X)."""
-    y = _check_y(y)
-    z, g, eta, f = _point_terms(z, x, beta, alpha, covar1, basis)
-    resid = 1.0 if y == 1 else -math.exp(eta)
-    return resid * _apply_phi(instrument, z - f, g, x, beta, alpha, covar1, basis,
-                              condition_on_y1=True)
+    f models E(Z | Y=1, X).  By the odds-ratio symmetry it is minus ee_dr
+    of the relabeled response 1 - y with (beta, alpha) negated."""
+    return -ee_dr(1 - _check_y(y), z, x, -np.asarray(beta, dtype=float),
+                  -np.asarray(alpha, dtype=float), covar1, instrument, basis)
 
 
 def ee_instrument(y, z, x, beta, alpha, covar: CovariateModelParams,

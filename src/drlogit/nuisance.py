@@ -2,9 +2,11 @@
 
 Two working models feed the doubly robust estimating equation: a
 logistic outcome model in (beta, alpha) fitted on the whole sample, and
-a covariate-mean model in gamma fitted on the Y=0 (or Y=1) subsample.
-Each fit returns per-observation influence values so that downstream
-sandwich variances can account for the estimated nuisances:
+a covariate-mean model in gamma fitted on the Y=0 (or, for solve_dr_y1,
+the Y=1) subsample.  The outcome MLE and the Bernoulli covariate
+components share one logistic Newton fit.  Each fit returns
+per-observation influence values so that downstream sandwich variances
+can account for the estimated nuisances:
 params_hat - params_bar = mean of the influence rows + o_p(n^{-1/2}).
 """
 
@@ -111,18 +113,11 @@ def _calibrated_resid(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 
 def _fit_logistic_core(w: np.ndarray, y: np.ndarray, start: np.ndarray):
-    """Newton-Raphson on the mean score equation w'(y - pi)/n = 0."""
-    n = w.shape[0]
-
-    def equation(theta):
-        pi = expit(w @ theta)
-        return w.T @ (y - pi) / n
-
-    def jacobian(theta):
-        pi = expit(w @ theta)
-        return -(w * (pi * (1.0 - pi))[:, None]).T @ w / n
-
-    return damped_newton(equation, jacobian, start, tol=_TOL, max_iter=_MAX_ITER)
+    """Newton-Raphson on the mean score equation w'(y - pi)/n = 0: the one
+    logistic fit behind the outcome MLE and the Bernoulli covariate fits."""
+    return damped_newton(lambda th: w.T @ (y - expit(w @ th)) / w.shape[0],
+                         lambda th: _neg_info(w, expit(w @ th)),
+                         start, tol=_TOL, max_iter=_MAX_ITER)
 
 
 def fit_outcome_mle(data: Dataset, basis: Basis) -> OutcomeFit:
@@ -140,10 +135,7 @@ def fit_outcome_mle(data: Dataset, basis: Basis) -> OutcomeFit:
     if np.linalg.matrix_rank(wa) < wa.shape[1]:
         raise ValueError("outcome design matrix [z, b(x)] is rank deficient")
 
-    res = damped_newton(
-        lambda th: wa.T @ (data.y - expit(wa @ th)) / data.n,
-        lambda th: _neg_info(wa, expit(wa @ th)),
-        np.zeros(wa.shape[1]), tol=_TOL, max_iter=_MAX_ITER)
+    res = _fit_logistic_core(wa, data.y, np.zeros(wa.shape[1]))
     if not res.converged:
         raise ConvergenceError(
             f"logistic MLE did not converge in {res.iterations} iterations "

@@ -19,7 +19,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from statistics import NormalDist
 from typing import Sequence
 
@@ -48,6 +48,7 @@ __all__ = [
     "sample_binary",
     "sample_gaussian_tilted",
     "sample_dataset",
+    "estimate",
     "run_scenario",
     "scenario_catalog",
     "write_dataset_csv",
@@ -62,6 +63,38 @@ DEFAULT_ESTIMATORS = ("mle", "dr_identity", "dr_simple", "dr_optimal")
 KNOWN_ESTIMATORS = ("mle", "dr_identity", "dr_simple", "dr_optimal",
                     "dr_y1_identity", "dr_y1_simple", "dr_y1_optimal",
                     "closed_form")
+
+
+def estimate(name: str, data: Dataset, basis: Basis, z_families: Sequence[str],
+             level: float, fits: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Run one estimator of KNOWN_ESTIMATORS on data; returns (beta, se,
+    diagnostics).  `fits` caches the nuisance fits that a menu shares on one
+    dataset: "outcome" (the MLE), "covar" (Y=0) and "covar1" (Y=1)."""
+    if name not in KNOWN_ESTIMATORS:
+        raise KeyError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
+    if "outcome" not in fits:
+        fits["outcome"] = fit_outcome_mle(data, basis)
+    outcome = fits["outcome"]
+    if name == "mle":
+        cov = outcome.s1.T @ outcome.s1 / data.n**2
+        return (outcome.params.beta, np.sqrt(np.diag(cov)[:data.p]),
+                {"iterations": outcome.iterations})
+    if name.startswith("dr_y1_"):
+        if "covar1" not in fits:
+            fits["covar1"] = fit_covariate_y1(data, basis, z_families)
+        rep = solve_dr_y1(data, outcome, fits["covar1"],
+                          InstrumentSpec(name.removeprefix("dr_y1_")), basis, level=level)
+        return rep.beta_hat, rep.std_errors, asdict(rep.diagnostics)
+    if "covar" not in fits:
+        fits["covar"] = fit_covariate(data, basis, z_families)
+    if name == "closed_form":
+        beta = np.array([closed_form_binary(data, outcome, fits["covar"])])
+        pieces = assemble_influence(data, beta, outcome, fits["covar"],
+                                    InstrumentSpec("simple"), basis)
+        return beta, np.sqrt(np.diag(pieces.covariance)), {}
+    rep = solve_dr(data, outcome, fits["covar"], InstrumentSpec(name.removeprefix("dr_")),
+                   basis, level=level)
+    return rep.beta_hat, rep.std_errors, asdict(rep.diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -323,40 +356,13 @@ def _run_replication(sc: Scenario, rep: int, estimators: Sequence[str],
     out: dict = {}
     try:
         data = sample_dataset(sc.law, sc.n, seed)
-        outcome = fit_outcome_mle(data, sc.working_basis)
+        fits = {"outcome": fit_outcome_mle(data, sc.working_basis)}
     except (EstimationError, ValueError, np.linalg.LinAlgError):
         return {name: None for name in estimators}
-    covar = covar1 = None
     for name in estimators:
         try:
-            if name == "mle":
-                beta = float(outcome.params.beta[0])
-                cov = outcome.s1.T @ outcome.s1 / data.n**2
-                se = math.sqrt(cov[0, 0])
-            elif name == "closed_form":
-                if covar is None:
-                    covar = fit_covariate(data, sc.working_basis, sc.z_families)
-                beta = closed_form_binary(data, outcome, covar)
-                pieces = assemble_influence(data, np.array([beta]), outcome, covar,
-                                            InstrumentSpec("simple"), sc.working_basis)
-                se = math.sqrt(pieces.covariance[0, 0])
-            elif name.startswith("dr_y1_"):
-                if covar1 is None:
-                    covar1 = fit_covariate_y1(data, sc.working_basis, sc.z_families)
-                rep_ = solve_dr_y1(data, outcome, covar1,
-                                   InstrumentSpec(name.removeprefix("dr_y1_")),
-                                   sc.working_basis, level=level)
-                beta, se = float(rep_.beta_hat[0]), float(rep_.std_errors[0])
-            elif name.startswith("dr_"):
-                if covar is None:
-                    covar = fit_covariate(data, sc.working_basis, sc.z_families)
-                rep_ = solve_dr(data, outcome, covar,
-                                InstrumentSpec(name.removeprefix("dr_")),
-                                sc.working_basis, level=level)
-                beta, se = float(rep_.beta_hat[0]), float(rep_.std_errors[0])
-            else:
-                raise KeyError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
-            out[name] = (beta, se)
+            beta, se, _ = estimate(name, data, sc.working_basis, sc.z_families, level, fits)
+            out[name] = (float(beta[0]), float(se[0]))
         except (EstimationError, ValueError, np.linalg.LinAlgError):
             # data-dependent failure: counted, not propagated
             out[name] = None

@@ -15,7 +15,14 @@ from drlogit.cli import CliError, main, read_dataset_csv
 from drlogit.model import Dataset, InstrumentSpec
 from drlogit.nuisance import fit_covariate, fit_outcome_mle
 from drlogit.estimators import solve_dr
-from drlogit.simulate import sample_dataset, scenario_catalog, write_dataset_csv
+from drlogit.simulate import (
+    KNOWN_ESTIMATORS,
+    _run_replication,
+    sample_dataset,
+    scenario_catalog,
+    with_size,
+    write_dataset_csv,
+)
 from drlogit.cli import basis_from_terms
 
 REPO = Path(__file__).resolve().parent.parent
@@ -70,6 +77,26 @@ def test_fit_round_trip_matches_in_process(tmp_path):
                  "--out", str(tmp_path)]) == 0
     got = json.loads((tmp_path / "estimates.json").read_text())
     assert abs(got["estimators"]["dr_simple"]["beta"][0] - want) <= 1e-12
+
+
+def test_fit_full_menu_matches_replication(tmp_path):
+    """`fit` on a replication's dataset reports, for every known estimator,
+    the very (beta, se) that the Monte Carlo replication records."""
+    sc = with_size(next(s for s in scenario_catalog() if s.name == "S1-binary"), n=600)
+    want = _run_replication(sc, 0, KNOWN_ESTIMATORS, 0.95)
+    csv_path = tmp_path / "d.csv"
+    write_dataset_csv(csv_path, sample_dataset(
+        sc.law, sc.n, np.random.SeedSequence(sc.seed, spawn_key=(0,))))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "basis": [{"kind": "intercept"}, {"kind": "linear", "j": 0}],
+        "z_families": ["bernoulli"], "estimators": list(KNOWN_ESTIMATORS)}))
+    assert main(["fit", "--data", str(csv_path), "--config", str(cfg_path),
+                 "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / "estimates.json").read_text())["estimators"]
+    assert sorted(got) == sorted(KNOWN_ESTIMATORS)
+    for name in KNOWN_ESTIMATORS:
+        assert (got[name]["beta"][0], got[name]["se"][0]) == want[name], name
 
 
 def test_fit_missing_y_column(tmp_path, capsys):

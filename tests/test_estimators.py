@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from drlogit.model import (
     InstrumentSpec,
     LinearInstrument,
     OutcomeModelParams,
+    _negated,
     covariate_means,
     ee_dr,
     ee_instrument,
@@ -132,7 +134,13 @@ def test_jacobian_condition_equals_svd_condition(rng):
         for variant in ("identity", "simple", "optimal"):
             spec = InstrumentSpec(variant)
             rep = solve(ds, outcome, covar, spec, basis)
-            jac = _Kernel(ds, outcome, covar, spec, basis, y1=y1).jacobian(rep.beta_hat)
+            if y1:  # the Y=1 Jacobian is the relabeled Y=0 kernel's at -beta_hat
+                jac = _Kernel(Dataset(1 - ds.y, ds.z, ds.x),
+                              replace(outcome, params=_negated(outcome.params)),
+                              replace(covar, response_level=0), spec, basis
+                              ).jacobian(-rep.beta_hat)
+            else:
+                jac = _Kernel(ds, outcome, covar, spec, basis).jacobian(rep.beta_hat)
             assert jac.shape == (ds.p, ds.p)
             assert rep.diagnostics.jacobian_condition == float(np.linalg.cond(jac))
 
@@ -430,6 +438,37 @@ def test_y1_estimator_matches_relabeled_y0_estimator(rng):
     rep_y1i = solve_dr_y1(ds, outcome, covar1, InstrumentSpec("identity"), basis)
     rep_fi = solve_dr(flipped, outcome_f, covar_f, InstrumentSpec("identity"), basis)
     assert -rep_fi.beta_hat[0] == pytest.approx(rep_y1i.beta_hat[0], abs=1e-8)
+
+
+@pytest.mark.parametrize("variant", ["identity", "simple", "optimal"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_y1_report_matches_refit_relabeled_report(p, variant, rng):
+    """Every field of the Y=1 report mirrors solve_dr on the relabeled data
+    with both nuisance models refit there: the SE and covariance agree, the
+    influence rows and the interval flip sign (p=1 binary, p=2 Gaussian Z)."""
+    if p == 1:
+        ds, basis, outcome, covar = _binary_fixture(rng, n=600)
+        families = ("bernoulli",)
+    else:
+        n = 800
+        x = rng.uniform(-1.0, 1.0, (n, 1))
+        z = rng.standard_normal((n, 2)) + 0.3 * x
+        y = (rng.random(n) < expit(0.2 + z @ np.array([0.5, -0.4]) + 0.5 * x[:, 0]))
+        ds, basis = Dataset(y.astype(int), z, x), Basis.linear_in(1)
+        outcome = fit_outcome_mle(ds, basis)
+        families = ("gaussian", "gaussian")
+    spec = InstrumentSpec(variant)
+    rep = solve_dr_y1(ds, outcome, fit_covariate_y1(ds, basis, families), spec, basis)
+    flipped = Dataset(1 - ds.y, ds.z, ds.x)
+    ref = solve_dr(flipped, fit_outcome_mle(flipped, basis),
+                   fit_covariate(flipped, basis, families), spec, basis)
+    tol = dict(rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(rep.beta_hat, -ref.beta_hat, **tol)
+    np.testing.assert_allclose(rep.std_errors, ref.std_errors, **tol)
+    np.testing.assert_allclose(rep.covariance, ref.covariance, **tol)
+    np.testing.assert_allclose(rep.influence, -ref.influence, **tol)
+    np.testing.assert_allclose(rep.wald_ci, -ref.wald_ci[:, ::-1], **tol)
+    assert (rep.wald_ci[:, 0] < rep.wald_ci[:, 1]).all()
 
 
 def test_y1_estimator_centered_small_study():

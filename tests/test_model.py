@@ -410,12 +410,21 @@ def test_instrument_condition_number_p2_matches_svd():
     assert cond == pytest.approx(np.linalg.cond(b_mat), rel=1e-10)
 
 
-def test_instrument_optimal_refuses_many_gaussian_components():
+@pytest.mark.parametrize("condition_on_y1", [False, True])
+def test_instrument_optimal_p4_gaussian_matches_tensor_grid(condition_on_y1, rng):
+    """Four Gaussian components are served, not refused: the product of
+    one-dimensional moments equals the 5^4-node tensor-grid sum."""
     basis = Basis.linear_in(1)
-    covar = CovariateModelParams(np.zeros((4, 2)), ("gaussian",) * 4, np.ones(4))
-    out = OutcomeModelParams(np.zeros(4), np.zeros(2))
-    with pytest.raises(ValueError, match="tensor quadrature"):
-        instrument_matrix(InstrumentSpec("optimal"), [0.0], out, covar, basis)
+    covar = CovariateModelParams(rng.uniform(-1.0, 1.0, (4, 2)), ("gaussian",) * 4,
+                                 rng.uniform(0.5, 1.5, 4))
+    for _ in range(3):
+        out = OutcomeModelParams(rng.uniform(-0.8, 0.8, 4), rng.uniform(-1.0, 1.0, 2))
+        x = rng.uniform(-1.5, 1.5, 1)
+        got = instrument_matrix(InstrumentSpec("optimal", gh_order=5), x, out, covar,
+                                basis, condition_on_y1=condition_on_y1)
+        a_mat, b_mat = _tensor_grid_moments(x, out, covar, basis, 5, condition_on_y1)
+        want = a_mat @ np.linalg.inv(b_mat)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_instrument_optimal_singular_inner_matrix():

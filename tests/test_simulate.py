@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from drlogit.simulate import (
     TrueLaw,
     XLawGrid,
     XLawUniform,
+    _run_replication,
     run_scenario,
     sample_binary,
     sample_dataset,
@@ -273,3 +275,19 @@ def test_closed_form_estimator_in_menu():
     cf = summary.by_name("closed_form")
     ds = summary.by_name("dr_simple")
     assert cf.bias == pytest.approx(ds.bias, abs=1e-7)
+
+
+@pytest.mark.parametrize("rep", [9, 11, 24])
+def test_replication_leaks_no_numpy_warning(rep):
+    """In these S2-gaussian replications the Y=1 beta solves try step-halving
+    candidates whose exp overflows; the Newton solve counts them as no
+    improvement, so no RuntimeWarning may escape and the result is the same."""
+    sc = with_size(next(s for s in scenario_catalog() if s.name == "S2-gaussian"),
+                   n=600, seed=3032)
+    menu = ("dr_y1_identity", "dr_y1_simple", "dr_y1_optimal")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = _run_replication(sc, rep, menu, 0.95)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_replication(sc, rep, menu, 0.95) == want
