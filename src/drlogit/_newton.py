@@ -1,6 +1,7 @@
 """Damped Newton iteration shared by the nuisance fits and the
 estimating-equation solvers: full Newton steps with step-halving until
-the max-norm of the equation decreases."""
+the max-norm of the equation decreases.  The constants are fixed for every
+caller: tolerance 1e-12, 100 iterations, 50 halvings per iteration."""
 
 from __future__ import annotations
 
@@ -8,6 +9,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+_TOL = 1e-12
+_MAX_ITER = 100
+_MAX_HALVINGS = 50
 
 
 @dataclass(frozen=True)
@@ -24,10 +29,6 @@ def damped_newton(
     equation: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
     start: np.ndarray,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-    max_halvings: int = 50,
 ) -> NewtonResult:
     """Solve equation(params) = 0.  Each iteration takes the full Newton
     step and halves it until the equation max-norm strictly decreases
@@ -37,8 +38,8 @@ def damped_newton(
     eq = np.asarray(equation(params), dtype=float)
     norm = _max_norm(eq)
     halvings = 0
-    for it in range(max_iter):
-        if norm <= tol:
+    for it in range(_MAX_ITER):
+        if norm <= _TOL:
             return NewtonResult(params, True, it, halvings, norm)
         jac = np.asarray(jacobian(params), dtype=float)
         try:
@@ -48,7 +49,7 @@ def damped_newton(
         if not np.isfinite(step).all():
             return NewtonResult(params, False, it, halvings, norm, singular=True)
         scale = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             cand = params + scale * step
             cand_eq = np.asarray(equation(cand), dtype=float)
             cand_norm = _max_norm(cand_eq)
@@ -59,8 +60,8 @@ def damped_newton(
             halvings += 1
         else:
             # no step length improved the equation norm
-            return NewtonResult(params, norm <= tol, it + 1, halvings, norm)
-    return NewtonResult(params, norm <= tol, max_iter, halvings, norm)
+            return NewtonResult(params, norm <= _TOL, it + 1, halvings, norm)
+    return NewtonResult(params, norm <= _TOL, _MAX_ITER, halvings, norm)
 
 
 def _max_norm(v: np.ndarray) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .model import Basis, BasisTerm, Dataset, EstimationError
 from .simulate import (
+    DEFAULT_ESTIMATORS,
     KNOWN_ESTIMATORS,
     MonteCarloSummary,
     estimate,
@@ -88,34 +89,50 @@ def _load_config(path: str | None) -> dict:
     if not p.exists():
         raise CliError(f"config file does not exist: {p}")
     try:
-        return json.loads(p.read_text())
+        cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {p} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise CliError(f"config file {p} must hold a JSON object, got {type(cfg).__name__}")
+    return cfg
+
+
+def _number(value, name: str, kind=int, minimum=None):
+    """value converted by kind; a CliError naming it if that fails or gives less than minimum."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                       f"got {value!r}") from None
+    if minimum is not None and out < minimum:
+        raise CliError(f"{name} must be at least {minimum}, got {value!r}")
+    return out
 
 
 def _resolve_seed(flag_seed, cfg: dict):
     if flag_seed is not None:
-        return int(flag_seed)
+        return _number(flag_seed, "--seed", minimum=0)
     if "seed" in cfg:
-        return int(cfg["seed"])
+        return _number(cfg["seed"], "config field 'seed'", minimum=0)
     env = os.environ.get("DRLOGIT_SEED")
     if env is not None:
-        return int(env)
+        return _number(env, "DRLOGIT_SEED", minimum=0)
     return None
 
 
 def basis_from_terms(terms: list[dict]) -> Basis:
     """Build a Basis from config entries like {"kind": "linear", "j": 0}."""
-    if not terms:
+    if not terms or not isinstance(terms, list):
         raise CliError("config needs a nonempty 'basis' list of terms")
     built = []
-    for t in terms:
-        kind = t.get("kind")
-        if kind not in ("intercept", "linear", "square", "interaction"):
-            raise CliError(f"unknown basis term kind {kind!r} in config")
-        built.append(BasisTerm(kind, int(t.get("j", 0)), int(t.get("k", 0))))
+    for i, t in enumerate(terms):
+        if not isinstance(t, dict):
+            raise CliError(f"config 'basis' term {i} must be an object, got {t!r}")
+        j, k = (_number(t.get(key, 0), f"config 'basis' term {i} field {key!r}", minimum=0)
+                for key in ("j", "k"))
+        built.append((t.get("kind"), j, k))
     try:
-        return Basis(tuple(built))
+        return Basis(tuple(BasisTerm(*term) for term in built))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -224,7 +241,7 @@ def cmd_fit(rc: RunConfig) -> int:
     fits: dict = {}
     for name in estimators:
         try:
-            beta, se, diagnostics = estimate(name, data, basis, z_families, rc.level, fits)
+            beta, se, diagnostics = estimate(name, data, basis, z_families, fits)
         except (EstimationError, ValueError) as exc:
             raise CliError(f"estimator {name!r} failed: {exc}") from exc
         results[name] = {"beta": beta.tolist(), "se": se.tolist(),
@@ -297,8 +314,7 @@ def markdown_table(summaries: list[MonteCarloSummary]) -> str:
 
 def cmd_simulate(rc: RunConfig) -> int:
     scenarios = _select_scenarios(rc.scenarios)
-    estimators = rc.estimators or list(
-        ("mle", "dr_identity", "dr_simple", "dr_optimal"))
+    estimators = rc.estimators or list(DEFAULT_ESTIMATORS)
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     summaries = []
     for i, sc in enumerate(scenarios):
@@ -393,14 +409,17 @@ def _config_from_args(args) -> RunConfig:
     rc.z_families = list(cfg.get("z_families", []))
     rc.estimators = list(cfg.get("estimators", []))
     level_flag = getattr(args, "level", None)
-    rc.level = float(level_flag if level_flag is not None else cfg.get("level", 0.95))
+    rc.level = level_flag if level_flag is not None else _number(
+        cfg.get("level", 0.95), "config field 'level'", float)
     rc.seed = _resolve_seed(getattr(args, "seed", None), cfg)
     out_flag = getattr(args, "out", None)
     rc.out_dir = Path(out_flag) if out_flag else Path(cfg.get("out", "."))
     workers_flag = getattr(args, "workers", None)
-    rc.workers = int(workers_flag if workers_flag is not None else cfg.get("workers", 1))
-    rc.n = int(cfg["n"]) if "n" in cfg else None
-    rc.replications = int(cfg["replications"]) if "replications" in cfg else None
+    rc.workers = workers_flag if workers_flag is not None else _number(
+        cfg.get("workers", 1), "config field 'workers'")
+    rc.n = _number(cfg["n"], "config field 'n'") if "n" in cfg else None
+    rc.replications = (_number(cfg["replications"], "config field 'replications'")
+                       if "replications" in cfg else None)
     scen_flag = getattr(args, "scenarios", None)
     if scen_flag:
         rc.scenarios = [s.strip() for s in scen_flag.split(",") if s.strip()]

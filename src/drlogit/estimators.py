@@ -26,6 +26,7 @@ from .model import (
     Dataset,
     InstrumentSpec,
     SingularMatrixError,
+    _CalibratedEquation,
     _negated,
     expit,
     instrument_matrices,
@@ -44,9 +45,6 @@ __all__ = [
     "assemble_influence",
     "compare_efficiency",
 ]
-
-_TOL = 1e-12
-_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,9 @@ class InfluencePieces:
     covariance: np.ndarray  # (p, p)
 
 
-class _Kernel:
-    """Precomputed sample quantities for one estimating equation, with the
+class _Kernel(_CalibratedEquation):
+    """The doubly robust estimating equation in beta: the calibrated
+    equation with u = phi(x)(z - f(x)), d = z and offset g(x), the
     instrument held fixed at the plugged-in nuisance estimates."""
 
     def __init__(self, data: Dataset, outcome: OutcomeFit, covar: CovariateFit,
@@ -95,34 +94,12 @@ class _Kernel:
         _check_level(covar, 0)
         if not (data.y == 1).any() or not (data.y == 0).any():
             raise ValueError("need both response classes to estimate beta")
-        self.y = data.y
-        self.z = data.z
-        self.n = data.n
         self.bmat = basis.design(data.x)
-        self.g = self.bmat @ outcome.params.alpha
         self.f = covariate_means(covar.params, data.x, basis)
         self.phi = instrument_matrices(instrument, data.x, outcome.params,
                                        covar.params, basis)
-        self.phi_resid = np.einsum("nij,nj->ni", self.phi, self.z - self.f)
-
-    # Callers silence overflow: a trial beta may overflow exp, and
-    # damped_newton reads the resulting inf/NaN norm as no improvement.
-    def residual(self, beta: np.ndarray) -> np.ndarray:
-        eta = self.z @ beta + self.g
-        return np.where(self.y == 1, np.exp(-eta), -1.0)
-
-    def weight(self, beta: np.ndarray) -> np.ndarray:
-        """Negated derivative of the residual in eta (nonnegative)."""
-        eta = self.z @ beta + self.g
-        return np.where(self.y == 1, np.exp(-eta), 0.0)
-
-    def equation(self, beta: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.phi_resid.T @ self.residual(beta) / self.n
-
-    def jacobian(self, beta: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return -(self.phi_resid * self.weight(beta)[:, None]).T @ self.z / self.n
+        super().__init__(data.y, np.einsum("nij,nj->ni", self.phi, data.z - self.f),
+                         data.z, self.bmat @ outcome.params.alpha)
 
 
 def _check_level(covar: CovariateFit, level: int) -> None:
@@ -132,16 +109,11 @@ def _check_level(covar: CovariateFit, level: int) -> None:
 
 
 def _solve(kernel: _Kernel, start: np.ndarray):
-    res = damped_newton(kernel.equation, kernel.jacobian, start,
-                        tol=_TOL, max_iter=_MAX_ITER)
+    res = damped_newton(kernel.equation, kernel.jacobian, start)
     if not res.converged and not np.allclose(start, 0.0):
-        retry = damped_newton(kernel.equation, kernel.jacobian,
-                              np.zeros_like(start), tol=_TOL, max_iter=_MAX_ITER)
-        retry = retry.__class__(retry.params, retry.converged,
-                                res.iterations + retry.iterations,
-                                res.step_halvings + retry.step_halvings,
-                                retry.final_norm, retry.singular)
-        res = retry
+        retry = damped_newton(kernel.equation, kernel.jacobian, np.zeros_like(start))
+        res = replace(retry, iterations=res.iterations + retry.iterations,
+                      step_halvings=res.step_halvings + retry.step_halvings)
     if not res.converged:
         if res.singular:
             raise SingularMatrixError("estimating-equation Jacobian is singular")
@@ -149,34 +121,6 @@ def _solve(kernel: _Kernel, start: np.ndarray):
             f"beta solve did not converge in {res.iterations} iterations "
             f"(final equation norm {res.final_norm:.3g})")
     return res
-
-
-def _report(data, kernel, outcome, covar, instrument, basis, res, level):
-    pieces = _assemble(kernel, res.params, outcome, covar)
-    se = np.sqrt(np.diag(pieces.covariance))
-    zq = NormalDist().inv_cdf(0.5 + level / 2.0)
-    ci = np.column_stack([res.params - zq * se, res.params + zq * se])
-    jac = kernel.jacobian(res.params)
-    if jac.shape == (1, 1) and math.isfinite(jac[0, 0]) and jac[0, 0] != 0.0:
-        condition = 1.0  # what np.linalg.cond's SVD gives a finite nonzero 1x1
-    else:
-        condition = float(np.linalg.cond(jac))
-    diagnostics = SolveDiagnostics(
-        iterations=res.iterations,
-        final_eq_norm=res.final_norm,
-        jacobian_condition=condition,
-        step_halvings=res.step_halvings,
-    )
-    return EstimateReport(
-        beta_hat=res.params.copy(),
-        covariance=pieces.covariance,
-        std_errors=se,
-        wald_ci=ci,
-        influence=pieces.influence,
-        diagnostics=diagnostics,
-        instrument=instrument,
-        level=level,
-    )
 
 
 def solve_dr(data: Dataset, outcome: OutcomeFit, covar: CovariateFit,
@@ -190,7 +134,27 @@ def solve_dr(data: Dataset, outcome: OutcomeFit, covar: CovariateFit,
     """
     kernel = _Kernel(data, outcome, covar, instrument, basis)
     res = _solve(kernel, outcome.params.beta)
-    return _report(data, kernel, outcome, covar, instrument, basis, res, level)
+    pieces = _assemble(kernel, res.params, outcome, covar)
+    se = np.sqrt(np.diag(pieces.covariance))
+    zq = NormalDist().inv_cdf(0.5 + level / 2.0)
+    ci = np.column_stack([res.params - zq * se, res.params + zq * se])
+    h = pieces.h_matrix
+    if h.shape == (1, 1) and math.isfinite(h[0, 0]) and h[0, 0] != 0.0:
+        condition = 1.0  # what np.linalg.cond's SVD gives a finite nonzero 1x1
+    else:
+        condition = float(np.linalg.cond(h))
+    return EstimateReport(
+        beta_hat=res.params.copy(),
+        covariance=pieces.covariance,
+        std_errors=se,
+        wald_ci=ci,
+        influence=pieces.influence,
+        diagnostics=SolveDiagnostics(iterations=res.iterations, final_eq_norm=res.final_norm,
+                                     jacobian_condition=condition,
+                                     step_halvings=res.step_halvings),
+        instrument=instrument,
+        level=level,
+    )
 
 
 def solve_dr_y1(data: Dataset, outcome: OutcomeFit, covar1: CovariateFit,
@@ -262,13 +226,11 @@ def _assemble(kernel: _Kernel, beta: np.ndarray, outcome: OutcomeFit,
     n = kernel.n
     p = beta.shape[0]
     m = kernel.bmat.shape[1]
-    with np.errstate(over="ignore"):
-        resid = kernel.residual(beta)
-        wt = kernel.weight(beta)
-    r_rows = resid[:, None] * kernel.phi_resid
+    resid = kernel.residual(beta)
+    r_rows = resid[:, None] * kernel.u
 
-    h_matrix = -(kernel.phi_resid * wt[:, None]).T @ kernel.z / n
-    b1 = -(kernel.phi_resid * wt[:, None]).T @ kernel.bmat / n
+    h_matrix = kernel.jacobian(beta)
+    b1 = -(kernel.u * kernel.weight(beta)[:, None]).T @ kernel.bmat / n
     # d r / d gamma_{jk} = -resid * phi[:, j] * link'(f_j) * b_k
     link_slope = np.empty_like(kernel.f)
     for j, fam in enumerate(covar.params.families):
@@ -280,7 +242,7 @@ def _assemble(kernel: _Kernel, beta: np.ndarray, outcome: OutcomeFit,
                     link_slope, kernel.bmat) / n
     b2 = b2.reshape(p, p * m)
 
-    s1_alpha = outcome.s1[:, kernel.z.shape[1]:]
+    s1_alpha = outcome.s1[:, p:]
     combo = r_rows + s1_alpha @ b1.T + covar.s2 @ b2.T
     try:
         influence = -np.linalg.solve(h_matrix, combo.T).T

@@ -401,6 +401,35 @@ def calibrated_residual_y1(y, z, x, params: OutcomeModelParams, basis: Basis) ->
     return -calibrated_residual(1 - _check_y(y), z, x, _negated(params), basis)
 
 
+class _CalibratedEquation:
+    """The calibrated estimating equation n^{-1} sum_i r_i u_i = 0 in array
+    form, with residual r = y*exp(-eta) - (1-y) and eta = d theta + offset:
+    the doubly robust beta equation (u = phi(x)(z - f(x)), d = z, offset
+    g(x)) and the calibrated outcome fit (u = d = (z', b(x)')').  A trial
+    theta may overflow exp; damped_newton reads the inf/NaN norm as no
+    improvement, so overflow is silenced."""
+
+    def __init__(self, y: np.ndarray, u: np.ndarray, d: np.ndarray, offset=0.0):
+        self.y, self.u, self.d, self.offset = y, u, d, offset
+        self.n = y.shape[0]
+
+    def weight(self, theta: np.ndarray) -> np.ndarray:
+        """Negated derivative of the residual in eta, y*exp(-eta) (nonnegative)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(self.y == 1, np.exp(-(self.d @ theta + self.offset)), 0.0)
+
+    def residual(self, theta: np.ndarray) -> np.ndarray:
+        return self.weight(theta) - (1 - self.y)
+
+    def equation(self, theta: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.u.T @ self.residual(theta) / self.n
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -(self.u * self.weight(theta)[:, None]).T @ self.d / self.n
+
+
 # ---------------------------------------------------------------------------
 # Instrument matrices phi(X)
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Two working models feed the doubly robust estimating equation: a
 logistic outcome model in (beta, alpha) fitted on the whole sample, and
 a covariate-mean model in gamma fitted on the Y=0 (or, for solve_dr_y1,
 the Y=1) subsample.  The outcome MLE and the Bernoulli covariate
-components share one logistic Newton fit.  Each fit returns
-per-observation influence values so that downstream sandwich variances
-can account for the estimated nuisances:
+components share one logistic Newton fit; the calibrated outcome fit solves
+the calibrated equation of the beta solve (`model._CalibratedEquation`).  All
+use `damped_newton`'s fixed tolerance 1e-12, 100 iterations and 50 halvings
+per iteration.  Each fit returns per-observation influence values so that
+downstream sandwich variances can account for the estimated nuisances:
 params_hat - params_bar = mean of the influence rows + o_p(n^{-1/2}).
 """
 
@@ -25,6 +27,7 @@ from .model import (
     Dataset,
     Family,
     OutcomeModelParams,
+    _CalibratedEquation,
     expit,
 )
 
@@ -36,9 +39,6 @@ __all__ = [
     "fit_covariate",
     "fit_covariate_y1",
 ]
-
-_TOL = 1e-12
-_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -76,48 +76,25 @@ class CovariateFit:
     response_level: int = 0
 
 
-def _outcome_design(data: Dataset, basis: Basis) -> np.ndarray:
-    return np.column_stack([data.z, basis.design(data.x)])
+def _outcome_design(data: Dataset, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """The design [z, b(x)] and its columns with any nonzero entry.  An
+    identically-zero column's equation component vanishes for every
+    parameter value, so its coefficient is pinned at zero."""
+    w = np.column_stack([data.z, basis.design(data.x)])
+    return w, np.flatnonzero(np.any(w != 0.0, axis=0))
 
 
-def _check_both_classes(y: np.ndarray) -> None:
-    if y.min() == y.max():
-        raise ValueError("response is constant: need at least one y=0 and one y=1 row")
-
-
-def _active_columns(w: np.ndarray) -> np.ndarray:
-    """Columns with any nonzero entry.  Identically-zero columns have an
-    estimating-equation component that vanishes for every parameter value,
-    so their coefficients are pinned at zero instead of failing the fit."""
-    return np.flatnonzero(np.any(w != 0.0, axis=0))
-
-
-def _embed(active: np.ndarray, k: int, vec: np.ndarray | None = None,
-           mat: np.ndarray | None = None):
-    if vec is not None:
-        full = np.zeros(k)
-        full[active] = vec
-        return full
-    full = np.eye(k)
-    full[np.ix_(active, active)] = mat
+def _embed(active: np.ndarray, k: int, vec: np.ndarray) -> np.ndarray:
+    full = np.zeros(k)
+    full[active] = vec
     return full
-
-
-def _calibrated_resid(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """y/pi - 1 rows, evaluated stably as expit(-eta)/expit(eta) when y=1."""
-    out = np.full(eta.shape, -1.0)
-    pos = y == 1
-    with np.errstate(over="ignore", divide="ignore"):
-        out[pos] = expit(-eta[pos]) / expit(eta[pos])
-    return out
 
 
 def _fit_logistic_core(w: np.ndarray, y: np.ndarray, start: np.ndarray):
     """Newton-Raphson on the mean score equation w'(y - pi)/n = 0: the one
     logistic fit behind the outcome MLE and the Bernoulli covariate fits."""
     return damped_newton(lambda th: w.T @ (y - expit(w @ th)) / w.shape[0],
-                         lambda th: _neg_info(w, expit(w @ th)),
-                         start, tol=_TOL, max_iter=_MAX_ITER)
+                         lambda th: _neg_info(w, expit(w @ th)), start)
 
 
 def fit_outcome_mle(data: Dataset, basis: Basis) -> OutcomeFit:
@@ -127,10 +104,9 @@ def fit_outcome_mle(data: Dataset, basis: Basis) -> OutcomeFit:
     Raises on a constant response, a rank-deficient design, or
     non-convergence (which a separated sample produces).
     """
-    _check_both_classes(data.y)
-    w = _outcome_design(data, basis)
-    p, k = data.p, w.shape[1]
-    active = _active_columns(w)
+    if data.y.min() == data.y.max():
+        raise ValueError("response is constant: need at least one y=0 and one y=1 row")
+    w, active = _outcome_design(data, basis)
     wa = w[:, active]
     if np.linalg.matrix_rank(wa) < wa.shape[1]:
         raise ValueError("outcome design matrix [z, b(x)] is rank deficient")
@@ -141,24 +117,33 @@ def fit_outcome_mle(data: Dataset, basis: Basis) -> OutcomeFit:
             f"logistic MLE did not converge in {res.iterations} iterations "
             f"(final score norm {res.final_norm:.3g}); the sample may be separated")
 
-    theta = _embed(active, k, vec=res.params)
+    theta = _embed(active, w.shape[1], res.params)
     pi = expit(w @ theta)
     # a saturated perfect classification means the score vanished only
     # because the sample is separated; there is no finite MLE there
     if pi[data.y == 1].min() > 1.0 - 1e-8 and pi[data.y == 0].max() < 1e-8:
         raise ConvergenceError("perfect separation: the likelihood has no finite maximizer")
-    info_a = -_neg_info(wa, pi)
-    info = _embed(active, k, mat=info_a)
-    score_rows = w * (data.y - pi)[:, None]
-    s1 = np.zeros((data.n, k))
-    s1[:, active] = np.linalg.solve(info_a, score_rows[:, active].T).T
+    return _outcome_fit("mle", theta, data.p, active, -_neg_info(wa, pi),
+                        wa * (data.y - pi)[:, None], res.iterations, basis)
+
+
+def _outcome_fit(method: str, theta: np.ndarray, p: int, active: np.ndarray,
+                 info_a: np.ndarray, rows: np.ndarray, iterations: int,
+                 basis: Basis) -> OutcomeFit:
+    """OutcomeFit at theta from the curvature info_a and the per-row equation
+    values `rows` on the active columns, where s1 solves info_a s1_i = rows_i."""
+    k = theta.shape[0]
+    info = np.eye(k)
+    info[np.ix_(active, active)] = info_a
+    s1 = np.zeros((rows.shape[0], k))
+    s1[:, active] = np.linalg.solve(info_a, rows.T).T
     return OutcomeFit(
         params=OutcomeModelParams(theta[:p], theta[p:]),
-        fit_method="mle",
+        fit_method=method,
         info_matrix=info,
         s1=s1,
         converged=True,
-        iterations=res.iterations,
+        iterations=iterations,
         basis=basis,
     )
 
@@ -176,49 +161,24 @@ def fit_outcome_calibrated(data: Dataset, basis: Basis) -> OutcomeFit:
     reported as non-convergence rather than silently tolerated.
     """
     mle = fit_outcome_mle(data, basis)
-    w = _outcome_design(data, basis)
-    p, k = data.p, w.shape[1]
-    active = _active_columns(w)
+    w, active = _outcome_design(data, basis)
     wa = w[:, active]
-    y = data.y
-
-    def equation(theta):
-        resid = _calibrated_resid(y, wa @ theta)
-        return wa.T @ resid / data.n
-
-    def jacobian(theta):
-        eta = wa @ theta
-        with np.errstate(over="ignore"):
-            wt = np.where(y == 1, np.exp(-eta), 0.0)
-        return -(wa * wt[:, None]).T @ wa / data.n
+    eq = _CalibratedEquation(data.y, wa, wa)
 
     start = np.concatenate([mle.params.beta, mle.params.alpha])[active]
-    res = damped_newton(equation, jacobian, start, tol=_TOL, max_iter=_MAX_ITER)
+    res = damped_newton(eq.equation, eq.jacobian, start)
     if not res.converged:
         raise ConvergenceError(
             f"calibrated fit did not converge (final norm {res.final_norm:.3g}); "
             "the y/pi weights may be diverging")
 
-    theta = _embed(active, k, vec=res.params)
-    eta = w @ theta
-    pi_y1 = expit(eta[y == 1])
+    theta = _embed(active, w.shape[1], res.params)
+    pi_y1 = expit((w @ theta)[data.y == 1])
     if pi_y1.size and pi_y1.min() < 1e-12:
         raise ConvergenceError(
             "calibrated fit drove pi below 1e-12 on a y=1 row (weight overflow)")
-
-    info_a = -jacobian(res.params)
-    psi_rows = w * _calibrated_resid(y, eta)[:, None]
-    s1 = np.zeros((data.n, k))
-    s1[:, active] = np.linalg.solve(info_a, psi_rows[:, active].T).T
-    return OutcomeFit(
-        params=OutcomeModelParams(theta[:p], theta[p:]),
-        fit_method="calibrated",
-        info_matrix=_embed(active, k, mat=info_a),
-        s1=s1,
-        converged=True,
-        iterations=res.iterations,
-        basis=basis,
-    )
+    return _outcome_fit("calibrated", theta, data.p, active, -eq.jacobian(res.params),
+                        wa * eq.residual(res.params)[:, None], res.iterations, basis)
 
 
 def fit_covariate(data: Dataset, basis: Basis,

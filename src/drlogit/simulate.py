@@ -66,7 +66,7 @@ KNOWN_ESTIMATORS = ("mle", "dr_identity", "dr_simple", "dr_optimal",
 
 
 def estimate(name: str, data: Dataset, basis: Basis, z_families: Sequence[str],
-             level: float, fits: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+             fits: dict) -> tuple[np.ndarray, np.ndarray, dict]:
     """Run one estimator of KNOWN_ESTIMATORS on data; returns (beta, se,
     diagnostics).  `fits` caches the nuisance fits that a menu shares on one
     dataset: "outcome" (the MLE), "covar" (Y=0) and "covar1" (Y=1)."""
@@ -83,7 +83,7 @@ def estimate(name: str, data: Dataset, basis: Basis, z_families: Sequence[str],
         if "covar1" not in fits:
             fits["covar1"] = fit_covariate_y1(data, basis, z_families)
         rep = solve_dr_y1(data, outcome, fits["covar1"],
-                          InstrumentSpec(name.removeprefix("dr_y1_")), basis, level=level)
+                          InstrumentSpec(name.removeprefix("dr_y1_")), basis)
         return rep.beta_hat, rep.std_errors, asdict(rep.diagnostics)
     if "covar" not in fits:
         fits["covar"] = fit_covariate(data, basis, z_families)
@@ -93,7 +93,7 @@ def estimate(name: str, data: Dataset, basis: Basis, z_families: Sequence[str],
                                     InstrumentSpec("simple"), basis)
         return beta, np.sqrt(np.diag(pieces.covariance)), {}
     rep = solve_dr(data, outcome, fits["covar"], InstrumentSpec(name.removeprefix("dr_")),
-                   basis, level=level)
+                   basis)
     return rep.beta_hat, rep.std_errors, asdict(rep.diagnostics)
 
 
@@ -348,8 +348,7 @@ class MonteCarloSummary:
         raise KeyError(name)
 
 
-def _run_replication(sc: Scenario, rep: int, estimators: Sequence[str],
-                     level: float) -> dict:
+def _run_replication(sc: Scenario, rep: int, estimators: Sequence[str]) -> dict:
     """One replication: sample, fit nuisances, run each estimator.
     Returns estimator -> (beta, se) or None on failure."""
     seed = np.random.SeedSequence(sc.seed, spawn_key=(rep,))
@@ -361,7 +360,7 @@ def _run_replication(sc: Scenario, rep: int, estimators: Sequence[str],
         return {name: None for name in estimators}
     for name in estimators:
         try:
-            beta, se, _ = estimate(name, data, sc.working_basis, sc.z_families, level, fits)
+            beta, se, _ = estimate(name, data, sc.working_basis, sc.z_families, fits)
             out[name] = (float(beta[0]), float(se[0]))
         except (EstimationError, ValueError, np.linalg.LinAlgError):
             # data-dependent failure: counted, not propagated
@@ -387,7 +386,7 @@ def run_scenario(sc: Scenario, estimators: Sequence[str] = DEFAULT_ESTIMATORS,
     for name in estimators:
         if name not in KNOWN_ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
-    args = [(sc, rep, tuple(estimators), level) for rep in range(sc.replications)]
+    args = [(sc, rep, tuple(estimators)) for rep in range(sc.replications)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, args, chunksize=8))

@@ -3,8 +3,10 @@ import csv
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,7 +85,7 @@ def test_fit_full_menu_matches_replication(tmp_path):
     """`fit` on a replication's dataset reports, for every known estimator,
     the very (beta, se) that the Monte Carlo replication records."""
     sc = with_size(next(s for s in scenario_catalog() if s.name == "S1-binary"), n=600)
-    want = _run_replication(sc, 0, KNOWN_ESTIMATORS, 0.95)
+    want = _run_replication(sc, 0, KNOWN_ESTIMATORS)
     csv_path = tmp_path / "d.csv"
     write_dataset_csv(csv_path, sample_dataset(
         sc.law, sc.n, np.random.SeedSequence(sc.seed, spawn_key=(0,))))
@@ -310,6 +312,55 @@ def test_fit_rejects_level_outside_unit_interval(level):
     rc, err = _main_stderr(["fit", "--data", str(EXAMPLE_CSV), "--config", str(EXAMPLE_CFG),
                             f"--level={level!r}"])
     assert rc == 2 and "level" in err
+
+
+_LETTERS = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1).filter(
+    lambda s: s not in ("nan", "inf", "infinity"))
+_NOT_A_NUMBER = st.one_of(_LETTERS, st.none(), st.lists(st.integers(), max_size=2),
+                          st.dictionaries(_LETTERS, st.integers(), max_size=1))
+_GOOD_BASIS = [{"kind": "intercept"}, {"kind": "linear", "j": 0}]
+
+
+def _malformed_configs():
+    """(config, DRLOGIT_SEED or None, text the error line must contain)."""
+    field = st.sampled_from(["level", "workers", "n", "replications", "seed"])
+    index = st.sampled_from(["j", "k"])
+    bad_index = st.one_of(_NOT_A_NUMBER, st.integers(max_value=-1))
+    return st.one_of(
+        st.one_of(st.lists(st.integers(), max_size=2), st.integers(), _LETTERS, st.none())
+        .map(lambda top: (top, None, "JSON object")),
+        st.one_of(_LETTERS, st.integers(), st.none(), st.lists(st.integers(), max_size=1))
+        .map(lambda term: ({"basis": [*_GOOD_BASIS, term]}, None, "'basis' term 2")),
+        st.tuples(index, bad_index).map(lambda kv: (
+            {"basis": [*_GOOD_BASIS, {"kind": "interaction", "j": 0, "k": 0, kv[0]: kv[1]}]},
+            None, f"field '{kv[0]}'")),
+        st.tuples(field, _NOT_A_NUMBER).map(lambda kv: (
+            {"basis": _GOOD_BASIS, kv[0]: kv[1]}, None, f"'{kv[0]}'")),
+        st.just(({"basis": _GOOD_BASIS, "seed": -1}, None, "'seed'")),
+        st.one_of(_LETTERS, st.just("1.5"), st.just("-3"))
+        .map(lambda env: ({"basis": _GOOD_BASIS}, env, "DRLOGIT_SEED")),
+    )
+
+
+@given(_malformed_configs())
+@settings(max_examples=120, deadline=None)
+def test_malformed_config_exits_2_naming_the_field(case):
+    """A config value of the wrong type or range, and a DRLOGIT_SEED that is
+    not a nonnegative integer, exit 2 with one error line naming the field,
+    never with a traceback or exit 1."""
+    cfg, env_seed, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        env = {} if env_seed is None else {"DRLOGIT_SEED": env_seed}
+        with mock.patch.dict(os.environ, env):
+            if env_seed is None:
+                os.environ.pop("DRLOGIT_SEED", None)
+            rc, err = _main_stderr(["fit", "--data", str(EXAMPLE_CSV), "--config", str(path),
+                                    "--out", tmp])
+    lines = err.splitlines()
+    assert rc == 2, err
+    assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err
 
 
 def test_fit_phi_flag_overrides(tmp_path):

@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from drlogit._newton import damped_newton
 from drlogit.estimators import (
     _Kernel,
+    _solve,
     assemble_influence,
     closed_form_binary,
     compare_efficiency,
@@ -31,7 +33,7 @@ from drlogit.model import (
     logistic_finite_law,
 )
 from drlogit.nuisance import CovariateFit, OutcomeFit, fit_covariate, fit_covariate_y1, fit_outcome_mle
-from drlogit.simulate import sample_binary, scenario_catalog
+from drlogit.simulate import sample_binary, sample_dataset, scenario_catalog
 
 from conftest import bisect_root, exact_counts_dataset
 
@@ -143,6 +145,30 @@ def test_jacobian_condition_equals_svd_condition(rng):
                 jac = _Kernel(ds, outcome, covar, spec, basis).jacobian(rep.beta_hat)
             assert jac.shape == (ds.p, ds.p)
             assert rep.diagnostics.jacobian_condition == float(np.linalg.cond(jac))
+
+
+@pytest.mark.parametrize("start, singular", [(40.0, False), (800.0, True)])
+def test_solve_restarts_from_zero(start, singular):
+    """A failed first attempt restarts Newton from zero: from 40 every step
+    length fails after one iteration (51 halvings), from 800 the Jacobian
+    is singular.  The solve returns the zero-start root bit for bit and
+    counts the iterations and halvings of both runs."""
+    sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
+    ds = sample_dataset(sc.law, 500, 11)
+    basis = sc.working_basis
+    kernel = _Kernel(ds, fit_outcome_mle(ds, basis), fit_covariate(ds, basis, sc.z_families),
+                     InstrumentSpec("simple"), basis)
+    first = damped_newton(kernel.equation, kernel.jacobian, np.array([start]))
+    assert not first.converged and first.singular == singular
+    if not singular:
+        assert (first.iterations, first.step_halvings) == (1, 51)
+    zero = damped_newton(kernel.equation, kernel.jacobian, np.zeros(1))
+    assert zero.converged
+    res = _solve(kernel, np.array([start]))
+    assert res.params.tobytes() == zero.params.tobytes()
+    assert res.converged and not res.singular and res.final_norm == zero.final_norm
+    assert res.iterations == first.iterations + zero.iterations
+    assert res.step_halvings == first.step_halvings + zero.step_halvings
 
 
 def test_solve_rejects_mismatched_fits(rng):

@@ -1,0 +1,80 @@
+"""Golden outputs: `drlogit fit` on the bundled example with every known
+estimator, and the calibrated outcome fit on one catalog sample, against
+values recorded before the beta solve and the calibrated fit were moved
+onto one shared estimating-equation class.
+
+Floats must agree to 1e-12 * max(1, |want|); integer counts, flags and
+strings exactly.  To record the file again from the current code:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from drlogit.cli import main
+from drlogit.nuisance import fit_outcome_calibrated
+from drlogit.simulate import KNOWN_ESTIMATORS, sample_dataset, scenario_catalog, with_size
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
+EXAMPLE_CSV = REPO / "data" / "example_binary_beta0.csv"
+
+
+def _fit_example_menu() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({
+            "basis": [{"kind": "intercept"}, {"kind": "linear", "j": 0}],
+            "z_families": ["bernoulli"], "estimators": list(KNOWN_ESTIMATORS)}))
+        rc = main(["fit", "--data", str(EXAMPLE_CSV), "--config", str(cfg),
+                   "--out", tmp])
+        assert rc == 0
+        return json.loads((Path(tmp) / "estimates.json").read_text())
+
+
+def _calibrated_fit() -> dict:
+    sc = with_size(next(s for s in scenario_catalog() if s.name == "S2-gaussian"), n=300)
+    data = sample_dataset(sc.law, sc.n, np.random.SeedSequence(sc.seed, spawn_key=(0,)))
+    fit = fit_outcome_calibrated(data, sc.working_basis)
+    return {"beta": fit.params.beta.tolist(), "alpha": fit.params.alpha.tolist(),
+            "info_matrix": fit.info_matrix.tolist(), "s1": fit.s1.tolist(),
+            "fit_method": fit.fit_method, "converged": fit.converged,
+            "iterations": fit.iterations}
+
+
+def _observed() -> dict:
+    return {"fit_example_menu": _fit_example_menu(),
+            "fit_outcome_calibrated_s2_gaussian": _calibrated_fit()}
+
+
+def _assert_close(got, want, path: str) -> None:
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), path
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (path, got, want)
+    else:  # int, bool, str
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def test_outputs_match_golden():
+    _assert_close(_observed(), json.loads(GOLDEN.read_text()), "golden")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    GOLDEN.write_text(json.dumps(_observed(), indent=1, sort_keys=True) + "\n")

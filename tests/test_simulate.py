@@ -287,7 +287,7 @@ def test_replication_leaks_no_numpy_warning(rep):
     menu = ("dr_y1_identity", "dr_y1_simple", "dr_y1_optimal")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        want = _run_replication(sc, rep, menu, 0.95)
+        want = _run_replication(sc, rep, menu)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _run_replication(sc, rep, menu, 0.95) == want
+        assert _run_replication(sc, rep, menu) == want
