@@ -23,6 +23,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .estimators import _Context
 from .model import Basis, BasisTerm, Dataset, EstimationError
 from .simulate import (
     DEFAULT_ESTIMATORS,
@@ -216,7 +217,7 @@ def read_dataset_csv(path) -> Dataset:
                     if not math.isfinite(v))
         raise CliError(f"{path}: row {i + 2}, column {name!r} has non-finite value "
                        f"{rows[i][cols[name]]!r}")
-    return Dataset(y, z, x)
+    return Dataset._trusted(y.astype(np.int64), z, x)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +238,12 @@ def cmd_fit(rc: RunConfig) -> int:
     estimators = rc.estimators or ["mle", "dr_simple"]
 
     zq = NormalDist().inv_cdf(0.5 + rc.level / 2.0)
-    results = {}
-    fits: dict = {}
+    results, ctx = {}, None
     for name in estimators:
         try:
-            beta, se, diagnostics = estimate(name, data, basis, z_families, fits)
+            if ctx is None:  # the outcome fit's failure is the first estimator's
+                ctx = _Context(data, basis, z_families)
+            beta, se, diagnostics = estimate(name, ctx)
         except (EstimationError, ValueError) as exc:
             raise CliError(f"estimator {name!r} failed: {exc}") from exc
         results[name] = {"beta": beta.tolist(), "se": se.tolist(),
@@ -403,6 +405,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     cfg = _load_config(getattr(args, "config", None))
     rc = RunConfig(command=args.command)
+    for key, kind in [("data", str), ("out", str)] + [
+            (key, list) for key in ("z_families", "estimators", "scenarios", "phis")]:
+        value = cfg.get(key, kind())  # a string's characters are strings too
+        if not isinstance(value, kind) or not all(isinstance(v, str) for v in value):
+            raise CliError(f"config field {key!r} must be "
+                           f"{'a string' if kind is str else 'a list of strings'}, got {value!r}")
     rc.data = Path(args.data) if getattr(args, "data", None) else (
         Path(cfg["data"]) if "data" in cfg else None)
     rc.basis_terms = cfg.get("basis", [])

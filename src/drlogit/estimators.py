@@ -15,24 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from statistics import NormalDist
+from typing import Sequence
 
 import numpy as np
 
 from ._newton import damped_newton
-from .model import (
-    Basis,
-    ConvergenceError,
-    Dataset,
-    InstrumentSpec,
-    SingularMatrixError,
-    _CalibratedEquation,
-    _negated,
-    expit,
-    instrument_matrices,
-    covariate_means,
-)
-from .nuisance import CovariateFit, OutcomeFit
+from .model import (Basis, ConvergenceError, Dataset, InstrumentSpec, SingularMatrixError,
+                    _CalibratedEquation, _instruments, _means_from_design, _negated)
+from .nuisance import CovariateFit, OutcomeFit, _fit_covariate_level, _fit_outcome_mle
 
 __all__ = [
     "SolveDiagnostics",
@@ -82,24 +74,105 @@ class InfluencePieces:
     covariance: np.ndarray  # (p, p)
 
 
+class _Context:
+    """What the estimator menu shares on one dataset: b(x) from one design
+    call, the outcome fit, g = alpha'b(x) and, each built lazily and once,
+    the covariate fit per response level, the Y=0 means f, the kernel per
+    instrument and `mirror`: the Y=1 anchor as the Y=0 context of 1 - Y under
+    the negated outcome fit (odds-ratio symmetry), sharing z, x and b(x)."""
+
+    def __init__(self, data: Dataset, basis: Basis, z_families: Sequence[str] = (), *,
+                 outcome: OutcomeFit | None = None, covars: dict | None = None,
+                 bmat: np.ndarray | None = None):
+        self.data, self.basis, self.z_families = data, basis, tuple(z_families)
+        self.bmat = basis.design(data.x) if bmat is None else bmat
+        self.outcome = _fit_outcome_mle(data, basis, self.bmat) if outcome is None else outcome
+        self.g = self.bmat @ self.outcome.params.alpha
+        self._covars, self._kernels = dict(covars or {}), {}
+
+    def covar(self, level: int) -> CovariateFit:
+        if level not in self._covars:
+            self._covars[level] = _fit_covariate_level(self.data, self.basis, self.bmat,
+                                                       self.z_families, level)
+        return self._covars[level]
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return _means_from_design(self.covar(0).params, self.bmat)
+
+    def kernel(self, instrument: InstrumentSpec) -> "_Kernel":
+        if instrument not in self._kernels:
+            self._kernels[instrument] = _Kernel(self, instrument)
+        return self._kernels[instrument]
+
+    @cached_property
+    def mirror(self) -> "_Context":
+        d, o = self.data, self.outcome
+        return _Context(Dataset._trusted(1 - d.y, d.z, d.x), self.basis, self.z_families,
+                        outcome=replace(o, params=_negated(o.params), s1=-o.s1),
+                        covars={0: replace(self.covar(1), response_level=0)}, bmat=self.bmat)
+
+    def solve(self, instrument: InstrumentSpec, level: float = 0.95) -> EstimateReport:
+        """solve_dr on this context."""
+        kernel = self.kernel(instrument)
+        res = _solve(kernel, self.outcome.params.beta)
+        pieces = _assemble(kernel, res.params)
+        se = np.sqrt(np.diag(pieces.covariance))
+        zq = NormalDist().inv_cdf(0.5 + level / 2.0)
+        h = pieces.h_matrix
+        # a finite nonzero 1x1 has condition 1, what np.linalg.cond's SVD gives it
+        condition = (1.0 if h.shape == (1, 1) and math.isfinite(h[0, 0]) and h[0, 0] != 0.0
+                     else float(np.linalg.cond(h)))
+        return EstimateReport(
+            beta_hat=res.params.copy(), covariance=pieces.covariance, std_errors=se,
+            wald_ci=np.column_stack([res.params - zq * se, res.params + zq * se]),
+            influence=pieces.influence, instrument=instrument, level=level,
+            diagnostics=SolveDiagnostics(iterations=res.iterations, final_eq_norm=res.final_norm,
+                                         jacobian_condition=condition,
+                                         step_halvings=res.step_halvings))
+
+    def solve_y1(self, instrument: InstrumentSpec, level: float = 0.95) -> EstimateReport:
+        """solve_dr_y1 on this context: the mirror's solve with beta_hat, the
+        influence rows and the Wald interval negated back."""
+        rep = self.mirror.solve(instrument, level)
+        return replace(rep, beta_hat=-rep.beta_hat, influence=-rep.influence,
+                       wald_ci=-rep.wald_ci[:, ::-1])
+
+    def closed_form(self) -> float:
+        """closed_form_binary on this context, from the simple-instrument
+        kernel's arrays: e = expit(g) is its phi and f its covariate means."""
+        if self.data.p != 1:
+            raise ValueError("closed-form estimator needs scalar Z")
+        if not np.isin(self.data.z[:, 0], (0.0, 1.0)).all():
+            raise ValueError("closed-form estimator needs binary Z values")
+        kernel = self.kernel(InstrumentSpec("simple"))  # refuses a Y=1 covariate fit
+        e, f, y, z = kernel.phi[:, 0, 0], kernel.f[:, 0], self.data.y, self.data.z[:, 0]
+        b_sum = float(np.sum((1.0 - e) * (1.0 - f) * ((y == 1) & (z == 1.0))))
+        a_sum = float(np.sum((1.0 - e) * f * ((y == 1) & (z == 0.0)))
+                      + np.sum(e[y == 0] * (z[y == 0] - f[y == 0])))
+        if a_sum <= 0.0 or b_sum <= 0.0:
+            raise ConvergenceError(
+                f"closed-form equation has no finite root (A={a_sum:.3g}, B={b_sum:.3g})")
+        return -math.log(a_sum / b_sum)
+
+
 class _Kernel(_CalibratedEquation):
     """The doubly robust estimating equation in beta: the calibrated
     equation with u = phi(x)(z - f(x)), d = z and offset g(x), the
-    instrument held fixed at the plugged-in nuisance estimates."""
+    instrument held fixed at the plugged-in nuisance estimates of ctx."""
 
-    def __init__(self, data: Dataset, outcome: OutcomeFit, covar: CovariateFit,
-                 instrument: InstrumentSpec, basis: Basis):
-        if not outcome.converged or not covar.converged:
+    def __init__(self, ctx: _Context, instrument: InstrumentSpec):
+        self.outcome, self.covar = ctx.outcome, ctx.covar(0)
+        if not self.outcome.converged or not self.covar.converged:
             raise ValueError("nuisance fits must have converged")
-        _check_level(covar, 0)
-        if not (data.y == 1).any() or not (data.y == 0).any():
+        _check_level(self.covar, 0)
+        y, z = ctx.data.y, ctx.data.z
+        if not (y == 1).any() or not (y == 0).any():
             raise ValueError("need both response classes to estimate beta")
-        self.bmat = basis.design(data.x)
-        self.f = covariate_means(covar.params, data.x, basis)
-        self.phi = instrument_matrices(instrument, data.x, outcome.params,
-                                       covar.params, basis)
-        super().__init__(data.y, np.einsum("nij,nj->ni", self.phi, data.z - self.f),
-                         data.z, self.bmat @ outcome.params.alpha)
+        self.bmat, self.f = ctx.bmat, ctx.f
+        self.phi = _instruments(instrument, ctx.g, self.f, self.outcome.params.beta,
+                                self.covar.params)[0]
+        super().__init__(y, np.einsum("nij,nj->ni", self.phi, z - self.f), z, ctx.g)
 
 
 def _check_level(covar: CovariateFit, level: int) -> None:
@@ -132,29 +205,7 @@ def solve_dr(data: Dataset, outcome: OutcomeFit, covar: CovariateFit,
     fit's beta and restarted from zero on non-convergence.  The returned
     covariance is the sandwich built from the estimated influence values.
     """
-    kernel = _Kernel(data, outcome, covar, instrument, basis)
-    res = _solve(kernel, outcome.params.beta)
-    pieces = _assemble(kernel, res.params, outcome, covar)
-    se = np.sqrt(np.diag(pieces.covariance))
-    zq = NormalDist().inv_cdf(0.5 + level / 2.0)
-    ci = np.column_stack([res.params - zq * se, res.params + zq * se])
-    h = pieces.h_matrix
-    if h.shape == (1, 1) and math.isfinite(h[0, 0]) and h[0, 0] != 0.0:
-        condition = 1.0  # what np.linalg.cond's SVD gives a finite nonzero 1x1
-    else:
-        condition = float(np.linalg.cond(h))
-    return EstimateReport(
-        beta_hat=res.params.copy(),
-        covariance=pieces.covariance,
-        std_errors=se,
-        wald_ci=ci,
-        influence=pieces.influence,
-        diagnostics=SolveDiagnostics(iterations=res.iterations, final_eq_norm=res.final_norm,
-                                     jacobian_condition=condition,
-                                     step_halvings=res.step_halvings),
-        instrument=instrument,
-        level=level,
-    )
+    return _Context(data, basis, outcome=outcome, covars={0: covar}).solve(instrument, level)
 
 
 def solve_dr_y1(data: Dataset, outcome: OutcomeFit, covar1: CovariateFit,
@@ -168,11 +219,8 @@ def solve_dr_y1(data: Dataset, outcome: OutcomeFit, covar1: CovariateFit,
     rows and the Wald interval negated back; the rest carries over.
     """
     _check_level(covar1, 1)
-    mirror = solve_dr(Dataset(1 - data.y, data.z, data.x),
-                      replace(outcome, params=_negated(outcome.params), s1=-outcome.s1),
-                      replace(covar1, response_level=0), instrument, basis, level=level)
-    return replace(mirror, beta_hat=-mirror.beta_hat, influence=-mirror.influence,
-                   wald_ci=-mirror.wald_ci[:, ::-1])
+    ctx = _Context(data, basis, outcome=outcome, covars={1: covar1})
+    return ctx.solve_y1(instrument, level)
 
 
 def closed_form_binary(data: Dataset, outcome: OutcomeFit,
@@ -186,23 +234,7 @@ def closed_form_binary(data: Dataset, outcome: OutcomeFit,
         A = sum over y=1, z=0 rows of (1-e_i) f_i
             + sum over y=0 rows of e_i (z_i - f_i).
     """
-    if data.p != 1:
-        raise ValueError("closed-form estimator needs scalar Z")
-    if not np.isin(data.z[:, 0], (0.0, 1.0)).all():
-        raise ValueError("closed-form estimator needs binary Z values")
-    if covar.response_level != 0:
-        raise ValueError("closed-form estimator needs the Y=0 covariate fit")
-    e = expit(outcome.basis.design(data.x) @ outcome.params.alpha)
-    f = covariate_means(covar.params, data.x, covar.basis)[:, 0]
-    y = data.y
-    z = data.z[:, 0]
-    b_sum = float(np.sum((1.0 - e) * (1.0 - f) * ((y == 1) & (z == 1.0))))
-    a_sum = float(np.sum((1.0 - e) * f * ((y == 1) & (z == 0.0)))
-                  + np.sum(e[y == 0] * (z[y == 0] - f[y == 0])))
-    if a_sum <= 0.0 or b_sum <= 0.0:
-        raise ConvergenceError(
-            f"closed-form equation has no finite root (A={a_sum:.3g}, B={b_sum:.3g})")
-    return -math.log(a_sum / b_sum)
+    return _Context(data, outcome.basis, outcome=outcome, covars={0: covar}).closed_form()
 
 
 def assemble_influence(data: Dataset, beta_hat: np.ndarray, outcome: OutcomeFit,
@@ -217,41 +249,32 @@ def assemble_influence(data: Dataset, beta_hat: np.ndarray, outcome: OutcomeFit,
     beta_hat - beta_bar is their sample mean to first order; the
     covariance is their scaled Gram matrix, symmetric PSD by construction.
     """
-    kernel = _Kernel(data, outcome, covar, instrument, basis)
-    return _assemble(kernel, np.atleast_1d(np.asarray(beta_hat, float)), outcome, covar)
+    kernel = _Context(data, basis, outcome=outcome, covars={0: covar}).kernel(instrument)
+    return _assemble(kernel, np.atleast_1d(np.asarray(beta_hat, float)))
 
 
-def _assemble(kernel: _Kernel, beta: np.ndarray, outcome: OutcomeFit,
-              covar: CovariateFit) -> InfluencePieces:
-    n = kernel.n
-    p = beta.shape[0]
-    m = kernel.bmat.shape[1]
-    resid = kernel.residual(beta)
-    r_rows = resid[:, None] * kernel.u
+def _assemble(kernel: _Kernel, beta: np.ndarray) -> InfluencePieces:
+    n, p, m = kernel.n, beta.shape[0], kernel.bmat.shape[1]
+    # one weight serves resid, b1 and h_matrix (kernel.jacobian(beta) bit for bit)
+    weight = kernel.weight(beta)
+    resid = weight - kernel.is_zero
+    u_weight = kernel.u * weight[:, None]
+    h_matrix = -u_weight.T @ kernel.d / n
+    b1 = -u_weight.T @ kernel.bmat / n
+    # d r / d gamma_{jk} = -resid * phi[:, j] * link'(f_j) * b_k: one (n, p*p)' (n, m) product
+    slope = resid[:, None] * np.where([fam == "bernoulli" for fam in kernel.covar.params.families],
+                                      kernel.f * (1.0 - kernel.f), 1.0)
+    b2 = (-(kernel.phi.reshape(n, p * p) * np.tile(slope, p)).T @ kernel.bmat / n
+          ).reshape(p, p * m)
 
-    h_matrix = kernel.jacobian(beta)
-    b1 = -(kernel.u * kernel.weight(beta)[:, None]).T @ kernel.bmat / n
-    # d r / d gamma_{jk} = -resid * phi[:, j] * link'(f_j) * b_k
-    link_slope = np.empty_like(kernel.f)
-    for j, fam in enumerate(covar.params.families):
-        if fam == "bernoulli":
-            link_slope[:, j] = kernel.f[:, j] * (1.0 - kernel.f[:, j])
-        else:
-            link_slope[:, j] = 1.0
-    b2 = -np.einsum("i,iaj,ij,ik->ajk", resid, kernel.phi,
-                    link_slope, kernel.bmat) / n
-    b2 = b2.reshape(p, p * m)
-
-    s1_alpha = outcome.s1[:, p:]
-    combo = r_rows + s1_alpha @ b1.T + covar.s2 @ b2.T
+    combo = resid[:, None] * kernel.u + kernel.outcome.s1[:, p:] @ b1.T + kernel.covar.s2 @ b2.T
     try:
-        influence = -np.linalg.solve(h_matrix, combo.T).T
+        influence = -(combo @ np.linalg.inv(h_matrix).T)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("mean equation Jacobian (H) is singular") from exc
     covariance = influence.T @ influence / n**2
-    covariance = (covariance + covariance.T) / 2.0
-    return InfluencePieces(h_matrix=h_matrix, b1=b1, b2=b2,
-                           influence=influence, covariance=covariance)
+    return InfluencePieces(h_matrix=h_matrix, b1=b1, b2=b2, influence=influence,
+                           covariance=(covariance + covariance.T) / 2.0)
 
 
 @dataclass(frozen=True)

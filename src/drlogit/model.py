@@ -173,10 +173,12 @@ class Basis:
 # ---------------------------------------------------------------------------
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.setflags(write=False)
-    return a
+def _freeze(obj, **fields) -> None:
+    """Set fields of a frozen dataclass, making the array ones read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -211,11 +213,15 @@ class Dataset:
                 i, j = bad[0]
                 raise ValueError(f"{name} has non-finite value {float(arr[i, j])!r} "
                                  f"at row {i}, column {j}")
-        yi = np.array(y, dtype=np.int64, copy=True)
-        yi.setflags(write=False)
-        object.__setattr__(self, "y", yi)
-        object.__setattr__(self, "z", _readonly(z))
-        object.__setattr__(self, "x", _readonly(x))
+        _freeze(self, y=np.array(y, dtype=np.int64), z=np.array(z), x=np.array(x))
+
+    @classmethod
+    def _trusted(cls, y: np.ndarray, z: np.ndarray, x: np.ndarray) -> "Dataset":
+        """A Dataset over arrays already checked as __post_init__ would (int64
+        y in {0, 1}, finite 2-d float z and x of equal rows): no copy, no rescan."""
+        data = object.__new__(cls)
+        _freeze(data, y=y, z=z, x=x)
+        return data
 
     @property
     def n(self) -> int:
@@ -242,8 +248,7 @@ class OutcomeModelParams:
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         if not (np.isfinite(beta).all() and np.isfinite(alpha).all()):
             raise ValueError("outcome-model coefficients must be finite")
-        object.__setattr__(self, "beta", _readonly(beta))
-        object.__setattr__(self, "alpha", _readonly(alpha))
+        _freeze(self, beta=np.array(beta), alpha=np.array(alpha))
 
 
 def _negated(params: OutcomeModelParams) -> OutcomeModelParams:
@@ -283,9 +288,7 @@ class CovariateModelParams:
                 raise ValueError(f"Gaussian component {j} needs resid_var > 0")
         if not np.isfinite(gamma).all():
             raise ValueError("covariate-model coefficients must be finite")
-        object.__setattr__(self, "gamma", _readonly(gamma))
-        object.__setattr__(self, "resid_var", _readonly(rv))
-        object.__setattr__(self, "families", fams)
+        _freeze(self, gamma=np.array(gamma), resid_var=np.array(rv), families=fams)
 
     @property
     def p(self) -> int:
@@ -412,14 +415,15 @@ class _CalibratedEquation:
     def __init__(self, y: np.ndarray, u: np.ndarray, d: np.ndarray, offset=0.0):
         self.y, self.u, self.d, self.offset = y, u, d, offset
         self.n = y.shape[0]
+        self.is_one, self.is_zero = y == 1, 1 - y
 
     def weight(self, theta: np.ndarray) -> np.ndarray:
         """Negated derivative of the residual in eta, y*exp(-eta) (nonnegative)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(self.y == 1, np.exp(-(self.d @ theta + self.offset)), 0.0)
+            return np.where(self.is_one, np.exp(-(self.d @ theta + self.offset)), 0.0)
 
     def residual(self, theta: np.ndarray) -> np.ndarray:
-        return self.weight(theta) - (1 - self.y)
+        return self.weight(theta) - self.is_zero
 
     def equation(self, theta: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -446,14 +450,11 @@ def gauss_hermite_points(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GH_CACHE[order]
 
 
-def _optimal_instrument_batch(
-    x: np.ndarray,
-    outcome: OutcomeModelParams,
-    covar: CovariateModelParams,
-    basis: Basis,
-    order: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Variance-minimizing phi(x) per row, with condition numbers.
+def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
+                              covar: CovariateModelParams,
+                              order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Variance-minimizing phi(x) per row from g = alpha'b(x) and the
+    covariate means f(x), with condition numbers.
 
     phi(x) = A(x) B(x)^{-1} where A = E[(Z-f)(Z-f)' | Y=0, x] and
     B = E[(Z-f)(Z-f)' / pi | Y=0, x].  Components of Z are treated as
@@ -466,25 +467,20 @@ def _optimal_instrument_batch(
     This equals the tensor-product rule over all components up to
     rounding, at O(n p^3) cost.
     """
-    p = covar.p
-    if outcome.beta.shape[0] != p:
+    n, p = f.shape
+    if beta.shape[0] != p:
         raise ValueError("beta and covariate model disagree on dim(Z)")
-    bx = basis.design(x)
-    n = bx.shape[0]
-    f = _means_from_design(covar, bx)
 
     # entry (j, k) of A and B takes moment order [l == j] + [l == k] from component l
     comp = np.arange(p)
     order_jkl = (comp[:, None, None] == comp).astype(int) + (comp[None, :, None] == comp)
-    a_mat = np.ones((n, p, p))
-    tilt_mat = np.ones((n, p, p))
+    a_mat, tilt_mat = np.ones((n, p, p)), np.ones((n, p, p))
     for j, fam in enumerate(covar.families):
-        plain, tilted = _component_moments(fam, f[:, j], covar.resid_var[j],
-                                           -outcome.beta[j], order)
+        plain, tilted = _component_moments(fam, f[:, j], covar.resid_var[j], -beta[j], order)
         a_mat *= plain[:, order_jkl[:, :, j]]
         tilt_mat *= tilted[:, order_jkl[:, :, j]]
     with np.errstate(over="ignore", invalid="ignore"):
-        tilt_mat *= np.exp(-(bx @ outcome.alpha + f @ outcome.beta))[:, None, None]
+        tilt_mat *= np.exp(-(g + f @ beta))[:, None, None]
     b_mat = a_mat + tilt_mat
 
     finite = np.isfinite(b_mat).all(axis=(1, 2))
@@ -527,52 +523,44 @@ def _component_moments(family: Family, f_j: np.ndarray, resid_var: float, tilt: 
                                   np.einsum("ik,ik->i", v, r2)]) for v in (w, w_tilt))
 
 
-def instrument_matrices(
-    spec: InstrumentSpec,
-    x: np.ndarray,
-    outcome: OutcomeModelParams,
-    covar: CovariateModelParams,
-    basis: Basis,
-    *,
-    condition_on_y1: bool = False,
-) -> np.ndarray:
-    """Evaluate phi at every row of x; returns an (n, p, p) array.  With
-    condition_on_y1, covar models E(Z | Y=1, X) and phi is the Y=1 mirror."""
+def _instruments(spec: InstrumentSpec, g: np.ndarray, f: np.ndarray, beta: np.ndarray,
+                 covar: CovariateModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """phi at every row from g = alpha'b(x) and the covariate means f(x), as
+    an (n, p, p) array, with the condition numbers (1 unless optimal)."""
+    n, p = f.shape
+    if spec.variant == "optimal":
+        return _optimal_instrument_batch(g, f, beta, covar, spec.gh_order)
+    scale = np.ones(n) if spec.variant == "identity" else expit(g)
+    return scale[:, None, None] * np.eye(p), np.ones(n)
+
+
+def _instruments_at(spec: InstrumentSpec, x: np.ndarray, outcome: OutcomeModelParams,
+                    covar: CovariateModelParams, basis: Basis, condition_on_y1: bool):
     if condition_on_y1:
         outcome = _negated(outcome)
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x2.shape[0]
-    p = covar.p
-    if spec.variant == "identity":
-        return np.broadcast_to(np.eye(p), (n, p, p)).copy()
-    if spec.variant == "simple":
-        scale = expit(basis.design(x2) @ outcome.alpha)
-        return np.atleast_1d(scale)[:, None, None] * np.eye(p)[None, :, :]
-    mats, _ = _optimal_instrument_batch(x2, outcome, covar, basis, spec.gh_order)
-    return mats
+    bx = basis.design(x)
+    return _instruments(spec, bx @ outcome.alpha, _means_from_design(covar, bx),
+                        outcome.beta, covar)
 
 
-def instrument_matrix(
-    spec: InstrumentSpec,
-    x: np.ndarray,
-    outcome: OutcomeModelParams,
-    covar: CovariateModelParams,
-    basis: Basis,
-    *,
-    condition_on_y1: bool = False,
-    return_cond: bool = False,
-):
+def instrument_matrices(spec: InstrumentSpec, x: np.ndarray, outcome: OutcomeModelParams,
+                        covar: CovariateModelParams, basis: Basis, *,
+                        condition_on_y1: bool = False) -> np.ndarray:
+    """Evaluate phi at every row of x; returns an (n, p, p) array.  With
+    condition_on_y1, covar models E(Z | Y=1, X) and phi is the Y=1 mirror."""
+    return _instruments_at(spec, np.atleast_2d(np.asarray(x, dtype=float)), outcome, covar,
+                           basis, condition_on_y1)[0]
+
+
+def instrument_matrix(spec: InstrumentSpec, x: np.ndarray, outcome: OutcomeModelParams,
+                      covar: CovariateModelParams, basis: Basis, *,
+                      condition_on_y1: bool = False, return_cond: bool = False):
     """phi at a single point x; with return_cond=True also reports the
     condition number of the inverted moment matrix (1 for the scalar
     identity and simple variants)."""
-    if condition_on_y1:
-        outcome = _negated(outcome)
-    x1 = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    if spec.variant == "optimal":
-        mats, conds = _optimal_instrument_batch(x1, outcome, covar, basis, spec.gh_order)
-        return (mats[0], float(conds[0])) if return_cond else mats[0]
-    mat = instrument_matrices(spec, x1, outcome, covar, basis)[0]
-    return (mat, 1.0) if return_cond else mat
+    mats, conds = _instruments_at(spec, np.atleast_1d(np.asarray(x, dtype=float))[None, :],
+                                  outcome, covar, basis, condition_on_y1)
+    return (mats[0], float(conds[0])) if return_cond else mats[0]
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +673,8 @@ class FiniteLaw:
             raise ValueError("finite-law probabilities must be nonnegative")
         if not (y.shape[0] == z.shape[0] == x.shape[0] == pr.shape[0]):
             raise ValueError("finite-law arrays must have matching lengths")
-        yi = np.array(y, dtype=np.int64)
-        yi.setflags(write=False)
-        object.__setattr__(self, "y", yi)
-        object.__setattr__(self, "z", _readonly(z))
-        object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "prob", _readonly(pr))
+        _freeze(self, y=np.array(y, dtype=np.int64), z=np.array(z), x=np.array(x),
+                prob=np.array(pr))
 
     @property
     def size(self) -> int:

@@ -76,11 +76,11 @@ class CovariateFit:
     response_level: int = 0
 
 
-def _outcome_design(data: Dataset, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+def _outcome_design(data: Dataset, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The design [z, b(x)] and its columns with any nonzero entry.  An
     identically-zero column's equation component vanishes for every
     parameter value, so its coefficient is pinned at zero."""
-    w = np.column_stack([data.z, basis.design(data.x)])
+    w = np.column_stack([data.z, bmat])
     return w, np.flatnonzero(np.any(w != 0.0, axis=0))
 
 
@@ -104,9 +104,14 @@ def fit_outcome_mle(data: Dataset, basis: Basis) -> OutcomeFit:
     Raises on a constant response, a rank-deficient design, or
     non-convergence (which a separated sample produces).
     """
+    return _fit_outcome_mle(data, basis, basis.design(data.x))
+
+
+def _fit_outcome_mle(data: Dataset, basis: Basis, bmat: np.ndarray) -> OutcomeFit:
+    """fit_outcome_mle given bmat = b(x) on the rows of data."""
     if data.y.min() == data.y.max():
         raise ValueError("response is constant: need at least one y=0 and one y=1 row")
-    w, active = _outcome_design(data, basis)
+    w, active = _outcome_design(data, bmat)
     wa = w[:, active]
     if np.linalg.matrix_rank(wa) < wa.shape[1]:
         raise ValueError("outcome design matrix [z, b(x)] is rank deficient")
@@ -131,21 +136,16 @@ def _outcome_fit(method: str, theta: np.ndarray, p: int, active: np.ndarray,
                  info_a: np.ndarray, rows: np.ndarray, iterations: int,
                  basis: Basis) -> OutcomeFit:
     """OutcomeFit at theta from the curvature info_a and the per-row equation
-    values `rows` on the active columns, where s1 solves info_a s1_i = rows_i."""
+    values `rows` on the active columns, where s1 solves info_a s1_i = rows_i
+    (one inverse of the small matrix, then one product over all rows)."""
     k = theta.shape[0]
     info = np.eye(k)
     info[np.ix_(active, active)] = info_a
     s1 = np.zeros((rows.shape[0], k))
-    s1[:, active] = np.linalg.solve(info_a, rows.T).T
-    return OutcomeFit(
-        params=OutcomeModelParams(theta[:p], theta[p:]),
-        fit_method=method,
-        info_matrix=info,
-        s1=s1,
-        converged=True,
-        iterations=iterations,
-        basis=basis,
-    )
+    s1[:, active] = rows @ np.linalg.inv(info_a).T
+    return OutcomeFit(params=OutcomeModelParams(theta[:p], theta[p:]), fit_method=method,
+                      info_matrix=info, s1=s1, converged=True, iterations=iterations,
+                      basis=basis)
 
 
 def _neg_info(w: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -161,7 +161,7 @@ def fit_outcome_calibrated(data: Dataset, basis: Basis) -> OutcomeFit:
     reported as non-convergence rather than silently tolerated.
     """
     mle = fit_outcome_mle(data, basis)
-    w, active = _outcome_design(data, basis)
+    w, active = _outcome_design(data, basis.design(data.x))
     wa = w[:, active]
     eq = _CalibratedEquation(data.y, wa, wa)
 
@@ -189,17 +189,18 @@ def fit_covariate(data: Dataset, basis: Basis,
     residual variance taken as the mean squared residual over the
     subsample.  Bernoulli components: logistic regression of z_j on b(x).
     """
-    return _fit_covariate_level(data, basis, families, level=0)
+    return _fit_covariate_level(data, basis, basis.design(data.x), families, level=0)
 
 
 def fit_covariate_y1(data: Dataset, basis: Basis,
                      families: Sequence[Family]) -> CovariateFit:
     """Mirror of fit_covariate on the Y=1 subsample, modelling E(Z | Y=1, X)."""
-    return _fit_covariate_level(data, basis, families, level=1)
+    return _fit_covariate_level(data, basis, basis.design(data.x), families, level=1)
 
 
-def _fit_covariate_level(data: Dataset, basis: Basis,
+def _fit_covariate_level(data: Dataset, basis: Basis, bmat: np.ndarray,
                          families: Sequence[Family], level: int) -> CovariateFit:
+    """The covariate fit on the y=level subsample given bmat = b(x) on all rows."""
     families = tuple(families)
     if len(families) != data.p:
         raise ValueError(f"need one family per Z component ({data.p}), got {len(families)}")
@@ -208,8 +209,7 @@ def _fit_covariate_level(data: Dataset, basis: Basis,
     if sub.size < m:
         raise ValueError(
             f"covariate fit needs at least m={m} rows with y={level}, have {sub.size}")
-    b_all = basis.design(data.x)
-    b0 = b_all[sub]
+    b0 = bmat[sub]
     if np.linalg.matrix_rank(b0) < m:
         raise ValueError(f"basis design is rank deficient on the y={level} subsample")
 
@@ -217,7 +217,6 @@ def _fit_covariate_level(data: Dataset, basis: Basis,
     gamma = np.empty((p, m))
     resid_var = np.full(p, np.nan)
     s2 = np.zeros((n, p * m))
-    converged = True
     for j, fam in enumerate(families):
         zj = data.z[sub, j]
         if fam == "gaussian":
@@ -239,8 +238,7 @@ def _fit_covariate_level(data: Dataset, basis: Basis,
             resid = zj - fj
         else:
             raise ValueError(f"unknown family {fam!r}")
-        rows = n * np.linalg.solve(ne, (b0 * resid[:, None]).T).T
-        s2[sub, j * m:(j + 1) * m] = rows
+        s2[sub, j * m:(j + 1) * m] = n * ((b0 * resid[:, None]) @ np.linalg.inv(ne).T)
     params = CovariateModelParams(gamma=gamma, families=families, resid_var=resid_var)
     return CovariateFit(params=params, s2=s2, subsample_size=int(sub.size),
-                        converged=converged, basis=basis, response_level=level)
+                        converged=True, basis=basis, response_level=level)

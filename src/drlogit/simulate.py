@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import assemble_influence, closed_form_binary, solve_dr, solve_dr_y1
+from .estimators import _Context, _assemble
 from .model import (
     Basis,
     BasisTerm,
@@ -34,7 +34,6 @@ from .model import (
     InstrumentSpec,
     expit,
 )
-from .nuisance import fit_covariate, fit_covariate_y1, fit_outcome_mle
 
 __all__ = [
     "XLawGrid",
@@ -65,35 +64,24 @@ KNOWN_ESTIMATORS = ("mle", "dr_identity", "dr_simple", "dr_optimal",
                     "closed_form")
 
 
-def estimate(name: str, data: Dataset, basis: Basis, z_families: Sequence[str],
-             fits: dict) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Run one estimator of KNOWN_ESTIMATORS on data; returns (beta, se,
-    diagnostics).  `fits` caches the nuisance fits that a menu shares on one
-    dataset: "outcome" (the MLE), "covar" (Y=0) and "covar1" (Y=1)."""
+def estimate(name: str, ctx: _Context) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Run one estimator of KNOWN_ESTIMATORS on the dataset of `ctx`, the
+    per-dataset context through which the menu shares b(x), the nuisance
+    fits and the kernels; returns (beta, se, diagnostics)."""
     if name not in KNOWN_ESTIMATORS:
         raise KeyError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
-    if "outcome" not in fits:
-        fits["outcome"] = fit_outcome_mle(data, basis)
-    outcome = fits["outcome"]
     if name == "mle":
-        cov = outcome.s1.T @ outcome.s1 / data.n**2
-        return (outcome.params.beta, np.sqrt(np.diag(cov)[:data.p]),
-                {"iterations": outcome.iterations})
-    if name.startswith("dr_y1_"):
-        if "covar1" not in fits:
-            fits["covar1"] = fit_covariate_y1(data, basis, z_families)
-        rep = solve_dr_y1(data, outcome, fits["covar1"],
-                          InstrumentSpec(name.removeprefix("dr_y1_")), basis)
-        return rep.beta_hat, rep.std_errors, asdict(rep.diagnostics)
-    if "covar" not in fits:
-        fits["covar"] = fit_covariate(data, basis, z_families)
+        s1 = ctx.outcome.s1
+        return (ctx.outcome.params.beta, np.sqrt(np.diag(s1.T @ s1 / ctx.data.n**2)[:ctx.data.p]),
+                {"iterations": ctx.outcome.iterations})
     if name == "closed_form":
-        beta = np.array([closed_form_binary(data, outcome, fits["covar"])])
-        pieces = assemble_influence(data, beta, outcome, fits["covar"],
-                                    InstrumentSpec("simple"), basis)
+        beta = np.array([ctx.closed_form()])
+        pieces = _assemble(ctx.kernel(InstrumentSpec("simple")), beta)
         return beta, np.sqrt(np.diag(pieces.covariance)), {}
-    rep = solve_dr(data, outcome, fits["covar"], InstrumentSpec(name.removeprefix("dr_")),
-                   basis)
+    if name.startswith("dr_y1_"):
+        rep = ctx.solve_y1(InstrumentSpec(name.removeprefix("dr_y1_")))
+    else:
+        rep = ctx.solve(InstrumentSpec(name.removeprefix("dr_")))
     return rep.beta_hat, rep.std_errors, asdict(rep.diagnostics)
 
 
@@ -354,13 +342,12 @@ def _run_replication(sc: Scenario, rep: int, estimators: Sequence[str]) -> dict:
     seed = np.random.SeedSequence(sc.seed, spawn_key=(rep,))
     out: dict = {}
     try:
-        data = sample_dataset(sc.law, sc.n, seed)
-        fits = {"outcome": fit_outcome_mle(data, sc.working_basis)}
+        ctx = _Context(sample_dataset(sc.law, sc.n, seed), sc.working_basis, sc.z_families)
     except (EstimationError, ValueError, np.linalg.LinAlgError):
         return {name: None for name in estimators}
     for name in estimators:
         try:
-            beta, se, _ = estimate(name, data, sc.working_basis, sc.z_families, fits)
+            beta, se, _ = estimate(name, ctx)
             out[name] = (float(beta[0]), float(se[0]))
         except (EstimationError, ValueError, np.linalg.LinAlgError):
             # data-dependent failure: counted, not propagated

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from drlogit import cli
 from drlogit.cli import CliError, main, read_dataset_csv
-from drlogit.model import Dataset, InstrumentSpec
+from drlogit.model import Basis, Dataset, InstrumentSpec
 from drlogit.nuisance import fit_covariate, fit_outcome_mle
 from drlogit.estimators import solve_dr
 from drlogit.simulate import (
@@ -99,6 +100,39 @@ def test_fit_full_menu_matches_replication(tmp_path):
     assert sorted(got) == sorted(KNOWN_ESTIMATORS)
     for name in KNOWN_ESTIMATORS:
         assert (got[name]["beta"][0], got[name]["se"][0]) == want[name], name
+
+
+def test_fit_menu_shares_one_design_and_validates_no_copy(tmp_path, monkeypatch):
+    """`fit` with every known estimator on the bundled example evaluates b(x)
+    at most twice and validates no Dataset after the CSV read: the menu
+    shares one per-dataset context, and the Y=1 mirror is a reflected view."""
+    counts = {"design": 0, "validated": 0, "validated_by_read": None}
+    design, post_init, read = Basis.design, Dataset.__post_init__, cli.read_dataset_csv
+
+    def counted_design(self, x):
+        counts["design"] += 1
+        return design(self, x)
+
+    def counted_post_init(self):
+        counts["validated"] += 1
+        post_init(self)
+
+    def counted_read(path):
+        data = read(path)
+        counts["validated_by_read"] = counts["validated"]
+        return data
+
+    monkeypatch.setattr(Basis, "design", counted_design)
+    monkeypatch.setattr(Dataset, "__post_init__", counted_post_init)
+    monkeypatch.setattr(cli, "read_dataset_csv", counted_read)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "basis": [{"kind": "intercept"}, {"kind": "linear", "j": 0}],
+        "z_families": ["bernoulli"], "estimators": list(KNOWN_ESTIMATORS)}))
+    assert main(["fit", "--data", str(EXAMPLE_CSV), "--config", str(cfg_path),
+                 "--out", str(tmp_path)]) == 0
+    assert counts["design"] <= 2, counts
+    assert counts["validated"] == counts["validated_by_read"], counts
 
 
 def test_fit_missing_y_column(tmp_path, capsys):
@@ -339,6 +373,17 @@ def _malformed_configs():
         st.just(({"basis": _GOOD_BASIS, "seed": -1}, None, "'seed'")),
         st.one_of(_LETTERS, st.just("1.5"), st.just("-3"))
         .map(lambda env: ({"basis": _GOOD_BASIS}, env, "DRLOGIT_SEED")),
+        st.tuples(st.sampled_from(["z_families", "estimators", "scenarios", "phis"]),
+                  st.one_of(st.integers(), _LETTERS, st.none(), st.booleans(),
+                            st.lists(st.one_of(st.integers(), st.none()), min_size=1,
+                                     max_size=2),
+                            st.dictionaries(_LETTERS, st.integers(), max_size=1)))
+        .map(lambda kv: ({"basis": _GOOD_BASIS, kv[0]: kv[1]}, None, f"'{kv[0]}'")),
+        st.tuples(st.sampled_from(["data", "out"]),
+                  st.one_of(st.integers(), st.none(), st.booleans(),
+                            st.lists(_LETTERS, max_size=2),
+                            st.dictionaries(_LETTERS, st.integers(), max_size=1)))
+        .map(lambda kv: ({"basis": _GOOD_BASIS, kv[0]: kv[1]}, None, f"'{kv[0]}'")),
     )
 
 
@@ -347,17 +392,19 @@ def _malformed_configs():
 def test_malformed_config_exits_2_naming_the_field(case):
     """A config value of the wrong type or range, and a DRLOGIT_SEED that is
     not a nonnegative integer, exit 2 with one error line naming the field,
-    never with a traceback or exit 1."""
+    never with a traceback or exit 1.  A config `out` is tried without --out,
+    from a temporary working directory."""
     cfg, env_seed, names = case
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
         env = {} if env_seed is None else {"DRLOGIT_SEED": env_seed}
+        out = [] if isinstance(cfg, dict) and "out" in cfg else ["--out", tmp]
         with mock.patch.dict(os.environ, env):
             if env_seed is None:
                 os.environ.pop("DRLOGIT_SEED", None)
             rc, err = _main_stderr(["fit", "--data", str(EXAMPLE_CSV), "--config", str(path),
-                                    "--out", tmp])
+                                    *out])
     lines = err.splitlines()
     assert rc == 2, err
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err

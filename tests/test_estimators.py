@@ -6,7 +6,7 @@ import pytest
 
 from drlogit._newton import damped_newton
 from drlogit.estimators import (
-    _Kernel,
+    _Context,
     _solve,
     assemble_influence,
     closed_form_binary,
@@ -137,12 +137,13 @@ def test_jacobian_condition_equals_svd_condition(rng):
             spec = InstrumentSpec(variant)
             rep = solve(ds, outcome, covar, spec, basis)
             if y1:  # the Y=1 Jacobian is the relabeled Y=0 kernel's at -beta_hat
-                jac = _Kernel(Dataset(1 - ds.y, ds.z, ds.x),
-                              replace(outcome, params=_negated(outcome.params)),
-                              replace(covar, response_level=0), spec, basis
-                              ).jacobian(-rep.beta_hat)
+                jac = _Context(Dataset(1 - ds.y, ds.z, ds.x), basis,
+                               outcome=replace(outcome, params=_negated(outcome.params)),
+                               covars={0: replace(covar, response_level=0)}
+                               ).kernel(spec).jacobian(-rep.beta_hat)
             else:
-                jac = _Kernel(ds, outcome, covar, spec, basis).jacobian(rep.beta_hat)
+                jac = _Context(ds, basis, outcome=outcome, covars={0: covar}
+                               ).kernel(spec).jacobian(rep.beta_hat)
             assert jac.shape == (ds.p, ds.p)
             assert rep.diagnostics.jacobian_condition == float(np.linalg.cond(jac))
 
@@ -156,8 +157,9 @@ def test_solve_restarts_from_zero(start, singular):
     sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
     ds = sample_dataset(sc.law, 500, 11)
     basis = sc.working_basis
-    kernel = _Kernel(ds, fit_outcome_mle(ds, basis), fit_covariate(ds, basis, sc.z_families),
-                     InstrumentSpec("simple"), basis)
+    kernel = _Context(ds, basis, outcome=fit_outcome_mle(ds, basis),
+                      covars={0: fit_covariate(ds, basis, sc.z_families)}
+                      ).kernel(InstrumentSpec("simple"))
     first = damped_newton(kernel.equation, kernel.jacobian, np.array([start]))
     assert not first.converged and first.singular == singular
     if not singular:

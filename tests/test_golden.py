@@ -1,7 +1,9 @@
 """Golden outputs: `drlogit fit` on the bundled example with every known
-estimator, and the calibrated outcome fit on one catalog sample, against
-values recorded before the beta solve and the calibrated fit were moved
-onto one shared estimating-equation class.
+estimator, the calibrated outcome fit on one catalog sample, and the
+`run_scenario` summaries of two catalog scenarios, against values recorded
+before the beta solve and the calibrated fit were moved onto one shared
+estimating-equation class (the summaries: before the estimator menu shared
+one per-dataset context).
 
 Floats must agree to 1e-12 * max(1, |want|); integer counts, flags and
 strings exactly.  To record the file again from the current code:
@@ -20,7 +22,8 @@ import numpy as np
 
 from drlogit.cli import main
 from drlogit.nuisance import fit_outcome_calibrated
-from drlogit.simulate import KNOWN_ESTIMATORS, sample_dataset, scenario_catalog, with_size
+from drlogit.simulate import (KNOWN_ESTIMATORS, run_scenario, sample_dataset, scenario_catalog,
+                              summary_rows, with_size)
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
@@ -49,9 +52,23 @@ def _calibrated_fit() -> dict:
             "iterations": fit.iterations}
 
 
+def _simulate_summaries() -> list:
+    """Summary rows of S1-binary and S2-gaussian at n=600, R=20 with every
+    known estimator (closed_form on the binary edition only)."""
+    rows = []
+    for name in ("S1-binary", "S2-gaussian"):
+        sc = with_size(next(s for s in scenario_catalog() if s.name == name),
+                       n=600, replications=20)
+        menu = [e for e in KNOWN_ESTIMATORS
+                if e != "closed_form" or sc.z_families[0] == "bernoulli"]
+        rows += summary_rows(run_scenario(sc, menu))
+    return rows
+
+
 def _observed() -> dict:
     return {"fit_example_menu": _fit_example_menu(),
-            "fit_outcome_calibrated_s2_gaussian": _calibrated_fit()}
+            "fit_outcome_calibrated_s2_gaussian": _calibrated_fit(),
+            "simulate": _simulate_summaries()}
 
 
 def _assert_close(got, want, path: str) -> None:
