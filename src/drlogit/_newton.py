@@ -1,10 +1,11 @@
-"""Damped Newton iteration shared by the nuisance fits and the
-estimating-equation solvers: full Newton steps with step-halving until
-the max-norm of the equation decreases.  The constants are fixed for every
-caller: tolerance 1e-12, 100 iterations, 50 halvings per iteration."""
+"""Damped Newton iteration shared by the nuisance fits and the estimating-equation
+solvers, on one system(theta) -> (equation, Jacobian thunk): one evaluation per
+trial point, a Jacobian only for an accepted iterate.  The constants are fixed
+for every caller: tolerance 1e-12, 100 iterations, 50 halvings per iteration."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,25 +26,20 @@ class NewtonResult:
     singular: bool = False
 
 
-def damped_newton(
-    equation: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
-) -> NewtonResult:
-    """Solve equation(params) = 0.  Each iteration takes the full Newton
-    step and halves it until the equation max-norm strictly decreases
-    (NaN/inf norms count as no improvement).  Never raises: failures are
-    reported through the `converged` and `singular` flags."""
+def damped_newton(system: Callable[[np.ndarray], tuple], start: np.ndarray) -> NewtonResult:
+    """Solve equation(params) = 0, system(params) giving (equation, Jacobian thunk).
+    Each iteration takes the full Newton step and halves it until the equation
+    max-norm strictly decreases (NaN/inf norms count as no improvement).  Never
+    raises: failures are reported through the `converged` and `singular` flags."""
     params = np.array(start, dtype=float)
-    eq = np.asarray(equation(params), dtype=float)
+    eq, jacobian = system(params)
     norm = _max_norm(eq)
     halvings = 0
     for it in range(_MAX_ITER):
         if norm <= _TOL:
             return NewtonResult(params, True, it, halvings, norm)
-        jac = np.asarray(jacobian(params), dtype=float)
         try:
-            step = np.linalg.solve(jac, -eq)
+            step = np.linalg.solve(jacobian(), -eq)
         except np.linalg.LinAlgError:
             return NewtonResult(params, False, it, halvings, norm, singular=True)
         if not np.isfinite(step).all():
@@ -51,10 +47,10 @@ def damped_newton(
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             cand = params + scale * step
-            cand_eq = np.asarray(equation(cand), dtype=float)
+            cand_eq, cand_jacobian = system(cand)
             cand_norm = _max_norm(cand_eq)
             if cand_norm < norm:
-                params, eq, norm = cand, cand_eq, cand_norm
+                params, eq, jacobian, norm = cand, cand_eq, cand_jacobian, cand_norm
                 break
             scale *= 0.5
             halvings += 1
@@ -65,6 +61,6 @@ def damped_newton(
 
 
 def _max_norm(v: np.ndarray) -> float:
-    if not np.isfinite(v).all():
-        return float("inf")
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    # a plain-Python max: numpy's dispatch outweighs the work on a few entries
+    vals = v.tolist()
+    return max(map(abs, vals), default=0.0) if all(map(math.isfinite, vals)) else math.inf

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from itertools import chain
 from pathlib import Path
 from statistics import NormalDist
@@ -243,12 +243,12 @@ def cmd_fit(rc: RunConfig) -> int:
         try:
             if ctx is None:  # the outcome fit's failure is the first estimator's
                 ctx = _Context(data, basis, z_families)
-            beta, se, diagnostics = estimate(name, ctx)
+            beta, se, diag = estimate(name, ctx)
         except (EstimationError, ValueError) as exc:
             raise CliError(f"estimator {name!r} failed: {exc}") from exc
         results[name] = {"beta": beta.tolist(), "se": se.tolist(),
                          "ci": np.column_stack([beta - zq * se, beta + zq * se]).tolist(),
-                         "diagnostics": diagnostics}
+                         "diagnostics": asdict(diag) if is_dataclass(diag) else diag}
 
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"n": data.n, "p": data.p, "q": data.q, "level": rc.level,

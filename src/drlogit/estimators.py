@@ -182,9 +182,9 @@ def _check_level(covar: CovariateFit, level: int) -> None:
 
 
 def _solve(kernel: _Kernel, start: np.ndarray):
-    res = damped_newton(kernel.equation, kernel.jacobian, start)
+    res = damped_newton(kernel.system, start)
     if not res.converged and not np.allclose(start, 0.0):
-        retry = damped_newton(kernel.equation, kernel.jacobian, np.zeros_like(start))
+        retry = damped_newton(kernel.system, np.zeros_like(start))
         res = replace(retry, iterations=res.iterations + retry.iterations,
                       step_halvings=res.step_halvings + retry.step_halvings)
     if not res.converged:
@@ -255,12 +255,9 @@ def assemble_influence(data: Dataset, beta_hat: np.ndarray, outcome: OutcomeFit,
 
 def _assemble(kernel: _Kernel, beta: np.ndarray) -> InfluencePieces:
     n, p, m = kernel.n, beta.shape[0], kernel.bmat.shape[1]
-    # one weight serves resid, b1 and h_matrix (kernel.jacobian(beta) bit for bit)
-    weight = kernel.weight(beta)
-    resid = weight - kernel.is_zero
-    u_weight = kernel.u * weight[:, None]
-    h_matrix = -u_weight.T @ kernel.d / n
-    b1 = -u_weight.T @ kernel.bmat / n
+    w1 = kernel.weight(beta)  # one exp over the Y=1 rows serves resid, h_matrix and b1
+    resid, h_matrix = kernel.residual(w1), kernel.jacobian(beta, w1)
+    b1 = -(kernel.u1 * w1[:, None]).T @ kernel.bmat.take(kernel.one, axis=0) / n
     # d r / d gamma_{jk} = -resid * phi[:, j] * link'(f_j) * b_k: one (n, p*p)' (n, m) product
     slope = resid[:, None] * np.where([fam == "bernoulli" for fam in kernel.covar.params.families],
                                       kernel.f * (1.0 - kernel.f), 1.0)
@@ -269,7 +266,7 @@ def _assemble(kernel: _Kernel, beta: np.ndarray) -> InfluencePieces:
 
     combo = resid[:, None] * kernel.u + kernel.outcome.s1[:, p:] @ b1.T + kernel.covar.s2 @ b2.T
     try:
-        influence = -(combo @ np.linalg.inv(h_matrix).T)
+        influence = -combo.dot(np.linalg.inv(h_matrix).T)  # @ is a slow loop for p = 1
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("mean equation Jacobian (H) is singular") from exc
     covariance = influence.T @ influence / n**2

@@ -408,30 +408,37 @@ class _CalibratedEquation:
     """The calibrated estimating equation n^{-1} sum_i r_i u_i = 0 in array
     form, with residual r = y*exp(-eta) - (1-y) and eta = d theta + offset:
     the doubly robust beta equation (u = phi(x)(z - f(x)), d = z, offset
-    g(x)) and the calibrated outcome fit (u = d = (z', b(x)')').  A trial
-    theta may overflow exp; damped_newton reads the inf/NaN norm as no
-    improvement, so overflow is silenced."""
+    g(x)) and the calibrated outcome fit (u = d = (z', b(x)')').  A Y=0 row has
+    r = -1, so a theta costs one exp over the Y=1 rows plus c0 = sum_{Y=0} u_i;
+    an overflowing one gives an inf/NaN norm, no improvement to damped_newton."""
 
     def __init__(self, y: np.ndarray, u: np.ndarray, d: np.ndarray, offset=0.0):
-        self.y, self.u, self.d, self.offset = y, u, d, offset
-        self.n = y.shape[0]
-        self.is_one, self.is_zero = y == 1, 1 - y
+        # row indices and take(): a boolean-mask gather of a 2-d array costs ~10x more
+        self.n, self.u, self.one = y.shape[0], u, np.flatnonzero(y == 1)
+        self.u1, self.d1 = u.take(self.one, axis=0), d.take(self.one, axis=0)
+        self.c0 = u.take(np.flatnonzero(y != 1), axis=0).sum(axis=0)
+        self.offset1 = offset.take(self.one) if np.ndim(offset) else offset
 
     def weight(self, theta: np.ndarray) -> np.ndarray:
-        """Negated derivative of the residual in eta, y*exp(-eta) (nonnegative)."""
+        """exp(-eta) on the Y=1 rows, the negated derivative of their residual in eta."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(self.is_one, np.exp(-(self.d @ theta + self.offset)), 0.0)
+            # dot, not @: matmul takes a non-BLAS loop for a single column
+            return np.exp(-(self.d1.dot(theta) + self.offset1))
 
-    def residual(self, theta: np.ndarray) -> np.ndarray:
-        return self.weight(theta) - self.is_zero
+    def residual(self, w1: np.ndarray) -> np.ndarray:
+        r = np.full(self.n, -1.0)
+        r[self.one] = w1
+        return r
 
-    def equation(self, theta: np.ndarray) -> np.ndarray:
+    def system(self, theta: np.ndarray):
+        w1 = self.weight(theta)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.u.T @ self.residual(theta) / self.n
+            return (self.u1.T @ w1 - self.c0) / self.n, lambda: self.jacobian(theta, w1)
 
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+    def jacobian(self, theta: np.ndarray, w1: np.ndarray | None = None) -> np.ndarray:
+        w1 = self.weight(theta) if w1 is None else w1
         with np.errstate(over="ignore", invalid="ignore"):
-            return -(self.u * self.weight(theta)[:, None]).T @ self.d / self.n
+            return -(self.u1 * w1[:, None]).T @ self.d1 / self.n
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +496,7 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
     else:
         eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], b_mat, 0.0)))
     lo, hi = eig.min(axis=1), eig.max(axis=1)
-    ok = finite & (lo > 0)
-    conds = np.full(n, np.inf)
-    conds[ok] = hi[ok] / lo[ok]
+    conds = np.divide(hi, lo, out=np.full(n, np.inf), where=finite & (lo > 0))
     if np.any(conds > COND_LIMIT):
         worst = int(np.argmax(conds))
         raise SingularMatrixError(

@@ -5,9 +5,10 @@ logistic outcome model in (beta, alpha) fitted on the whole sample, and
 a covariate-mean model in gamma fitted on the Y=0 (or, for solve_dr_y1,
 the Y=1) subsample.  The outcome MLE and the Bernoulli covariate
 components share one logistic Newton fit; the calibrated outcome fit solves
-the calibrated equation of the beta solve (`model._CalibratedEquation`).  All
-use `damped_newton`'s fixed tolerance 1e-12, 100 iterations and 50 halvings
-per iteration.  Each fit returns per-observation influence values so that
+the beta solve's calibrated equation (`model._CalibratedEquation`: one exp over
+the Y=1 rows per theta, a constant Y=0 sum).  Each hands `damped_newton` one
+system(theta) whose Jacobian thunk reuses that evaluation, built only for an
+accepted iterate.  Each fit returns per-observation influence values so that
 downstream sandwich variances can account for the estimated nuisances:
 params_hat - params_bar = mean of the influence rows + o_p(n^{-1/2}).
 """
@@ -91,10 +92,13 @@ def _embed(active: np.ndarray, k: int, vec: np.ndarray) -> np.ndarray:
 
 
 def _fit_logistic_core(w: np.ndarray, y: np.ndarray, start: np.ndarray):
-    """Newton-Raphson on the mean score equation w'(y - pi)/n = 0: the one
-    logistic fit behind the outcome MLE and the Bernoulli covariate fits."""
-    return damped_newton(lambda th: w.T @ (y - expit(w @ th)) / w.shape[0],
-                         lambda th: _neg_info(w, expit(w @ th)), start)
+    """Newton-Raphson on the mean score w'(y - pi)/n = 0, one expit per trial point, for
+    the outcome MLE and the Bernoulli covariate fits; returns the result and its pi."""
+    def system(th):
+        pi = expit(w @ th)
+        return w.T @ (y - pi) / w.shape[0], lambda: _neg_info(w, pi)
+    res = damped_newton(system, start)
+    return res, expit(w @ res.params)
 
 
 def fit_outcome_mle(data: Dataset, basis: Basis) -> OutcomeFit:
@@ -116,14 +120,13 @@ def _fit_outcome_mle(data: Dataset, basis: Basis, bmat: np.ndarray) -> OutcomeFi
     if np.linalg.matrix_rank(wa) < wa.shape[1]:
         raise ValueError("outcome design matrix [z, b(x)] is rank deficient")
 
-    res = _fit_logistic_core(wa, data.y, np.zeros(wa.shape[1]))
+    res, pi = _fit_logistic_core(wa, data.y, np.zeros(wa.shape[1]))
     if not res.converged:
         raise ConvergenceError(
             f"logistic MLE did not converge in {res.iterations} iterations "
             f"(final score norm {res.final_norm:.3g}); the sample may be separated")
 
     theta = _embed(active, w.shape[1], res.params)
-    pi = expit(w @ theta)
     # a saturated perfect classification means the score vanished only
     # because the sample is separated; there is no finite MLE there
     if pi[data.y == 1].min() > 1.0 - 1e-8 and pi[data.y == 0].max() < 1e-8:
@@ -166,7 +169,7 @@ def fit_outcome_calibrated(data: Dataset, basis: Basis) -> OutcomeFit:
     eq = _CalibratedEquation(data.y, wa, wa)
 
     start = np.concatenate([mle.params.beta, mle.params.alpha])[active]
-    res = damped_newton(eq.equation, eq.jacobian, start)
+    res = damped_newton(eq.system, start)
     if not res.converged:
         raise ConvergenceError(
             f"calibrated fit did not converge (final norm {res.final_norm:.3g}); "
@@ -178,7 +181,7 @@ def fit_outcome_calibrated(data: Dataset, basis: Basis) -> OutcomeFit:
         raise ConvergenceError(
             "calibrated fit drove pi below 1e-12 on a y=1 row (weight overflow)")
     return _outcome_fit("calibrated", theta, data.p, active, -eq.jacobian(res.params),
-                        wa * eq.residual(res.params)[:, None], res.iterations, basis)
+                        wa * eq.residual(eq.weight(res.params))[:, None], res.iterations, basis)
 
 
 def fit_covariate(data: Dataset, basis: Basis,
@@ -209,7 +212,7 @@ def _fit_covariate_level(data: Dataset, basis: Basis, bmat: np.ndarray,
     if sub.size < m:
         raise ValueError(
             f"covariate fit needs at least m={m} rows with y={level}, have {sub.size}")
-    b0 = bmat[sub]
+    b0 = bmat.take(sub, axis=0)
     if np.linalg.matrix_rank(b0) < m:
         raise ValueError(f"basis design is rank deficient on the y={level} subsample")
 
@@ -228,12 +231,11 @@ def _fit_covariate_level(data: Dataset, basis: Basis, bmat: np.ndarray,
             if not np.isin(zj, (0.0, 1.0)).all():
                 raise ValueError(
                     f"Bernoulli component {j} has non-binary values on the fitting subsample")
-            res = _fit_logistic_core(b0, zj.astype(np.int64), np.zeros(m))
+            res, fj = _fit_logistic_core(b0, zj.astype(np.int64), np.zeros(m))
             if not res.converged:
                 raise ConvergenceError(
                     f"logistic covariate fit for component {j} did not converge")
             gamma[j] = res.params
-            fj = expit(b0 @ gamma[j])
             ne = (b0 * (fj * (1.0 - fj))[:, None]).T @ b0
             resid = zj - fj
         else:

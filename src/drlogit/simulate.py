@@ -19,13 +19,13 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
-from .estimators import _Context, _assemble
+from .estimators import SolveDiagnostics, _Context, _assemble
 from .model import (
     Basis,
     BasisTerm,
@@ -64,7 +64,7 @@ KNOWN_ESTIMATORS = ("mle", "dr_identity", "dr_simple", "dr_optimal",
                     "closed_form")
 
 
-def estimate(name: str, ctx: _Context) -> tuple[np.ndarray, np.ndarray, dict]:
+def estimate(name: str, ctx: _Context) -> tuple[np.ndarray, np.ndarray, SolveDiagnostics | dict]:
     """Run one estimator of KNOWN_ESTIMATORS on the dataset of `ctx`, the
     per-dataset context through which the menu shares b(x), the nuisance
     fits and the kernels; returns (beta, se, diagnostics)."""
@@ -82,7 +82,7 @@ def estimate(name: str, ctx: _Context) -> tuple[np.ndarray, np.ndarray, dict]:
         rep = ctx.solve_y1(InstrumentSpec(name.removeprefix("dr_y1_")))
     else:
         rep = ctx.solve(InstrumentSpec(name.removeprefix("dr_")))
-    return rep.beta_hat, rep.std_errors, asdict(rep.diagnostics)
+    return rep.beta_hat, rep.std_errors, rep.diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -160,17 +160,122 @@ def test_solve_restarts_from_zero(start, singular):
     kernel = _Context(ds, basis, outcome=fit_outcome_mle(ds, basis),
                       covars={0: fit_covariate(ds, basis, sc.z_families)}
                       ).kernel(InstrumentSpec("simple"))
-    first = damped_newton(kernel.equation, kernel.jacobian, np.array([start]))
+    first = damped_newton(kernel.system, np.array([start]))
     assert not first.converged and first.singular == singular
     if not singular:
         assert (first.iterations, first.step_halvings) == (1, 51)
-    zero = damped_newton(kernel.equation, kernel.jacobian, np.zeros(1))
+    zero = damped_newton(kernel.system, np.zeros(1))
     assert zero.converged
     res = _solve(kernel, np.array([start]))
     assert res.params.tobytes() == zero.params.tobytes()
     assert res.converged and not res.singular and res.final_norm == zero.final_norm
     assert res.iterations == first.iterations + zero.iterations
     assert res.step_halvings == first.step_halvings + zero.step_halvings
+
+
+def _counting(system, counts, evaluations):
+    """system(theta) wrapped to count its calls and its Jacobian thunks'
+    calls, and the exp/expit evaluations (the running total in
+    evaluations[0]) that each makes."""
+    def counted(theta):
+        before = evaluations[0]
+        eq, jacobian = system(theta)
+        counts["system"] += 1
+        counts["system_evaluations"] += evaluations[0] - before
+
+        def counted_jacobian():
+            before = evaluations[0]
+            jac = jacobian()
+            counts["jacobian"] += 1
+            counts["jacobian_evaluations"] += evaluations[0] - before
+            return jac
+        return eq, counted_jacobian
+    return counted
+
+
+def _new_counts():
+    return dict.fromkeys(("system", "system_evaluations", "jacobian", "jacobian_evaluations"), 0)
+
+
+def _counted_kernel(kernel):
+    """Route the kernel's system, and the weight it takes its exp from,
+    through counters; returns the counts."""
+    counts, evaluations = _new_counts(), [0]
+    weight = kernel.weight
+
+    def counted_weight(theta):
+        evaluations[0] += 1
+        return weight(theta)
+    kernel.weight = counted_weight
+    kernel.system = _counting(kernel.system, counts, evaluations)
+    return counts
+
+
+def _assert_one_evaluation_per_trial_point(counts, res, extra=0):
+    """A solve of k iterations and h halvings evaluates the equation at the
+    start and at each trial point, 1 + k + h times, and builds the Jacobian
+    of each of its k accepted iterates from that evaluation.  `extra` counts
+    an attempt stopped at a singular Jacobian: one more evaluation and one
+    more Jacobian, with no iteration counted."""
+    assert counts["system"] == 1 + res.iterations + res.step_halvings + extra
+    assert counts["jacobian"] == res.iterations + extra
+    assert counts["system_evaluations"] == counts["system"]
+    assert counts["jacobian_evaluations"] == 0
+
+
+@pytest.mark.parametrize("scenario", ["S1-binary", "S2-gaussian"])
+def test_newton_evaluates_once_per_trial_point(scenario, monkeypatch):
+    """The logistic fits and the beta solves evaluate expit/exp once per
+    trial point and never again for the Jacobian of an accepted iterate."""
+    import drlogit.nuisance as nuisance
+
+    sc = next(s for s in scenario_catalog() if s.name == scenario)
+    ds = sample_dataset(sc.law, 500, 5)
+    evaluations, fits = [0], []
+    expit_ = nuisance.expit
+
+    def counted_expit(c):
+        evaluations[0] += 1
+        return expit_(c)
+
+    def counted_newton(system, start):
+        counts = _new_counts()
+        res = damped_newton(_counting(system, counts, evaluations), start)
+        fits.append((counts, res))
+        return res
+    monkeypatch.setattr(nuisance, "expit", counted_expit)
+    monkeypatch.setattr(nuisance, "damped_newton", counted_newton)
+    ctx = _Context(ds, sc.working_basis, sc.z_families)
+    ctx.covar(0)
+    # the outcome MLE, plus one fit per Bernoulli covariate component
+    assert len(fits) == 1 + sc.z_families.count("bernoulli")
+    for counts, res in fits:
+        assert res.converged and res.iterations > 0
+        _assert_one_evaluation_per_trial_point(counts, res)
+
+    for variant in ("identity", "simple", "optimal"):
+        kernel = ctx.kernel(InstrumentSpec(variant))
+        counts = _counted_kernel(kernel)
+        res = _solve(kernel, ctx.outcome.params.beta)
+        assert res.iterations > 0
+        _assert_one_evaluation_per_trial_point(counts, res)
+
+
+@pytest.mark.parametrize("start, singular", [(40.0, False), (800.0, True)])
+def test_restart_counts_evaluations_of_both_attempts(start, singular):
+    """The restart case of test_solve_restarts_from_zero: the evaluations of
+    both attempts add up as one solve's, the singular first attempt with
+    its one evaluation and one Jacobian beyond its zero iterations."""
+    sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
+    ds = sample_dataset(sc.law, 500, 11)
+    basis = sc.working_basis
+    kernel = _Context(ds, basis, outcome=fit_outcome_mle(ds, basis),
+                      covars={0: fit_covariate(ds, basis, sc.z_families)}
+                      ).kernel(InstrumentSpec("simple"))
+    counts = _counted_kernel(kernel)
+    res = _solve(kernel, np.array([start]))
+    assert res.converged
+    _assert_one_evaluation_per_trial_point(counts, res, extra=int(singular))
 
 
 def test_solve_rejects_mismatched_fits(rng):

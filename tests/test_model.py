@@ -17,6 +17,7 @@ from drlogit.model import (
     LinearInstrument,
     OutcomeModelParams,
     SingularMatrixError,
+    _CalibratedEquation,
     calibrated_residual,
     calibrated_residual_y1,
     covariate_means,
@@ -233,6 +234,48 @@ def test_residual_identities_against_stable_ratio(y, zval, a0):
     got1 = calibrated_residual_y1(y, [zval], [0.0], p, basis)
     assert got0 == pytest.approx(want0, rel=1e-12)
     assert got1 == pytest.approx(want1, rel=1e-12)
+
+
+@st.composite
+def _calibrated_cases(draw):
+    """(y, u, d, offset, theta) with every eta either within 3 of zero or
+    beyond 9,997 in magnitude: d is in {-1, 0, 1} and each theta component
+    is in [-1, 1] or is +-1e4, so exp overflows on exactly the rows whose
+    large terms do not cancel, and the finite sums stay far from overflow."""
+    n, k = draw(st.integers(2, 10)), draw(st.integers(1, 2))
+    def arr(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=float)
+    y = arr(st.integers(0, 1), n).astype(np.int64)
+    u = arr(st.floats(-2.0, 2.0), n * k).reshape(n, k)
+    d = arr(st.integers(-1, 1), n * k).reshape(n, k)
+    offset = draw(st.one_of(st.just(0.0), st.builds(lambda: arr(st.floats(-1.0, 1.0), n))))
+    theta = arr(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1e4, 1e4])), k)
+    return y, u, d, offset, theta
+
+
+@given(_calibrated_cases())
+@settings(max_examples=300, deadline=None)
+def test_calibrated_equation_on_y1_rows_matches_full_rows(case):
+    """The Y=1-row evaluation (one exp over the Y=1 rows and the constant
+    Y=0 sum) against the full-row form u'(where(y == 1, exp(-eta), 0) - (1 - y))/n
+    and its Jacobian: non-finite in the same entries, elsewhere within
+    1e-13 max(1, |reference|); an overflowing theta is included."""
+    y, u, d, offset, theta = case
+    n = y.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.where(y == 1, np.exp(-(d @ theta + offset)), 0.0)
+        ref_eq = u.T @ (w - (1 - y)) / n
+        ref_jac = -(u * w[:, None]).T @ d / n
+    equation = _CalibratedEquation(y, u, d, offset)
+    got_eq, jacobian = equation.system(theta)
+    got_jac = jacobian()
+    assert got_jac.tobytes() == equation.jacobian(theta).tobytes()
+    for got, ref in ((got_eq, ref_eq), (got_jac, ref_jac)):
+        assert got.shape == ref.shape
+        finite = np.isfinite(ref)
+        assert (np.isfinite(got) == finite).all()
+        gap = np.abs(got[finite] - ref[finite])
+        assert (gap <= 1e-13 * np.maximum(1.0, np.abs(ref[finite]))).all()
 
 
 # ---------------------------------------------------------------------------
