@@ -8,8 +8,8 @@ replication in this process: the sampler, b(x), the outcome fit, the
 covariate fit and, per estimator, the kernel build, the Newton solve and the
 sandwich.  It prints the median ms per replication of every phase, then the
 median number of Newton equation evaluations (`system` calls) and of
-calibrated-equation weights (one exp over the rows each) per beta solve, and
-one JSON line with the same numbers.
+kernel weights (`_Kernel.weight`, one exp over the Y=1 rows each) per beta
+solve, and one JSON line with the same numbers.
 
     PYTHONPATH=src python3 scripts/time_replication.py \
         --scenario S1-binary --n 2000 --reps 50 --seed 7
@@ -32,7 +32,7 @@ import numpy as np
 
 import drlogit.estimators as estimators
 from drlogit.estimators import _assemble, _Context, _solve
-from drlogit.model import EstimationError, InstrumentSpec, _CalibratedEquation
+from drlogit.model import EstimationError, InstrumentSpec
 from drlogit.nuisance import _fit_outcome_mle
 from drlogit.simulate import sample_dataset, scenario_catalog, with_size
 
@@ -82,7 +82,7 @@ def _replication(sc, rep: int, clock) -> None:
 def _newton_counts(sc, reps: int) -> dict:
     """Median `system` calls and weight evaluations per beta solve, per
     estimator, from an untimed pass with counting wrappers installed."""
-    real_newton, real_weight = estimators.damped_newton, _CalibratedEquation.weight
+    real_newton, real_weight = estimators.damped_newton, estimators._Kernel.weight
     counts = {"system": 0, "weight": 0}
     per_solve = defaultdict(lambda: defaultdict(list))
 
@@ -93,9 +93,9 @@ def _newton_counts(sc, reps: int) -> dict:
             return system(theta)
         return real_newton(counted, *rest)
 
-    def counting_weight(self, theta):
+    def counting_weight(self, beta):
         counts["weight"] += 1
-        return real_weight(self, theta)
+        return real_weight(self, beta)
 
     def solve_clock(phase, fn, *args):
         if not phase.endswith(".newton"):
@@ -106,12 +106,12 @@ def _newton_counts(sc, reps: int) -> dict:
             per_solve[phase.removesuffix(".newton")][key].append(counts[key] - before[key])
         return out
 
-    estimators.damped_newton, _CalibratedEquation.weight = counting_newton, counting_weight
+    estimators.damped_newton, estimators._Kernel.weight = counting_newton, counting_weight
     try:
         for rep in range(reps):
             _replication(sc, rep, solve_clock)
     finally:
-        estimators.damped_newton, _CalibratedEquation.weight = real_newton, real_weight
+        estimators.damped_newton, estimators._Kernel.weight = real_newton, real_weight
     return {name: {"system_calls_per_solve": statistics.median(c["system"]),
                    "weight_evaluations_per_solve": statistics.median(c["weight"])}
             for name, c in per_solve.items()}

@@ -31,17 +31,14 @@ from .nuisance import (
     OutcomeFit,
     fit_covariate,
     fit_covariate_y1,
-    fit_outcome_calibrated,
     fit_outcome_mle,
 )
 from .estimators import (
-    EfficiencyComparison,
     EstimateReport,
     InfluencePieces,
     SolveDiagnostics,
     assemble_influence,
     closed_form_binary,
-    compare_efficiency,
     solve_dr,
     solve_dr_y1,
 )

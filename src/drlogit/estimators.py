@@ -23,19 +23,17 @@ import numpy as np
 
 from ._newton import damped_newton
 from .model import (Basis, ConvergenceError, Dataset, InstrumentSpec, SingularMatrixError,
-                    _CalibratedEquation, _instruments, _means_from_design, _negated)
+                    _instruments, _means_from_design, _negated)
 from .nuisance import CovariateFit, OutcomeFit, _fit_covariate_level, _fit_outcome_mle
 
 __all__ = [
     "SolveDiagnostics",
     "EstimateReport",
     "InfluencePieces",
-    "EfficiencyComparison",
     "solve_dr",
     "solve_dr_y1",
     "closed_form_binary",
     "assemble_influence",
-    "compare_efficiency",
 ]
 
 
@@ -156,10 +154,14 @@ class _Context:
         return -math.log(a_sum / b_sum)
 
 
-class _Kernel(_CalibratedEquation):
-    """The doubly robust estimating equation in beta: the calibrated
-    equation with u = phi(x)(z - f(x)), d = z and offset g(x), the
-    instrument held fixed at the plugged-in nuisance estimates of ctx."""
+class _Kernel:
+    """The doubly robust estimating equation n^{-1} sum_i r_i u_i = 0 in beta,
+    the one array form of the calibrated equation: residual
+    r = y*exp(-eta) - (1-y) with eta = z beta + g(x), and u = phi(x)(z - f(x)),
+    the instrument held fixed at the plugged-in nuisance estimates of ctx.  A
+    Y=0 row has r = -1, so a beta costs one exp over the Y=1 rows plus
+    c0 = sum_{Y=0} u_i; an overflowing one gives an inf/NaN norm, no
+    improvement to damped_newton."""
 
     def __init__(self, ctx: _Context, instrument: InstrumentSpec):
         self.outcome, self.covar = ctx.outcome, ctx.covar(0)
@@ -172,7 +174,33 @@ class _Kernel(_CalibratedEquation):
         self.bmat, self.f = ctx.bmat, ctx.f
         self.phi = _instruments(instrument, ctx.g, self.f, self.outcome.params.beta,
                                 self.covar.params)[0]
-        super().__init__(y, np.einsum("nij,nj->ni", self.phi, z - self.f), z, ctx.g)
+        u = np.einsum("nij,nj->ni", self.phi, z - self.f)
+        # row indices and take(): a boolean-mask gather of a 2-d array costs ~10x more
+        self.n, self.u, self.one = y.shape[0], u, np.flatnonzero(y == 1)
+        self.u1, self.z1 = u.take(self.one, axis=0), z.take(self.one, axis=0)
+        self.c0 = u.take(np.flatnonzero(y != 1), axis=0).sum(axis=0)
+        self.g1 = ctx.g.take(self.one)
+
+    def weight(self, beta: np.ndarray) -> np.ndarray:
+        """exp(-eta) on the Y=1 rows, the negated derivative of their residual in eta."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            # dot, not @: matmul takes a non-BLAS loop for a single column
+            return np.exp(-(self.z1.dot(beta) + self.g1))
+
+    def residual(self, w1: np.ndarray) -> np.ndarray:
+        r = np.full(self.n, -1.0)
+        r[self.one] = w1
+        return r
+
+    def system(self, beta: np.ndarray):
+        w1 = self.weight(beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.u1.T @ w1 - self.c0) / self.n, lambda: self.jacobian(beta, w1)
+
+    def jacobian(self, beta: np.ndarray, w1: np.ndarray | None = None) -> np.ndarray:
+        w1 = self.weight(beta) if w1 is None else w1
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -(self.u1 * w1[:, None]).T @ self.z1 / self.n
 
 
 def _check_level(covar: CovariateFit, level: int) -> None:
@@ -272,29 +300,3 @@ def _assemble(kernel: _Kernel, beta: np.ndarray) -> InfluencePieces:
     covariance = influence.T @ influence / n**2
     return InfluencePieces(h_matrix=h_matrix, b1=b1, b2=b2, influence=influence,
                            covariance=(covariance + covariance.T) / 2.0)
-
-
-@dataclass(frozen=True)
-class EfficiencyComparison:
-    """Estimated variances per report and their pairwise ratios."""
-
-    labels: tuple[str, ...]
-    variances: np.ndarray  # (k, p) diagonals of the covariance matrices
-    ratios: np.ndarray     # (k, k, p): variances[i] / variances[j]
-
-    def table(self) -> str:
-        lines = [f"{'estimator':<12}" + "".join(f"  var[{a}]" for a in range(self.variances.shape[1]))]
-        for lab, v in zip(self.labels, self.variances):
-            lines.append(f"{lab:<12}" + "".join(f"  {vi:.6g}" for vi in v))
-        return "\n".join(lines)
-
-
-def compare_efficiency(reports: list[EstimateReport]) -> EfficiencyComparison:
-    """Tabulate the sandwich variances of reports on the same data and
-    their pairwise ratios (a single report compares to itself with ratio 1)."""
-    if not reports:
-        raise ValueError("need at least one report to compare")
-    labels = tuple(r.instrument.variant for r in reports)
-    variances = np.stack([np.diag(r.covariance) for r in reports])
-    ratios = variances[:, None, :] / variances[None, :, :]
-    return EfficiencyComparison(labels=labels, variances=variances, ratios=ratios)

@@ -404,43 +404,6 @@ def calibrated_residual_y1(y, z, x, params: OutcomeModelParams, basis: Basis) ->
     return -calibrated_residual(1 - _check_y(y), z, x, _negated(params), basis)
 
 
-class _CalibratedEquation:
-    """The calibrated estimating equation n^{-1} sum_i r_i u_i = 0 in array
-    form, with residual r = y*exp(-eta) - (1-y) and eta = d theta + offset:
-    the doubly robust beta equation (u = phi(x)(z - f(x)), d = z, offset
-    g(x)) and the calibrated outcome fit (u = d = (z', b(x)')').  A Y=0 row has
-    r = -1, so a theta costs one exp over the Y=1 rows plus c0 = sum_{Y=0} u_i;
-    an overflowing one gives an inf/NaN norm, no improvement to damped_newton."""
-
-    def __init__(self, y: np.ndarray, u: np.ndarray, d: np.ndarray, offset=0.0):
-        # row indices and take(): a boolean-mask gather of a 2-d array costs ~10x more
-        self.n, self.u, self.one = y.shape[0], u, np.flatnonzero(y == 1)
-        self.u1, self.d1 = u.take(self.one, axis=0), d.take(self.one, axis=0)
-        self.c0 = u.take(np.flatnonzero(y != 1), axis=0).sum(axis=0)
-        self.offset1 = offset.take(self.one) if np.ndim(offset) else offset
-
-    def weight(self, theta: np.ndarray) -> np.ndarray:
-        """exp(-eta) on the Y=1 rows, the negated derivative of their residual in eta."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            # dot, not @: matmul takes a non-BLAS loop for a single column
-            return np.exp(-(self.d1.dot(theta) + self.offset1))
-
-    def residual(self, w1: np.ndarray) -> np.ndarray:
-        r = np.full(self.n, -1.0)
-        r[self.one] = w1
-        return r
-
-    def system(self, theta: np.ndarray):
-        w1 = self.weight(theta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (self.u1.T @ w1 - self.c0) / self.n, lambda: self.jacobian(theta, w1)
-
-    def jacobian(self, theta: np.ndarray, w1: np.ndarray | None = None) -> np.ndarray:
-        w1 = self.weight(theta) if w1 is None else w1
-        with np.errstate(over="ignore", invalid="ignore"):
-            return -(self.u1 * w1[:, None]).T @ self.d1 / self.n
-
-
 # ---------------------------------------------------------------------------
 # Instrument matrices phi(X)
 # ---------------------------------------------------------------------------

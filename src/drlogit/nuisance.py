@@ -4,9 +4,7 @@ Two working models feed the doubly robust estimating equation: a
 logistic outcome model in (beta, alpha) fitted on the whole sample, and
 a covariate-mean model in gamma fitted on the Y=0 (or, for solve_dr_y1,
 the Y=1) subsample.  The outcome MLE and the Bernoulli covariate
-components share one logistic Newton fit; the calibrated outcome fit solves
-the beta solve's calibrated equation (`model._CalibratedEquation`: one exp over
-the Y=1 rows per theta, a constant Y=0 sum).  Each hands `damped_newton` one
+components share one logistic Newton fit, which hands `damped_newton` one
 system(theta) whose Jacobian thunk reuses that evaluation, built only for an
 accepted iterate.  Each fit returns per-observation influence values so that
 downstream sandwich variances can account for the estimated nuisances:
@@ -28,7 +26,6 @@ from .model import (
     Dataset,
     Family,
     OutcomeModelParams,
-    _CalibratedEquation,
     expit,
 )
 
@@ -36,7 +33,6 @@ __all__ = [
     "OutcomeFit",
     "CovariateFit",
     "fit_outcome_mle",
-    "fit_outcome_calibrated",
     "fit_covariate",
     "fit_covariate_y1",
 ]
@@ -52,7 +48,6 @@ class OutcomeFit:
     """
 
     params: OutcomeModelParams
-    fit_method: str
     info_matrix: np.ndarray
     s1: np.ndarray
     converged: bool
@@ -75,20 +70,6 @@ class CovariateFit:
     converged: bool
     basis: Basis
     response_level: int = 0
-
-
-def _outcome_design(data: Dataset, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The design [z, b(x)] and its columns with any nonzero entry.  An
-    identically-zero column's equation component vanishes for every
-    parameter value, so its coefficient is pinned at zero."""
-    w = np.column_stack([data.z, bmat])
-    return w, np.flatnonzero(np.any(w != 0.0, axis=0))
-
-
-def _embed(active: np.ndarray, k: int, vec: np.ndarray) -> np.ndarray:
-    full = np.zeros(k)
-    full[active] = vec
-    return full
 
 
 def _fit_logistic_core(w: np.ndarray, y: np.ndarray, start: np.ndarray):
@@ -115,7 +96,10 @@ def _fit_outcome_mle(data: Dataset, basis: Basis, bmat: np.ndarray) -> OutcomeFi
     """fit_outcome_mle given bmat = b(x) on the rows of data."""
     if data.y.min() == data.y.max():
         raise ValueError("response is constant: need at least one y=0 and one y=1 row")
-    w, active = _outcome_design(data, bmat)
+    # an identically-zero column of the design [z, b(x)] has an equation component
+    # that vanishes for every parameter value, so its coefficient is pinned at zero
+    w = np.column_stack([data.z, bmat])
+    active = np.flatnonzero(np.any(w != 0.0, axis=0))
     wa = w[:, active]
     if np.linalg.matrix_rank(wa) < wa.shape[1]:
         raise ValueError("outcome design matrix [z, b(x)] is rank deficient")
@@ -126,62 +110,26 @@ def _fit_outcome_mle(data: Dataset, basis: Basis, bmat: np.ndarray) -> OutcomeFi
             f"logistic MLE did not converge in {res.iterations} iterations "
             f"(final score norm {res.final_norm:.3g}); the sample may be separated")
 
-    theta = _embed(active, w.shape[1], res.params)
     # a saturated perfect classification means the score vanished only
     # because the sample is separated; there is no finite MLE there
     if pi[data.y == 1].min() > 1.0 - 1e-8 and pi[data.y == 0].max() < 1e-8:
         raise ConvergenceError("perfect separation: the likelihood has no finite maximizer")
-    return _outcome_fit("mle", theta, data.p, active, -_neg_info(wa, pi),
-                        wa * (data.y - pi)[:, None], res.iterations, basis)
-
-
-def _outcome_fit(method: str, theta: np.ndarray, p: int, active: np.ndarray,
-                 info_a: np.ndarray, rows: np.ndarray, iterations: int,
-                 basis: Basis) -> OutcomeFit:
-    """OutcomeFit at theta from the curvature info_a and the per-row equation
-    values `rows` on the active columns, where s1 solves info_a s1_i = rows_i
-    (one inverse of the small matrix, then one product over all rows)."""
-    k = theta.shape[0]
+    # s1 solves info_a s1_i = score_i: one inverse of the small matrix, then
+    # one product over all rows
+    k, info_a = w.shape[1], -_neg_info(wa, pi)
+    theta = np.zeros(k)
+    theta[active] = res.params
     info = np.eye(k)
     info[np.ix_(active, active)] = info_a
-    s1 = np.zeros((rows.shape[0], k))
-    s1[:, active] = rows @ np.linalg.inv(info_a).T
-    return OutcomeFit(params=OutcomeModelParams(theta[:p], theta[p:]), fit_method=method,
-                      info_matrix=info, s1=s1, converged=True, iterations=iterations,
+    s1 = np.zeros((data.n, k))
+    s1[:, active] = (wa * (data.y - pi)[:, None]) @ np.linalg.inv(info_a).T
+    return OutcomeFit(params=OutcomeModelParams(theta[:data.p], theta[data.p:]),
+                      info_matrix=info, s1=s1, converged=True, iterations=res.iterations,
                       basis=basis)
 
 
 def _neg_info(w: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return -(w * (pi * (1.0 - pi))[:, None]).T @ w / w.shape[0]
-
-
-def fit_outcome_calibrated(data: Dataset, basis: Basis) -> OutcomeFit:
-    """Calibrated fit of the outcome model: Newton solution of
-    n^{-1} sum (y/pi - 1) (z', b(x)')' = 0, started at the MLE.
-
-    The calibrated equation reweights by 1/pi, so a y=1 row whose fitted
-    probability collapses toward zero has a diverging weight; that is
-    reported as non-convergence rather than silently tolerated.
-    """
-    mle = fit_outcome_mle(data, basis)
-    w, active = _outcome_design(data, basis.design(data.x))
-    wa = w[:, active]
-    eq = _CalibratedEquation(data.y, wa, wa)
-
-    start = np.concatenate([mle.params.beta, mle.params.alpha])[active]
-    res = damped_newton(eq.system, start)
-    if not res.converged:
-        raise ConvergenceError(
-            f"calibrated fit did not converge (final norm {res.final_norm:.3g}); "
-            "the y/pi weights may be diverging")
-
-    theta = _embed(active, w.shape[1], res.params)
-    pi_y1 = expit((w @ theta)[data.y == 1])
-    if pi_y1.size and pi_y1.min() < 1e-12:
-        raise ConvergenceError(
-            "calibrated fit drove pi below 1e-12 on a y=1 row (weight overflow)")
-    return _outcome_fit("calibrated", theta, data.p, active, -eq.jacobian(res.params),
-                        wa * eq.residual(eq.weight(res.params))[:, None], res.iterations, basis)
 
 
 def fit_covariate(data: Dataset, basis: Basis,

@@ -10,7 +10,6 @@ from drlogit.estimators import (
     _solve,
     assemble_influence,
     closed_form_binary,
-    compare_efficiency,
     solve_dr,
     solve_dr_y1,
 )
@@ -285,8 +284,7 @@ def test_solve_rejects_mismatched_fits(rng):
         solve_dr(ds, outcome, covar1, InstrumentSpec("simple"), basis)
     with pytest.raises(ValueError, match="Y=0"):
         solve_dr_y1(ds, outcome, covar, InstrumentSpec("simple"), basis)
-    bad = OutcomeFit(params=outcome.params, fit_method="mle",
-                     info_matrix=outcome.info_matrix, s1=outcome.s1,
+    bad = OutcomeFit(params=outcome.params, info_matrix=outcome.info_matrix, s1=outcome.s1,
                      converged=False, iterations=0, basis=basis)
     with pytest.raises(ValueError, match="converged"):
         solve_dr(ds, bad, covar, InstrumentSpec("simple"), basis)
@@ -698,21 +696,3 @@ def test_four_se_containment_under_s1():
                            level=level, workers=2)
     for e in summary.estimators:
         assert e.coverage >= 0.99, e.estimator
-
-
-def test_compare_efficiency_single_report(rng):
-    ds, basis, outcome, covar = _binary_fixture(rng)
-    rep = solve_dr(ds, outcome, covar, InstrumentSpec("simple"), basis)
-    cmp1 = compare_efficiency([rep])
-    np.testing.assert_allclose(cmp1.ratios[0, 0], 1.0)
-    assert cmp1.labels == ("simple",)
-    assert "simple" in cmp1.table()
-
-
-def test_compare_efficiency_two_reports(rng):
-    ds, basis, outcome, covar = _binary_fixture(rng)
-    rep_a = solve_dr(ds, outcome, covar, InstrumentSpec("identity"), basis)
-    rep_b = solve_dr(ds, outcome, covar, InstrumentSpec("optimal"), basis)
-    cmp2 = compare_efficiency([rep_a, rep_b])
-    want = np.diag(rep_a.covariance) / np.diag(rep_b.covariance)
-    np.testing.assert_allclose(cmp2.ratios[0, 1], want)

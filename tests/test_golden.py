@@ -1,7 +1,6 @@
 """Golden outputs: `drlogit fit` on the bundled example with every known
-estimator, the calibrated outcome fit on one catalog sample, and the
-`run_scenario` summaries of two catalog scenarios, against values recorded
-before the beta solve and the calibrated fit were moved onto one shared
+estimator and the `run_scenario` summaries of two catalog scenarios, against
+values recorded before the beta solve was moved onto a shared
 estimating-equation class (the summaries: before the estimator menu shared
 one per-dataset context).
 
@@ -18,12 +17,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from drlogit.cli import main
-from drlogit.nuisance import fit_outcome_calibrated
-from drlogit.simulate import (KNOWN_ESTIMATORS, run_scenario, sample_dataset, scenario_catalog,
-                              summary_rows, with_size)
+from drlogit.simulate import (KNOWN_ESTIMATORS, run_scenario, scenario_catalog, summary_rows,
+                              with_size)
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
@@ -42,16 +38,6 @@ def _fit_example_menu() -> dict:
         return json.loads((Path(tmp) / "estimates.json").read_text())
 
 
-def _calibrated_fit() -> dict:
-    sc = with_size(next(s for s in scenario_catalog() if s.name == "S2-gaussian"), n=300)
-    data = sample_dataset(sc.law, sc.n, np.random.SeedSequence(sc.seed, spawn_key=(0,)))
-    fit = fit_outcome_calibrated(data, sc.working_basis)
-    return {"beta": fit.params.beta.tolist(), "alpha": fit.params.alpha.tolist(),
-            "info_matrix": fit.info_matrix.tolist(), "s1": fit.s1.tolist(),
-            "fit_method": fit.fit_method, "converged": fit.converged,
-            "iterations": fit.iterations}
-
-
 def _simulate_summaries() -> list:
     """Summary rows of S1-binary and S2-gaussian at n=600, R=20 with every
     known estimator (closed_form on the binary edition only)."""
@@ -67,7 +53,6 @@ def _simulate_summaries() -> list:
 
 def _observed() -> dict:
     return {"fit_example_menu": _fit_example_menu(),
-            "fit_outcome_calibrated_s2_gaussian": _calibrated_fit(),
             "simulate": _simulate_summaries()}
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drlogit.estimators import _Context
 from drlogit.model import (
     Basis,
     BasisTerm,
@@ -17,7 +18,6 @@ from drlogit.model import (
     LinearInstrument,
     OutcomeModelParams,
     SingularMatrixError,
-    _CalibratedEquation,
     calibrated_residual,
     calibrated_residual_y1,
     covariate_means,
@@ -32,6 +32,7 @@ from drlogit.model import (
     ortho_complement_identity_gap,
     response_prob,
 )
+from drlogit.nuisance import CovariateFit, OutcomeFit
 
 from conftest import random_binary_finite_law
 
@@ -238,38 +239,54 @@ def test_residual_identities_against_stable_ratio(y, zval, a0):
 
 @st.composite
 def _calibrated_cases(draw):
-    """(y, u, d, offset, theta) with every eta either within 3 of zero or
-    beyond 9,997 in magnitude: d is in {-1, 0, 1} and each theta component
-    is in [-1, 1] or is +-1e4, so exp overflows on exactly the rows whose
-    large terms do not cancel, and the finite sums stay far from overflow."""
-    n, k = draw(st.integers(2, 10)), draw(st.integers(1, 2))
+    """(y, z, x, alpha, gamma, beta) for the identity-instrument kernel under
+    the basis (1, x), so u = z - gamma(1, x)' and the offset is
+    g = alpha'(1, x): every eta = z beta + g either within 3 of zero or beyond
+    9,997 in magnitude.  z is in {-1, 0, 1}, |g| <= 1, and each beta
+    component is in [-1, 1] or is +-1e4, so exp overflows on exactly the rows
+    whose large terms do not cancel, and the finite sums stay far from
+    overflow.  Both response classes are present."""
+    n, p = draw(st.integers(2, 10)), draw(st.integers(1, 2))
     def arr(elements, size):
         return np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=float)
-    y = arr(st.integers(0, 1), n).astype(np.int64)
-    u = arr(st.floats(-2.0, 2.0), n * k).reshape(n, k)
-    d = arr(st.integers(-1, 1), n * k).reshape(n, k)
-    offset = draw(st.one_of(st.just(0.0), st.builds(lambda: arr(st.floats(-1.0, 1.0), n))))
-    theta = arr(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1e4, 1e4])), k)
-    return y, u, d, offset, theta
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                      .filter(lambda v: 0 < sum(v) < len(v))), dtype=np.int64)
+    z = arr(st.integers(-1, 1), n * p).reshape(n, p)
+    x = arr(st.floats(-1.0, 1.0), n)[:, None]
+    alpha = arr(st.floats(-0.5, 0.5), 2)
+    gamma = arr(st.floats(-0.5, 0.5), p * 2).reshape(p, 2)
+    beta = arr(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1e4, 1e4])), p)
+    return y, z, x, alpha, gamma, beta
 
 
 @given(_calibrated_cases())
 @settings(max_examples=300, deadline=None)
 def test_calibrated_equation_on_y1_rows_matches_full_rows(case):
-    """The Y=1-row evaluation (one exp over the Y=1 rows and the constant
-    Y=0 sum) against the full-row form u'(where(y == 1, exp(-eta), 0) - (1 - y))/n
-    and its Jacobian: non-finite in the same entries, elsewhere within
-    1e-13 max(1, |reference|); an overflowing theta is included."""
-    y, u, d, offset, theta = case
-    n = y.shape[0]
+    """The DR kernel's Y=1-row evaluation (one exp over the Y=1 rows and the
+    constant Y=0 sum) against the full-row form u'(where(y == 1, exp(-eta), 0) - (1 - y))/n
+    and its Jacobian, with u = z - f and eta = z beta + g: non-finite in the
+    same entries, elsewhere within 1e-13 max(1, |reference|); an overflowing
+    beta is included."""
+    y, z, x, alpha, gamma, beta = case
+    n, p = z.shape
+    basis = Basis.linear_in(1)
+    outcome = OutcomeFit(params=OutcomeModelParams(np.zeros(p), alpha),
+                         info_matrix=np.eye(p + 2), s1=np.zeros((n, p + 2)),
+                         converged=True, iterations=0, basis=basis)
+    covar = CovariateFit(params=CovariateModelParams(gamma, ("gaussian",) * p, np.ones(p)),
+                         s2=np.zeros((n, 2 * p)), subsample_size=int(np.sum(y == 0)),
+                         converged=True, basis=basis)
+    kernel = _Context(Dataset(y, z, x), basis, outcome=outcome,
+                      covars={0: covar}).kernel(InstrumentSpec("identity"))
+    bx = np.column_stack([np.ones(n), x[:, 0]])
+    u, g = z - bx @ gamma.T, bx @ alpha
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.where(y == 1, np.exp(-(d @ theta + offset)), 0.0)
+        w = np.where(y == 1, np.exp(-(z @ beta + g)), 0.0)
         ref_eq = u.T @ (w - (1 - y)) / n
-        ref_jac = -(u * w[:, None]).T @ d / n
-    equation = _CalibratedEquation(y, u, d, offset)
-    got_eq, jacobian = equation.system(theta)
+        ref_jac = -(u * w[:, None]).T @ z / n
+    got_eq, jacobian = kernel.system(beta)
     got_jac = jacobian()
-    assert got_jac.tobytes() == equation.jacobian(theta).tobytes()
+    assert got_jac.tobytes() == kernel.jacobian(beta).tobytes()
     for got, ref in ((got_eq, ref_eq), (got_jac, ref_jac)):
         assert got.shape == ref.shape
         finite = np.isfinite(ref)

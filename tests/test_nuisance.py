@@ -7,7 +7,6 @@ from drlogit.model import Basis, BasisTerm, ConvergenceError, Dataset, expit
 from drlogit.nuisance import (
     fit_covariate,
     fit_covariate_y1,
-    fit_outcome_calibrated,
     fit_outcome_mle,
 )
 
@@ -79,68 +78,35 @@ def test_mle_score_reevaluated_independently(rng, lin_basis):
     assert np.linalg.eigvalsh(fit.info_matrix).min() > 0
 
 
-# ---------------------------------------------------------------------------
-# Calibrated fit
-# ---------------------------------------------------------------------------
+def _logit(prob: float) -> float:
+    return math.log(prob / (1.0 - prob))
 
 
-def test_calibrated_matches_mle_on_intercept_only():
-    y = np.array([1, 0, 0, 0] * 10)
-    ds = Dataset(y, np.zeros((40, 1)), np.zeros((40, 1)))
-    fit = fit_outcome_calibrated(ds, _intercept_basis())
-    assert fit.fit_method == "calibrated"
-    assert fit.params.alpha[0] == pytest.approx(-math.log(3.0), rel=1e-10)
-
-
-def test_calibrated_equation_residual(rng, lin_basis):
-    ds = _synthetic(rng, n=300)
-    fit = fit_outcome_calibrated(ds, lin_basis)
-    w = np.column_stack([ds.z, lin_basis.design(ds.x)])
-    theta = np.concatenate([fit.params.beta, fit.params.alpha])
-    eta = w @ theta
-    resid = np.where(ds.y == 1, np.exp(-eta), -1.0)
-    eq = w.T @ resid / ds.n
-    assert np.max(np.abs(eq)) <= 1e-10
-    assert np.max(np.abs(fit.s1.mean(axis=0))) <= 1e-8
-
-
-def test_both_fits_agree_on_saturated_support(rng):
-    """Single-point X with binary Z: the model is saturated over the
-    (z, x) cells, so the score and calibrated equations share their root."""
+def test_mle_saturated_binary_z_closed_form_root(rng):
+    """Single-point X with binary Z: the model is saturated over the two z
+    cells, so the MLE reproduces the empirical P(Y=1 | z) exactly:
+    alpha = logit P(Y=1 | z=0) and beta = logit P(Y=1 | z=1) - alpha."""
     n = 400
     z = (rng.random(n) < 0.4).astype(float)[:, None]
-    pi = np.where(z[:, 0] == 1, 0.7, 0.35)
-    y = (rng.random(n) < pi).astype(int)
-    ds = Dataset(y, z, np.zeros((n, 1)))
-    basis = _intercept_basis()
-    mle = fit_outcome_mle(ds, basis)
-    cal = fit_outcome_calibrated(ds, basis)
-    np.testing.assert_allclose(mle.params.beta, cal.params.beta, atol=1e-8)
-    np.testing.assert_allclose(mle.params.alpha, cal.params.alpha, atol=1e-8)
+    y = (rng.random(n) < np.where(z[:, 0] == 1, 0.7, 0.35)).astype(int)
+    fit = fit_outcome_mle(Dataset(y, z, np.zeros((n, 1))), _intercept_basis())
+    alpha = _logit(y[z[:, 0] == 0].mean())
+    assert abs(fit.params.alpha[0] - alpha) <= 1e-10
+    assert abs(fit.params.beta[0] - (_logit(y[z[:, 0] == 1].mean()) - alpha)) <= 1e-10
 
 
-def test_both_fits_agree_zero_z_saturated_x(rng):
+def test_mle_saturated_binary_x_zero_z_closed_form_root(rng):
+    """Zero Z with binary X under an intercept-and-slope basis: beta is
+    pinned at zero and the model is saturated over the two x cells, so
+    alpha_0 = logit P(Y=1 | x=0) and alpha_1 = logit P(Y=1 | x=1) - alpha_0."""
     n = 600
     x = (rng.random(n) < 0.5).astype(float)[:, None]
-    pi = np.where(x[:, 0] == 1, 0.8, 0.3)
-    y = (rng.random(n) < pi).astype(int)
-    ds = Dataset(y, np.zeros((n, 1)), x)
-    basis = Basis.linear_in(1)
-    mle = fit_outcome_mle(ds, basis)
-    cal = fit_outcome_calibrated(ds, basis)
-    np.testing.assert_allclose(mle.params.alpha, cal.params.alpha, atol=1e-8)
-
-
-def test_calibrated_diverging_weights_raise():
-    """All y=1 rows sit at x=0, so the slope component of the calibrated
-    equation is a nonzero constant: no finite root exists, the y/pi
-    weights diverge, and the fit reports non-convergence."""
-    x = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.5])[:, None]
-    y = np.array([1, 1, 0, 0, 0, 0, 0])
-    ds = Dataset(y, np.zeros((7, 1)), x)
-    basis = Basis.linear_in(1)
-    with pytest.raises(ConvergenceError):
-        fit_outcome_calibrated(ds, basis)
+    y = (rng.random(n) < np.where(x[:, 0] == 1, 0.8, 0.3)).astype(int)
+    fit = fit_outcome_mle(Dataset(y, np.zeros((n, 1)), x), Basis.linear_in(1))
+    alpha0 = _logit(y[x[:, 0] == 0].mean())
+    assert fit.params.beta[0] == 0.0
+    assert abs(fit.params.alpha[0] - alpha0) <= 1e-10
+    assert abs(fit.params.alpha[1] - (_logit(y[x[:, 0] == 1].mean()) - alpha0)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
