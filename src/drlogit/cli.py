@@ -31,6 +31,7 @@ from .simulate import (
     MonteCarloSummary,
     estimate,
     run_scenario,
+    run_scenarios,
     scenario_catalog,
     summary_rows,
     with_size,
@@ -318,17 +319,19 @@ def cmd_simulate(rc: RunConfig) -> int:
     scenarios = _select_scenarios(rc.scenarios)
     estimators = rc.estimators or list(DEFAULT_ESTIMATORS)
     rc.out_dir.mkdir(parents=True, exist_ok=True)
-    summaries = []
+    jobs = []
     for i, sc in enumerate(scenarios):
         sc = _apply_overrides(sc, rc, i)
         menu = estimators
         if "closed_form" in menu and sc.z_families[0] != "bernoulli":
             menu = [e for e in menu if e != "closed_form"]
-        summary = run_scenario(sc, menu, level=rc.level, workers=rc.workers)
+        jobs.append((sc, menu))
+    summaries = []
+    for summary in run_scenarios(jobs, level=rc.level, workers=rc.workers):
         summaries.append(summary)
-        write_summary_json([summary], rc.out_dir / f"{sc.name}_summary.json")
-        write_summary_csv([summary], rc.out_dir / f"{sc.name}_summary.csv")
-        print(f"finished {sc.name} (n={sc.n}, R={sc.replications})")
+        write_summary_json([summary], rc.out_dir / f"{summary.scenario}_summary.json")
+        write_summary_csv([summary], rc.out_dir / f"{summary.scenario}_summary.csv")
+        print(f"finished {summary.scenario} (n={summary.n}, R={summary.replications})")
     (rc.out_dir / "summary.md").write_text(markdown_table(summaries))
     write_summary_json(summaries, rc.out_dir / "summary.json")
     print(f"wrote {rc.out_dir / 'summary.md'}")

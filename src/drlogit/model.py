@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import mul
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -441,26 +443,30 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
     if beta.shape[0] != p:
         raise ValueError("beta and covariate model disagree on dim(Z)")
 
-    # entry (j, k) of A and B takes moment order [l == j] + [l == k] from component l
-    comp = np.arange(p)
-    order_jkl = (comp[:, None, None] == comp).astype(int) + (comp[None, :, None] == comp)
-    a_mat, tilt_mat = np.ones((n, p, p)), np.ones((n, p, p))
-    for j, fam in enumerate(covar.families):
-        plain, tilted = _component_moments(fam, f[:, j], covar.resid_var[j], -beta[j], order)
-        a_mat *= plain[:, order_jkl[:, :, j]]
-        tilt_mat *= tilted[:, order_jkl[:, :, j]]
+    plain, tilted = zip(*(_component_moments(fam, f[:, l], covar.resid_var[l], -beta[l], order)
+                          for l, fam in enumerate(covar.families)))
+    # entry (j, k) of A and B is the product, in component order, of moment
+    # order [l == j] + [l == k] of component l
+    a_mat, tilt_mat = np.empty((n, p, p)), np.empty((n, p, p))
+    for j in range(p):
+        for k in range(p):
+            orders = [(l == j) + (l == k) for l in range(p)]
+            a_mat[:, j, k] = reduce(mul, [m[o] for m, o in zip(plain, orders)])
+            tilt_mat[:, j, k] = reduce(mul, [m[o] for m, o in zip(tilted, orders)])
     with np.errstate(over="ignore", invalid="ignore"):
         tilt_mat *= np.exp(-(g + f @ beta))[:, None, None]
-    b_mat = a_mat + tilt_mat
+        b_mat = a_mat + tilt_mat
 
-    finite = np.isfinite(b_mat).all(axis=(1, 2))
     if p == 1:
-        eig = np.abs(b_mat[:, 0])
+        # |b| / |b| is 1 wherever it is defined
+        b = b_mat[:, 0, 0]
+        conds = np.where(np.isfinite(b) & (b != 0.0), 1.0, np.inf)
     else:
+        finite = np.isfinite(b_mat).all(axis=(1, 2))
         eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], b_mat, 0.0)))
-    lo, hi = eig.min(axis=1), eig.max(axis=1)
-    conds = np.divide(hi, lo, out=np.full(n, np.inf), where=finite & (lo > 0))
-    if np.any(conds > COND_LIMIT):
+        lo, hi = eig.min(axis=1), eig.max(axis=1)
+        conds = np.divide(hi, lo, out=np.full(n, np.inf), where=finite & (lo > 0))
+    if (conds > COND_LIMIT).any():
         worst = int(np.argmax(conds))
         raise SingularMatrixError(
             f"optimal instrument: inner moment matrix has condition number "
@@ -471,24 +477,29 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
 
 
 def _component_moments(family: Family, f_j: np.ndarray, resid_var: float, tilt: float,
-                       order: int) -> tuple[np.ndarray, np.ndarray]:
-    """E[r^k] and E[exp(tilt r) r^k] for k = 0, 1, 2, with r = Z_j - f_j, as
-    (rows, 3) arrays: one row from a Gauss-Hermite rule for a Gaussian
-    component (it does not depend on x), a two-point sum per row for a
-    Bernoulli one."""
+                       order: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The triples (E[r^k]) and (E[exp(tilt r) r^k]) for k = 0, 1, 2, with
+    r = Z_j - f_j.  A Gaussian component reduces a Gauss-Hermite rule to
+    (1,) arrays, the same for every row; a Bernoulli one takes per-row
+    arrays from its two points r = -f_j and 1 - f_j, weighted 1 - f_j and
+    f_j, summed in that order."""
     if family == "gaussian":
         t, w = gauss_hermite_points(order)
         r = (math.sqrt(2.0 * resid_var) * t)[None, :]
         w = w[None, :]
-    else:
-        r = np.column_stack([-f_j, 1.0 - f_j])
-        w = np.column_stack([1.0 - f_j, f_j])
+        with np.errstate(over="ignore"):
+            w_tilt = np.exp(tilt * r)
+        w_tilt *= w
+        r2 = r * r
+        return tuple((v.sum(axis=1), np.einsum("ik,ik->i", v, r), np.einsum("ik,ik->i", v, r2))
+                     for v in (w, w_tilt))
+    # the weight of r0 = -f_j is 1 - f_j = r1, that of r1 is f_j
+    r0, r1 = -f_j, 1.0 - f_j
     with np.errstate(over="ignore"):
-        w_tilt = np.exp(tilt * r)
-    w_tilt *= w
-    r2 = r * r
-    return tuple(np.column_stack([v.sum(axis=1), np.einsum("ik,ik->i", v, r),
-                                  np.einsum("ik,ik->i", v, r2)]) for v in (w, w_tilt))
+        e0, e1 = np.exp(tilt * r0), np.exp(tilt * r1)
+    r0_sq, r1_sq = r0 * r0, r1 * r1
+    return tuple((v0 + v1, v0 * r0 + v1 * r1, v0 * r0_sq + v1 * r1_sq)
+                 for v0, v1 in ((r1, f_j), (e0 * r1, e1 * f_j)))
 
 
 def _instruments(spec: InstrumentSpec, g: np.ndarray, f: np.ndarray, beta: np.ndarray,
@@ -548,14 +559,20 @@ def _point_terms(z, x, beta, alpha, covar: CovariateModelParams, basis: Basis):
     return z, g, eta, f
 
 
-def _apply_phi(spec: InstrumentSpec, v: np.ndarray, g: float, x, beta, alpha,
-               covar: CovariateModelParams, basis: Basis) -> np.ndarray:
-    """phi(x) v at one point; identity and simple need only g = alpha'b(x)."""
+def _apply_phi(spec: InstrumentSpec, v: np.ndarray, g: float, f: np.ndarray, beta, alpha,
+               covar: CovariateModelParams) -> np.ndarray:
+    """phi(x) v at one point from the g = alpha'b(x) and f(x) of _point_terms.
+    Identity and simple need only g; optimal is the one-row case of
+    _optimal_instrument_batch, and refuses non-finite coefficients as
+    OutcomeModelParams does (alpha enters only that check)."""
     if spec.variant == "identity":
         return v
     if spec.variant == "simple":
         return _scalar_expit(g) * v
-    phi = instrument_matrix(spec, x, OutcomeModelParams(beta, alpha), covar, basis)
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    if not all(map(math.isfinite, beta.tolist() + np.ravel(alpha).tolist())):
+        raise ValueError("outcome-model coefficients must be finite")
+    phi = _optimal_instrument_batch(np.array([g]), f[None, :], beta, covar, spec.gh_order)[0][0]
     return phi @ v
 
 
@@ -570,7 +587,7 @@ def ee_dr(y, z, x, beta, alpha, covar: CovariateModelParams,
     y = _check_y(y)
     z, g, eta, f = _point_terms(z, x, beta, alpha, covar, basis)
     resid = math.exp(-eta) if y == 1 else -1.0
-    return resid * _apply_phi(instrument, z - f, g, x, beta, alpha, covar, basis)
+    return resid * _apply_phi(instrument, z - f, g, f, beta, alpha, covar)
 
 
 def ee_dr_y1(y, z, x, beta, alpha, covar1: CovariateModelParams,
@@ -598,7 +615,7 @@ def ee_instrument(y, z, x, beta, alpha, covar: CovariateModelParams,
     w = _scalar_expit(-eta) / _scalar_expit(eta) if y == 1 else -1.0
 
     if isinstance(u, LinearInstrument):
-        return w * _apply_phi(u.spec, z - f, g, x, beta, alpha, covar, basis)
+        return w * _apply_phi(u.spec, z - f, g, f, beta, alpha, covar)
     if isinstance(u, BinaryInstrument):
         if covar.p != 1 or covar.families[0] != "bernoulli":
             raise ValueError("tabulated instruments only support scalar binary Z; "

@@ -21,7 +21,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import NormalDist
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "sample_dataset",
     "estimate",
     "run_scenario",
+    "run_scenarios",
     "scenario_catalog",
     "write_dataset_csv",
     "summary_rows",
@@ -359,27 +360,45 @@ def _worker(args):
     return _run_replication(*args)
 
 
-def run_scenario(sc: Scenario, estimators: Sequence[str] = DEFAULT_ESTIMATORS,
-                 *, level: float = 0.95, workers: int = 1) -> MonteCarloSummary:
-    """Run all replications of a scenario and summarize each estimator.
+def run_scenarios(jobs: Sequence[tuple[Scenario, Sequence[str]]], *, level: float = 0.95,
+                  workers: int = 1) -> Iterator[MonteCarloSummary]:
+    """Run the replications of every (scenario, estimators) job, through one
+    process pool when workers > 1, then yield each job's summary in order.
 
     Replications use independent seed streams split off the scenario seed
     by replication index, so results do not depend on the worker count.
-    Per-replication failures are counted, not propagated; the run aborts
-    only if more than 20% of replications fail for some estimator.
+    Per-replication failures are counted, not propagated; a summary raises
+    only if more than 20% of its replications fail for some estimator, and
+    the summaries of the jobs before it have been yielded by then.
     """
-    if sc.law.p != 1:
-        raise ValueError("scenario summaries are defined for scalar Z (p=1)")
-    for name in estimators:
-        if name not in KNOWN_ESTIMATORS:
-            raise ValueError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
-    args = [(sc, rep, tuple(estimators)) for rep in range(sc.replications)]
+    for sc, estimators in jobs:
+        if sc.law.p != 1:
+            raise ValueError("scenario summaries are defined for scalar Z (p=1)")
+        for name in estimators:
+            if name not in KNOWN_ESTIMATORS:
+                raise ValueError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
+    args = [(sc, rep, tuple(estimators)) for sc, estimators in jobs
+            for rep in range(sc.replications)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, args, chunksize=8))
     else:
         results = [_run_replication(*a) for a in args]
+    start = 0
+    for sc, estimators in jobs:
+        yield _summarize(sc, estimators, results[start:start + sc.replications], level)
+        start += sc.replications
 
+
+def run_scenario(sc: Scenario, estimators: Sequence[str] = DEFAULT_ESTIMATORS,
+                 *, level: float = 0.95, workers: int = 1) -> MonteCarloSummary:
+    """Run all replications of one scenario and summarize each estimator
+    (the one-job case of run_scenarios)."""
+    return next(run_scenarios([(sc, estimators)], level=level, workers=workers))
+
+
+def _summarize(sc: Scenario, estimators: Sequence[str], results: list[dict],
+               level: float) -> MonteCarloSummary:
     beta_star = float(sc.law.beta_star[0])
     zq = NormalDist().inv_cdf(0.5 + level / 2.0)
     summaries = []

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drlogit import cli
+from drlogit import cli, simulate
 from drlogit.cli import CliError, main, read_dataset_csv
 from drlogit.model import Basis, Dataset, InstrumentSpec
 from drlogit.nuisance import fit_covariate, fit_outcome_mle
@@ -433,6 +433,50 @@ def test_simulate_workers_and_bytes(tmp_path):
     assert (out1 / "S1-binary_summary.json").exists()
     md = (out1 / "summary.md").read_text()
     assert md.startswith("| scenario |") and "S1-binary" in md
+
+
+def test_simulate_runs_every_scenario_through_one_pool(tmp_path, monkeypatch):
+    """Two scenarios with --workers 2 start one process pool, and the
+    summaries equal the single-process ones byte for byte."""
+    pools = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"n": 250, "replications": 6, "estimators": ["dr_simple"]}))
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    for out, workers in ((out1, "1"), (out2, "2")):
+        assert main(["simulate", "--config", str(cfg), "--scenarios", "S1", "--workers",
+                     workers, "--out", str(out)]) == 0
+    assert pools == [2]
+    for name in ("summary.json", "summary.md", "S1-binary_summary.csv",
+                 "S1-gaussian_summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_simulate_mass_failure_keeps_earlier_scenario_files(tmp_path, monkeypatch, capsys):
+    """A second scenario failing in more than 20% of its replications exits
+    1 naming it, after the first scenario's files are written."""
+    run_replication = simulate._run_replication
+
+    def failing_gaussian(sc, rep, estimators):
+        if sc.name == "S1-gaussian":
+            return {name: None for name in estimators}
+        return run_replication(sc, rep, estimators)
+
+    monkeypatch.setattr(simulate, "_run_replication", failing_gaussian)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"n": 250, "replications": 5, "estimators": ["dr_simple"]}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--scenarios", "S1", "--workers", "1",
+                 "--out", str(out)]) == 1
+    assert "'S1-gaussian': estimator 'dr_simple' failed in 5/5" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["S1-binary_summary.csv",
+                                                     "S1-binary_summary.json"]
 
 
 def test_simulate_family_name_selects_both_editions(tmp_path):

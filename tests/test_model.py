@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from drlogit.estimators import _Context
 from drlogit.model import (
+    COND_LIMIT,
     Basis,
     BasisTerm,
     BinaryInstrument,
@@ -18,6 +19,7 @@ from drlogit.model import (
     LinearInstrument,
     OutcomeModelParams,
     SingularMatrixError,
+    _optimal_instrument_batch,
     calibrated_residual,
     calibrated_residual_y1,
     covariate_means,
@@ -517,6 +519,113 @@ def test_instrument_batch_matches_single(lin_basis, rng):
         np.testing.assert_allclose(batch[i], single, rtol=1e-12)
 
 
+def _gathered_component_moments(family, f_j, resid_var, tilt, order):
+    """Reference moments: E[r^k] and E[exp(tilt r) r^k], k = 0, 1, 2, as
+    (rows, 3) arrays, the two Bernoulli points stacked as columns and
+    reduced with sum/einsum like the Gauss-Hermite rule."""
+    if family == "gaussian":
+        t, w = gauss_hermite_points(order)
+        r = (math.sqrt(2.0 * resid_var) * t)[None, :]
+        w = w[None, :]
+    else:
+        r = np.column_stack([-f_j, 1.0 - f_j])
+        w = np.column_stack([1.0 - f_j, f_j])
+    with np.errstate(over="ignore"):
+        w_tilt = np.exp(tilt * r)
+    w_tilt *= w
+    r2 = r * r
+    return tuple(np.column_stack([v.sum(axis=1), np.einsum("ik,ik->i", v, r),
+                                  np.einsum("ik,ik->i", v, r2)]) for v in (w, w_tilt))
+
+
+def _gathered_optimal_instrument(g, f, beta, covar, order):
+    """Reference optimal instrument: A and B start as ones and each
+    component multiplies in its moments through a fancy-index gather;
+    `_optimal_instrument_batch` must reproduce it byte for byte."""
+    n, p = f.shape
+    if beta.shape[0] != p:
+        raise ValueError("beta and covariate model disagree on dim(Z)")
+    comp = np.arange(p)
+    order_jkl = (comp[:, None, None] == comp).astype(int) + (comp[None, :, None] == comp)
+    a_mat, tilt_mat = np.ones((n, p, p)), np.ones((n, p, p))
+    for j, fam in enumerate(covar.families):
+        plain, tilted = _gathered_component_moments(fam, f[:, j], covar.resid_var[j],
+                                                    -beta[j], order)
+        a_mat *= plain[:, order_jkl[:, :, j]]
+        tilt_mat *= tilted[:, order_jkl[:, :, j]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tilt_mat *= np.exp(-(g + f @ beta))[:, None, None]
+    b_mat = a_mat + tilt_mat
+    finite = np.isfinite(b_mat).all(axis=(1, 2))
+    if p == 1:
+        eig = np.abs(b_mat[:, 0])
+    else:
+        eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], b_mat, 0.0)))
+    lo, hi = eig.min(axis=1), eig.max(axis=1)
+    conds = np.divide(hi, lo, out=np.full(n, np.inf), where=finite & (lo > 0))
+    if np.any(conds > COND_LIMIT):
+        worst = int(np.argmax(conds))
+        raise SingularMatrixError(
+            f"optimal instrument: inner moment matrix has condition number "
+            f"{conds[worst]:.3g} > {COND_LIMIT:.0e} at row {worst}")
+    if p == 1:
+        return a_mat / b_mat, conds
+    return np.linalg.solve(b_mat, a_mat).transpose(0, 2, 1), conds
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _batch_cases(draw):
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    families = tuple(draw(st.sampled_from(["gaussian", "bernoulli"])) for _ in range(p))
+    order = draw(st.sampled_from([5, 11, 21, 31]))
+    beta = np.array(draw(st.lists(st.floats(-3.0, 3.0, **_finite), min_size=p, max_size=p)))
+    resid_var = np.array([draw(st.floats(0.05, 4.0)) if fam == "gaussian" else math.nan
+                          for fam in families])
+    columns = []
+    for fam in families:
+        if fam == "gaussian":
+            cell = st.floats(-3.0, 3.0, **_finite)
+        else:
+            # means on the boundary make a component degenerate
+            cell = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.5]))
+        columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    f = np.array(columns).T.copy()
+    g = np.array(draw(st.lists(st.one_of(st.floats(-6.0, 6.0, **_finite),
+                                         st.sampled_from([-750.0, 750.0])),
+                               min_size=n, max_size=n)))
+    covar = CovariateModelParams(np.zeros((p, 1)), families, resid_var)
+    return g, f, beta, covar, order
+
+
+def _outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+@given(_batch_cases())
+@settings(max_examples=400, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_optimal_instrument_batch_matches_gathered_reference(case):
+    """p <= 3 with mixed families, 1 to 40 rows, every Gauss-Hermite order
+    in use, rows with |g| = 750 and Bernoulli means at 0 or 1: phi and the
+    condition numbers equal the reference byte for byte, or both raise
+    the same error (a RuntimeWarning counts as one)."""
+    want = _outcome_or_error(_gathered_optimal_instrument, *case)
+    got = _outcome_or_error(_optimal_instrument_batch, *case)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert not isinstance(got[0], type), got
+    for mine, ref in zip(got, want):
+        assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Estimating-function kernels
 # ---------------------------------------------------------------------------
@@ -601,6 +710,58 @@ def test_ee_instrument_linear_matches_ee_dr(lin_basis, rng):
         r = ee_dr(y, z, x, beta, alpha, covar, spec, lin_basis)
         tau = ee_instrument(y, z, x, beta, alpha, covar, LinearInstrument(spec), lin_basis)
         np.testing.assert_allclose(tau, r, rtol=1e-12, atol=1e-14)
+
+
+_MIXED_FAMILIES = {1: [("bernoulli",), ("gaussian",)], 2: [("gaussian", "bernoulli")],
+                   3: [("bernoulli", "gaussian", "bernoulli"),
+                       ("gaussian", "gaussian", "bernoulli")]}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_scalar_optimal_kernels_match_public_instrument(p, rng):
+    """ee_dr, ee_dr_y1 and ee_instrument with the optimal linear instrument
+    equal the residual times instrument_matrix(...) @ (z - f), with phi and
+    f evaluated through the public array entry points."""
+    basis = Basis.linear_in(2)
+    spec = InstrumentSpec("optimal")
+    for i in range(60):
+        families = _MIXED_FAMILIES[p][i % len(_MIXED_FAMILIES[p])]
+        covar = CovariateModelParams(rng.uniform(-1.0, 1.0, (p, 3)), families,
+                                     np.array([rng.uniform(0.3, 2.0) if fam == "gaussian"
+                                               else math.nan for fam in families]))
+        y = int(rng.integers(0, 2))
+        z = np.array([float(rng.integers(0, 2)) if fam == "bernoulli" else rng.normal()
+                      for fam in families])
+        x = rng.uniform(-1.5, 1.5, 2)
+        beta = rng.uniform(-1.2, 1.2, p)
+        alpha = rng.uniform(-1.0, 1.0, 3)
+        eta = float(beta @ z + basis.row(x) @ alpha)
+        for kernel, sign, y1 in ((ee_dr, 1.0, False), (ee_dr_y1, -1.0, True),
+                                 (ee_instrument, 1.0, False)):
+            # ee_dr_y1 is minus the Y=0 form of 1 - y under (-beta, -alpha)
+            yy, e = (1 - y, -eta) if y1 else (y, eta)
+            resid = math.exp(-e) if yy == 1 else -1.0
+            phi = instrument_matrix(spec, x, OutcomeModelParams(beta, alpha), covar, basis,
+                                    condition_on_y1=y1)
+            ref = sign * resid * (phi @ (z - covariate_means(covar, x[None, :], basis)[0]))
+            u = LinearInstrument(spec) if kernel is ee_instrument else spec
+            got = kernel(y, z, x, beta, alpha, covar, u, basis)
+            assert got.shape == (p,)
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))), \
+                (kernel.__name__, got, ref)
+
+
+@pytest.mark.parametrize("kernel", [ee_dr, ee_dr_y1, ee_instrument])
+@pytest.mark.parametrize("beta, alpha", [([math.nan], [0.2, 0.1]), ([math.inf], [0.2, 0.1]),
+                                         ([0.5], [math.inf, 0.0])])
+def test_optimal_kernels_refuse_non_finite_coefficients(kernel, beta, alpha, lin_basis):
+    """The optimal variant refuses a NaN or inf in beta or alpha with the
+    outcome model's own message."""
+    spec = InstrumentSpec("optimal")
+    u = LinearInstrument(spec) if kernel is ee_instrument else spec
+    with pytest.raises(ValueError, match="outcome-model coefficients must be finite"):
+        kernel(1, [1.0], [0.3], np.array(beta), np.array(alpha), _covar_bern([0.1, 0.4]), u,
+               lin_basis)
 
 
 def test_ee_instrument_y0_value(lin_basis):
