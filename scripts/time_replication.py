@@ -136,7 +136,7 @@ def main(argv=None) -> None:
     for i, name in enumerate(names):
         sc = with_size(catalog[name], n=args.n, replications=args.reps,
                        seed=args.seed + 1009 * i)
-        for rep in range(2):  # warm-up: imports, quadrature nodes
+        for rep in range(2):  # warm-up: imports
             _replication(sc, rep, lambda phase, fn, *a: fn(*a))
         per_rep = []
         for rep in range(args.reps):

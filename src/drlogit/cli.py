@@ -428,8 +428,8 @@ def _config_from_args(args) -> RunConfig:
     workers_flag = getattr(args, "workers", None)
     rc.workers = workers_flag if workers_flag is not None else _number(
         cfg.get("workers", 1), "config field 'workers'")
-    rc.n = _number(cfg["n"], "config field 'n'") if "n" in cfg else None
-    rc.replications = (_number(cfg["replications"], "config field 'replications'")
+    rc.n = _number(cfg["n"], "config field 'n'", minimum=1) if "n" in cfg else None
+    rc.replications = (_number(cfg["replications"], "config field 'replications'", minimum=1)
                        if "replications" in cfg else None)
     scen_flag = getattr(args, "scenarios", None)
     if scen_flag:

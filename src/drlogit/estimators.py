@@ -55,7 +55,6 @@ class EstimateReport:
     wald_ci: np.ndarray  # (p, 2) lower/upper
     influence: np.ndarray  # (n, p)
     diagnostics: SolveDiagnostics
-    instrument: InstrumentSpec
     level: float
 
 
@@ -124,7 +123,7 @@ class _Context:
         return EstimateReport(
             beta_hat=res.params.copy(), covariance=pieces.covariance, std_errors=se,
             wald_ci=np.column_stack([res.params - zq * se, res.params + zq * se]),
-            influence=pieces.influence, instrument=instrument, level=level,
+            influence=pieces.influence, level=level,
             diagnostics=SolveDiagnostics(iterations=res.iterations, final_eq_norm=res.final_norm,
                                          jacobian_condition=condition,
                                          step_halvings=res.step_halvings))
@@ -165,8 +164,6 @@ class _Kernel:
 
     def __init__(self, ctx: _Context, instrument: InstrumentSpec):
         self.outcome, self.covar = ctx.outcome, ctx.covar(0)
-        if not self.outcome.converged or not self.covar.converged:
-            raise ValueError("nuisance fits must have converged")
         _check_level(self.covar, 0)
         y, z = ctx.data.y, ctx.data.z
         if not (y == 1).any() or not (y == 0).any():

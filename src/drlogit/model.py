@@ -308,20 +308,17 @@ class InstrumentSpec:
     simple:   expit(alpha'b(x)) times the identity.
     optimal:  variance-minimizing matrix built from conditional moments of
               Z given (Y=0, X) under the declared families.  Components
-              are independent, so each moment is a product of
-              per-component one-dimensional moments: a Gaussian component
-              uses a Gauss-Hermite rule of order `gh_order`, a Bernoulli
-              one an exact two-point sum.
+              are independent, so each moment is a product of exact
+              per-component one-dimensional moments: closed-form Gaussian
+              moments for a Gaussian component, a two-point sum for a
+              Bernoulli one.
     """
 
     variant: Variant = "simple"
-    gh_order: int = 21
 
     def __post_init__(self):
         if self.variant not in ("identity", "simple", "optimal"):
             raise ValueError(f"unknown instrument variant {self.variant!r}")
-        if self.gh_order < 5 or self.gh_order % 2 == 0:
-            raise ValueError("gh_order must be odd and at least 5")
 
 
 @dataclass(frozen=True)
@@ -410,21 +407,9 @@ def calibrated_residual_y1(y, z, x, params: OutcomeModelParams, basis: Basis) ->
 # Instrument matrices phi(X)
 # ---------------------------------------------------------------------------
 
-_GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def gauss_hermite_points(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and probability weights w with sum(w)=1 such that
-    E[h(Z)] for Z ~ N(m, s2) is approximated by sum w_k h(m + sqrt(2 s2) t_k)."""
-    if order not in _GH_CACHE:
-        t, w = np.polynomial.hermite.hermgauss(order)
-        _GH_CACHE[order] = (t, w / math.sqrt(math.pi))
-    return _GH_CACHE[order]
-
 
 def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
-                              covar: CovariateModelParams,
-                              order: int) -> tuple[np.ndarray, np.ndarray]:
+                              covar: CovariateModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Variance-minimizing phi(x) per row from g = alpha'b(x) and the
     covariate means f(x), with condition numbers.
 
@@ -433,27 +418,28 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
     mutually independent under their declared families, and
     1/pi = 1 + exp(-(g + beta'f)) prod_l exp(-beta_l r_l) with r = Z - f,
     so every entry of A and B is a product of one-dimensional moments
-    E[r_l^k] and E[exp(-beta_l r_l) r_l^k], k = 0, 1, 2.  A Gaussian
-    component takes them from a Gauss-Hermite rule of order `order` (the
-    same for every row), a Bernoulli one from its two-point sum per row.
-    This equals the tensor-product rule over all components up to
-    rounding, at O(n p^3) cost.
+    E[r_l^k] and E[exp(-beta_l r_l) r_l^k], k = 0, 1, 2, exact in closed
+    form for a Gaussian component (the same for every row) and as a
+    two-point sum per row for a Bernoulli one, at O(n p^3) cost.  A tilt
+    whose Gaussian moments overflow gives an inf entry of B, refused as
+    ill-conditioned like any other non-finite row.
     """
     n, p = f.shape
     if beta.shape[0] != p:
         raise ValueError("beta and covariate model disagree on dim(Z)")
 
-    plain, tilted = zip(*(_component_moments(fam, f[:, l], covar.resid_var[l], -beta[l], order)
+    plain, tilted = zip(*(_component_moments(fam, f[:, l], covar.resid_var[l], -beta[l])
                           for l, fam in enumerate(covar.families)))
     # entry (j, k) of A and B is the product, in component order, of moment
-    # order [l == j] + [l == k] of component l
+    # order [l == j] + [l == k] of component l; an overflowed moment times a
+    # zero one is NaN, refused below
     a_mat, tilt_mat = np.empty((n, p, p)), np.empty((n, p, p))
-    for j in range(p):
-        for k in range(p):
-            orders = [(l == j) + (l == k) for l in range(p)]
-            a_mat[:, j, k] = reduce(mul, [m[o] for m, o in zip(plain, orders)])
-            tilt_mat[:, j, k] = reduce(mul, [m[o] for m, o in zip(tilted, orders)])
     with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(p):
+            for k in range(p):
+                orders = [(l == j) + (l == k) for l in range(p)]
+                a_mat[:, j, k] = reduce(mul, [m[o] for m, o in zip(plain, orders)])
+                tilt_mat[:, j, k] = reduce(mul, [m[o] for m, o in zip(tilted, orders)])
         tilt_mat *= np.exp(-(g + f @ beta))[:, None, None]
         b_mat = a_mat + tilt_mat
 
@@ -476,23 +462,20 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
     return np.linalg.solve(b_mat, a_mat).transpose(0, 2, 1), conds
 
 
-def _component_moments(family: Family, f_j: np.ndarray, resid_var: float, tilt: float,
-                       order: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+def _component_moments(family: Family, f_j: np.ndarray, resid_var: float,
+                       tilt: float) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """The triples (E[r^k]) and (E[exp(tilt r) r^k]) for k = 0, 1, 2, with
-    r = Z_j - f_j.  A Gaussian component reduces a Gauss-Hermite rule to
-    (1,) arrays, the same for every row; a Bernoulli one takes per-row
-    arrays from its two points r = -f_j and 1 - f_j, weighted 1 - f_j and
-    f_j, summed in that order."""
+    r = Z_j - f_j.  A Gaussian component, r ~ N(0, s2), gives (1,) arrays,
+    the same for every row: (1, 0, s2) and m (1, tilt s2, s2 + (tilt s2)^2)
+    with m = exp(tilt^2 s2 / 2), inf where that overflows.  A Bernoulli one
+    takes per-row arrays from its two points r = -f_j and 1 - f_j, weighted
+    1 - f_j and f_j, summed in that order."""
     if family == "gaussian":
-        t, w = gauss_hermite_points(order)
-        r = (math.sqrt(2.0 * resid_var) * t)[None, :]
-        w = w[None, :]
         with np.errstate(over="ignore"):
-            w_tilt = np.exp(tilt * r)
-        w_tilt *= w
-        r2 = r * r
-        return tuple((v.sum(axis=1), np.einsum("ik,ik->i", v, r), np.einsum("ik,ik->i", v, r2))
-                     for v in (w, w_tilt))
+            shift = tilt * resid_var
+            m = np.exp(np.array([0.5 * tilt * shift]))
+            return ((np.ones(1), np.zeros(1), np.full(1, resid_var)),
+                    (m, m * shift, m * (resid_var + shift * shift)))
     # the weight of r0 = -f_j is 1 - f_j = r1, that of r1 is f_j
     r0, r1 = -f_j, 1.0 - f_j
     with np.errstate(over="ignore"):
@@ -508,7 +491,7 @@ def _instruments(spec: InstrumentSpec, g: np.ndarray, f: np.ndarray, beta: np.nd
     an (n, p, p) array, with the condition numbers (1 unless optimal)."""
     n, p = f.shape
     if spec.variant == "optimal":
-        return _optimal_instrument_batch(g, f, beta, covar, spec.gh_order)
+        return _optimal_instrument_batch(g, f, beta, covar)
     scale = np.ones(n) if spec.variant == "identity" else expit(g)
     return scale[:, None, None] * np.eye(p), np.ones(n)
 
@@ -572,7 +555,7 @@ def _apply_phi(spec: InstrumentSpec, v: np.ndarray, g: float, f: np.ndarray, bet
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if not all(map(math.isfinite, beta.tolist() + np.ravel(alpha).tolist())):
         raise ValueError("outcome-model coefficients must be finite")
-    phi = _optimal_instrument_batch(np.array([g]), f[None, :], beta, covar, spec.gh_order)[0][0]
+    phi = _optimal_instrument_batch(np.array([g]), f[None, :], beta, covar)[0][0]
     return phi @ v
 
 

@@ -50,7 +50,6 @@ class OutcomeFit:
     params: OutcomeModelParams
     info_matrix: np.ndarray
     s1: np.ndarray
-    converged: bool
     iterations: int
     basis: Basis
 
@@ -67,7 +66,6 @@ class CovariateFit:
     params: CovariateModelParams
     s2: np.ndarray
     subsample_size: int
-    converged: bool
     basis: Basis
     response_level: int = 0
 
@@ -124,8 +122,7 @@ def _fit_outcome_mle(data: Dataset, basis: Basis, bmat: np.ndarray) -> OutcomeFi
     s1 = np.zeros((data.n, k))
     s1[:, active] = (wa * (data.y - pi)[:, None]) @ np.linalg.inv(info_a).T
     return OutcomeFit(params=OutcomeModelParams(theta[:data.p], theta[data.p:]),
-                      info_matrix=info, s1=s1, converged=True, iterations=res.iterations,
-                      basis=basis)
+                      info_matrix=info, s1=s1, iterations=res.iterations, basis=basis)
 
 
 def _neg_info(w: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -190,5 +187,5 @@ def _fit_covariate_level(data: Dataset, basis: Basis, bmat: np.ndarray,
             raise ValueError(f"unknown family {fam!r}")
         s2[sub, j * m:(j + 1) * m] = n * ((b0 * resid[:, None]) @ np.linalg.inv(ne).T)
     params = CovariateModelParams(gamma=gamma, families=families, resid_var=resid_var)
-    return CovariateFit(params=params, s2=s2, subsample_size=int(sub.size),
-                        converged=True, basis=basis, response_level=level)
+    return CovariateFit(params=params, s2=s2, subsample_size=int(sub.size), basis=basis,
+                        response_level=level)

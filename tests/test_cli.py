@@ -371,6 +371,8 @@ def _malformed_configs():
         st.tuples(field, _NOT_A_NUMBER).map(lambda kv: (
             {"basis": _GOOD_BASIS, kv[0]: kv[1]}, None, f"'{kv[0]}'")),
         st.just(({"basis": _GOOD_BASIS, "seed": -1}, None, "'seed'")),
+        st.tuples(st.sampled_from(["n", "replications"]), st.integers(max_value=0)).map(
+            lambda kv: ({"basis": _GOOD_BASIS, kv[0]: kv[1]}, None, f"'{kv[0]}'")),
         st.one_of(_LETTERS, st.just("1.5"), st.just("-3"))
         .map(lambda env: ({"basis": _GOOD_BASIS}, env, "DRLOGIT_SEED")),
         st.tuples(st.sampled_from(["z_families", "estimators", "scenarios", "phis"]),

@@ -31,7 +31,7 @@ from drlogit.model import (
     instrument_matrices,
     logistic_finite_law,
 )
-from drlogit.nuisance import CovariateFit, OutcomeFit, fit_covariate, fit_covariate_y1, fit_outcome_mle
+from drlogit.nuisance import fit_covariate, fit_covariate_y1, fit_outcome_mle
 from drlogit.simulate import sample_binary, sample_dataset, scenario_catalog
 
 from conftest import bisect_root, exact_counts_dataset
@@ -284,10 +284,6 @@ def test_solve_rejects_mismatched_fits(rng):
         solve_dr(ds, outcome, covar1, InstrumentSpec("simple"), basis)
     with pytest.raises(ValueError, match="Y=0"):
         solve_dr_y1(ds, outcome, covar, InstrumentSpec("simple"), basis)
-    bad = OutcomeFit(params=outcome.params, info_matrix=outcome.info_matrix, s1=outcome.s1,
-                     converged=False, iterations=0, basis=basis)
-    with pytest.raises(ValueError, match="converged"):
-        solve_dr(ds, bad, covar, InstrumentSpec("simple"), basis)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from drlogit.model import (
     LinearInstrument,
     OutcomeModelParams,
     SingularMatrixError,
+    _component_moments,
     _optimal_instrument_batch,
     calibrated_residual,
     calibrated_residual_y1,
@@ -27,7 +28,6 @@ from drlogit.model import (
     ee_dr_y1,
     ee_instrument,
     expit,
-    gauss_hermite_points,
     instrument_matrix,
     instrument_matrices,
     logistic_finite_law,
@@ -163,10 +163,6 @@ def test_covariate_params_validation():
 
 def test_instrument_spec_validation():
     with pytest.raises(ValueError):
-        InstrumentSpec("optimal", gh_order=4)
-    with pytest.raises(ValueError):
-        InstrumentSpec("optimal", gh_order=10)
-    with pytest.raises(ValueError):
         InstrumentSpec("banana")
 
 
@@ -274,10 +270,10 @@ def test_calibrated_equation_on_y1_rows_matches_full_rows(case):
     basis = Basis.linear_in(1)
     outcome = OutcomeFit(params=OutcomeModelParams(np.zeros(p), alpha),
                          info_matrix=np.eye(p + 2), s1=np.zeros((n, p + 2)),
-                         converged=True, iterations=0, basis=basis)
+                         iterations=0, basis=basis)
     covar = CovariateFit(params=CovariateModelParams(gamma, ("gaussian",) * p, np.ones(p)),
                          s2=np.zeros((n, 2 * p)), subsample_size=int(np.sum(y == 0)),
-                         converged=True, basis=basis)
+                         basis=basis)
     kernel = _Context(Dataset(y, z, x), basis, outcome=outcome,
                       covars={0: covar}).kernel(InstrumentSpec("identity"))
     bx = np.column_stack([np.ones(n), x[:, 0]])
@@ -360,10 +356,9 @@ def test_instrument_optimal_beta_zero_gaussian(lin_basis, rng):
         x = rng.uniform(-1.0, 1.0, 1)
         out = _params([0.0], alpha)
         covar = _covar_gauss(rng.uniform(-1.0, 1.0, 2), rng.uniform(0.3, 2.0))
-        got = instrument_matrix(InstrumentSpec("optimal", gh_order=21),
-                                x, out, covar, lin_basis)
+        got = instrument_matrix(InstrumentSpec("optimal"), x, out, covar, lin_basis)
         want = expit(alpha[0] + alpha[1] * x[0])
-        assert got[0, 0] == pytest.approx(want, rel=1e-8)
+        assert got[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_instrument_optimal_vector_z_mixed_families(rng):
@@ -377,10 +372,10 @@ def test_instrument_optimal_vector_z_mixed_families(rng):
         np.array([[0.1, 0.5], [-0.2, 0.7]]), ("gaussian", "bernoulli"),
         np.array([0.9, math.nan]))
     x = np.array([0.4])
-    got = instrument_matrix(InstrumentSpec("optimal", gh_order=31), x, out, covar, basis)
+    got = instrument_matrix(InstrumentSpec("optimal"), x, out, covar, basis)
 
     # brute force: Gauss-Hermite x {0,1} enumeration assembled by hand
-    t, w = gauss_hermite_points(31)
+    t, w = _hermite_rule(31)
     f = covariate_means(covar, x[None, :], basis)[0]
     g = float(basis.row(x) @ alpha)
     a_mat = np.zeros((2, 2))
@@ -397,10 +392,18 @@ def test_instrument_optimal_vector_z_mixed_families(rng):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
+def _hermite_rule(order):
+    """Nodes t and probability weights w, sum(w) = 1, such that E[h(Z)] for
+    Z ~ N(m, s2) is approximated by sum_k w_k h(m + sqrt(2 s2) t_k): an
+    oracle for the closed-form Gaussian moments, built apart from src."""
+    t, w = np.polynomial.hermite.hermgauss(order)
+    return t, w / math.sqrt(math.pi)
+
+
 def _tensor_grid_moments(x, out, covar, basis, order, condition_on_y1):
     """A and B summed node by node over the full tensor grid: Gauss-Hermite
     nodes for Gaussian components, {0, 1} for Bernoulli ones."""
-    t, w = gauss_hermite_points(order)
+    t, w = _hermite_rule(order)
     f = covariate_means(covar, x[None, :], basis)[0]
     g = float(basis.row(x) @ out.alpha)
     axes = []
@@ -424,11 +427,11 @@ def _tensor_grid_moments(x, out, covar, basis, order, condition_on_y1):
     return a_mat, b_mat
 
 
-@pytest.mark.parametrize("order", [5, 21])
 @pytest.mark.parametrize("condition_on_y1", [False, True])
-def test_instrument_optimal_p3_matches_tensor_grid(order, condition_on_y1, rng):
-    """p=3 (two Gaussian components, one Bernoulli): the product of
-    one-dimensional moments equals the tensor-grid sum over all nodes."""
+def test_instrument_optimal_p3_matches_tensor_grid(condition_on_y1, rng):
+    """p=3 (two Gaussian components, one Bernoulli): the product of exact
+    one-dimensional moments equals the tensor-grid sum over all nodes of an
+    order-21 rule."""
     basis = Basis.linear_in(2)
     covar = CovariateModelParams(
         rng.uniform(-1.0, 1.0, (3, 3)), ("gaussian", "bernoulli", "gaussian"),
@@ -436,9 +439,9 @@ def test_instrument_optimal_p3_matches_tensor_grid(order, condition_on_y1, rng):
     for _ in range(4):
         out = OutcomeModelParams(rng.uniform(-1.2, 1.2, 3), rng.uniform(-1.0, 1.0, 3))
         x = rng.uniform(-1.5, 1.5, 2)
-        got = instrument_matrix(InstrumentSpec("optimal", gh_order=order), x, out, covar,
-                                basis, condition_on_y1=condition_on_y1)
-        a_mat, b_mat = _tensor_grid_moments(x, out, covar, basis, order, condition_on_y1)
+        got = instrument_matrix(InstrumentSpec("optimal"), x, out, covar, basis,
+                                condition_on_y1=condition_on_y1)
+        a_mat, b_mat = _tensor_grid_moments(x, out, covar, basis, 21, condition_on_y1)
         want = a_mat @ np.linalg.inv(b_mat)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -459,6 +462,51 @@ def test_instrument_optimal_overflowing_row_refused(g, condition_on_y1):
                             condition_on_y1=condition_on_y1)
 
 
+@pytest.mark.parametrize("beta0", [20.0, -20.0])
+@pytest.mark.parametrize("families", [("gaussian",), ("gaussian", "gaussian"),
+                                      ("gaussian", "bernoulli")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_instrument_optimal_overflowing_gaussian_tilt_refused(beta0, families):
+    """|beta| sigma = 40 overflows exp(beta^2 sigma^2 / 2), the factor of a
+    Gaussian component's tilted moments: the batch and the scalar optimal
+    kernels refuse the row as ill-conditioned, with no OverflowError and no
+    warning; a second component at beta = 0 multiplies a zero moment into
+    the inf."""
+    p = len(families)
+    basis = Basis.linear_in(1)
+    covar = CovariateModelParams(np.zeros((p, 2)), families,
+                                 np.array([4.0 if fam == "gaussian" else math.nan
+                                           for fam in families]))
+    beta, alpha = np.zeros(p), np.array([0.3, -0.2])
+    beta[0] = beta0
+    spec = InstrumentSpec("optimal")
+    with pytest.raises(SingularMatrixError, match="condition number"):
+        instrument_matrices(spec, np.array([[0.2], [-0.4]]), OutcomeModelParams(beta, alpha),
+                            covar, basis)
+    z = [0.1] + [0.0] * (p - 1)
+    for y in (0, 1):
+        with pytest.raises(SingularMatrixError, match="condition number"):
+            ee_dr(y, z, [0.2], beta, alpha, covar, spec, basis)
+        with pytest.raises(SingularMatrixError, match="condition number"):
+            ee_instrument(y, z, [0.2], beta, alpha, covar, LinearInstrument(spec), basis)
+
+
+@given(st.floats(0.1, 4.0), st.floats(-2.0, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_gaussian_component_moments_match_hermite_rule(resid_var, tilt):
+    """The closed-form Gaussian triples E[r^k] and E[exp(tilt r) r^k],
+    k = 0, 1, 2, with r ~ N(0, resid_var), against an order-41
+    Gauss-Hermite rule, within 1e-13 max(1, |rule|)."""
+    t, w = _hermite_rule(41)
+    r = math.sqrt(2.0 * resid_var) * t
+    w_tilt = w * np.exp(tilt * r)
+    want = [v @ r**k for v in (w, w_tilt) for k in range(3)]
+    plain, tilted = _component_moments("gaussian", np.zeros(3), resid_var, tilt)
+    for got, ref in zip(plain + tilted, want):
+        assert got.shape == (1,)
+        assert abs(got[0] - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
 def test_instrument_condition_number_p2_matches_svd():
     basis = Basis.linear_in(1)
     covar = CovariateModelParams(np.array([[0.1, 0.5], [-0.3, 0.2]]),
@@ -475,16 +523,16 @@ def test_instrument_condition_number_p2_matches_svd():
 @pytest.mark.parametrize("condition_on_y1", [False, True])
 def test_instrument_optimal_p4_gaussian_matches_tensor_grid(condition_on_y1, rng):
     """Four Gaussian components are served, not refused: the product of
-    one-dimensional moments equals the 5^4-node tensor-grid sum."""
+    exact one-dimensional moments equals the 11^4-node tensor-grid sum."""
     basis = Basis.linear_in(1)
     covar = CovariateModelParams(rng.uniform(-1.0, 1.0, (4, 2)), ("gaussian",) * 4,
                                  rng.uniform(0.5, 1.5, 4))
     for _ in range(3):
         out = OutcomeModelParams(rng.uniform(-0.8, 0.8, 4), rng.uniform(-1.0, 1.0, 2))
         x = rng.uniform(-1.5, 1.5, 1)
-        got = instrument_matrix(InstrumentSpec("optimal", gh_order=5), x, out, covar,
-                                basis, condition_on_y1=condition_on_y1)
-        a_mat, b_mat = _tensor_grid_moments(x, out, covar, basis, 5, condition_on_y1)
+        got = instrument_matrix(InstrumentSpec("optimal"), x, out, covar, basis,
+                                condition_on_y1=condition_on_y1)
+        a_mat, b_mat = _tensor_grid_moments(x, out, covar, basis, 11, condition_on_y1)
         want = a_mat @ np.linalg.inv(b_mat)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -519,17 +567,18 @@ def test_instrument_batch_matches_single(lin_basis, rng):
         np.testing.assert_allclose(batch[i], single, rtol=1e-12)
 
 
-def _gathered_component_moments(family, f_j, resid_var, tilt, order):
+def _gathered_component_moments(family, f_j, resid_var, tilt):
     """Reference moments: E[r^k] and E[exp(tilt r) r^k], k = 0, 1, 2, as
-    (rows, 3) arrays, the two Bernoulli points stacked as columns and
-    reduced with sum/einsum like the Gauss-Hermite rule."""
+    (rows, 3) arrays: the closed-form Gaussian triples in one row, the two
+    Bernoulli points stacked as columns and reduced with sum/einsum."""
     if family == "gaussian":
-        t, w = gauss_hermite_points(order)
-        r = (math.sqrt(2.0 * resid_var) * t)[None, :]
-        w = w[None, :]
-    else:
-        r = np.column_stack([-f_j, 1.0 - f_j])
-        w = np.column_stack([1.0 - f_j, f_j])
+        with np.errstate(over="ignore"):
+            shift = tilt * resid_var
+            m = np.exp(np.array([0.5 * tilt * shift]))
+            return (np.column_stack([np.ones(1), np.zeros(1), np.full(1, resid_var)]),
+                    np.column_stack([m, m * shift, m * (resid_var + shift * shift)]))
+    r = np.column_stack([-f_j, 1.0 - f_j])
+    w = np.column_stack([1.0 - f_j, f_j])
     with np.errstate(over="ignore"):
         w_tilt = np.exp(tilt * r)
     w_tilt *= w
@@ -538,7 +587,7 @@ def _gathered_component_moments(family, f_j, resid_var, tilt, order):
                                   np.einsum("ik,ik->i", v, r2)]) for v in (w, w_tilt))
 
 
-def _gathered_optimal_instrument(g, f, beta, covar, order):
+def _gathered_optimal_instrument(g, f, beta, covar):
     """Reference optimal instrument: A and B start as ones and each
     component multiplies in its moments through a fancy-index gather;
     `_optimal_instrument_batch` must reproduce it byte for byte."""
@@ -550,7 +599,7 @@ def _gathered_optimal_instrument(g, f, beta, covar, order):
     a_mat, tilt_mat = np.ones((n, p, p)), np.ones((n, p, p))
     for j, fam in enumerate(covar.families):
         plain, tilted = _gathered_component_moments(fam, f[:, j], covar.resid_var[j],
-                                                    -beta[j], order)
+                                                    -beta[j])
         a_mat *= plain[:, order_jkl[:, :, j]]
         tilt_mat *= tilted[:, order_jkl[:, :, j]]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -581,7 +630,6 @@ def _batch_cases(draw):
     p = draw(st.integers(1, 3))
     n = draw(st.integers(1, 40))
     families = tuple(draw(st.sampled_from(["gaussian", "bernoulli"])) for _ in range(p))
-    order = draw(st.sampled_from([5, 11, 21, 31]))
     beta = np.array(draw(st.lists(st.floats(-3.0, 3.0, **_finite), min_size=p, max_size=p)))
     resid_var = np.array([draw(st.floats(0.05, 4.0)) if fam == "gaussian" else math.nan
                           for fam in families])
@@ -598,7 +646,7 @@ def _batch_cases(draw):
                                          st.sampled_from([-750.0, 750.0])),
                                min_size=n, max_size=n)))
     covar = CovariateModelParams(np.zeros((p, 1)), families, resid_var)
-    return g, f, beta, covar, order
+    return g, f, beta, covar
 
 
 def _outcome_or_error(fn, *args):
@@ -612,10 +660,10 @@ def _outcome_or_error(fn, *args):
 @settings(max_examples=400, deadline=None)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_optimal_instrument_batch_matches_gathered_reference(case):
-    """p <= 3 with mixed families, 1 to 40 rows, every Gauss-Hermite order
-    in use, rows with |g| = 750 and Bernoulli means at 0 or 1: phi and the
-    condition numbers equal the reference byte for byte, or both raise
-    the same error (a RuntimeWarning counts as one)."""
+    """p <= 3 with mixed families, 1 to 40 rows, rows with |g| = 750 and
+    Bernoulli means at 0 or 1: phi and the condition numbers equal the
+    reference byte for byte, or both raise the same error (a RuntimeWarning
+    counts as one)."""
     want = _outcome_or_error(_gathered_optimal_instrument, *case)
     got = _outcome_or_error(_optimal_instrument_batch, *case)
     if isinstance(want[0], type):

@@ -152,6 +152,7 @@ def test_gaussian_sampler_heteroscedastic_mean_exact():
         assert abs(ds.z[sel, 0].mean() - want) <= 4 * sd / math.sqrt(sel.sum())
 
 
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_tilt_normalizer_matches_numerical_integration(rng):
     """c(X) and P(Y=1|X) from the closed form match direct integration of
     the unnormalized joint density over z."""
