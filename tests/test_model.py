@@ -427,11 +427,44 @@ def _tensor_grid_moments(x, out, covar, basis, order, condition_on_y1):
     return a_mat, b_mat
 
 
+def _tilted_tensor_grid_moments(x, out, covar, basis, order, condition_on_y1):
+    """A and B summed over tensor grids whose Gaussian axes carry the tilt
+    exp(+-beta_j z_j) as a change of measure: N(f, s2) tilted by exp(c z) is
+    exp(c f + c^2 s2 / 2) N(f + c s2, s2).  Every integrand left on a grid is
+    then a polynomial of degree 2 in z, so the sums are exact from order 2 on."""
+    t, w = _hermite_rule(order)
+    f = covariate_means(covar, x[None, :], basis)[0]
+    g = float(basis.row(x) @ out.alpha)
+    sign = 1.0 if condition_on_y1 else -1.0
+
+    def grid_sum(tilted):
+        axes = []
+        for j, fam in enumerate(covar.families):
+            c = sign * out.beta[j] if tilted else 0.0
+            if fam == "gaussian":
+                s2 = covar.resid_var[j]
+                mass = math.exp(c * f[j] + 0.5 * c * c * s2)
+                centre, s = f[j] + c * s2, math.sqrt(2.0 * s2)
+                axes.append([(centre + s * tk, mass * wk) for tk, wk in zip(t, w)])
+            else:
+                axes.append([(0.0, 1.0 - f[j]), (1.0, f[j] * math.exp(c))])
+        total = np.zeros((covar.p, covar.p))
+        for node in itertools.product(*axes):
+            z = np.array([v for v, _ in node])
+            total += math.prod(wk for _, wk in node) * np.outer(z - f, z - f)
+        return total
+
+    a_mat = grid_sum(False)
+    return a_mat, a_mat + math.exp(sign * g) * grid_sum(True)
+
+
+@pytest.mark.parametrize("order", [5, 21])
 @pytest.mark.parametrize("condition_on_y1", [False, True])
-def test_instrument_optimal_p3_matches_tensor_grid(condition_on_y1, rng):
+def test_instrument_optimal_p3_matches_tensor_grid(order, condition_on_y1, rng):
     """p=3 (two Gaussian components, one Bernoulli): the product of exact
     one-dimensional moments equals the tensor-grid sum over all nodes of an
-    order-21 rule."""
+    order-21 rule, and the change-of-measure grid sum, exact at every order
+    from 2 on, at the given order."""
     basis = Basis.linear_in(2)
     covar = CovariateModelParams(
         rng.uniform(-1.0, 1.0, (3, 3)), ("gaussian", "bernoulli", "gaussian"),
@@ -441,9 +474,11 @@ def test_instrument_optimal_p3_matches_tensor_grid(condition_on_y1, rng):
         x = rng.uniform(-1.5, 1.5, 2)
         got = instrument_matrix(InstrumentSpec("optimal"), x, out, covar, basis,
                                 condition_on_y1=condition_on_y1)
-        a_mat, b_mat = _tensor_grid_moments(x, out, covar, basis, 21, condition_on_y1)
-        want = a_mat @ np.linalg.inv(b_mat)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        for moments, grid_order in [(_tensor_grid_moments, 21),
+                                    (_tilted_tensor_grid_moments, order)]:
+            a_mat, b_mat = moments(x, out, covar, basis, grid_order, condition_on_y1)
+            want = a_mat @ np.linalg.inv(b_mat)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("g, condition_on_y1", [(-750.0, False), (750.0, True)])
