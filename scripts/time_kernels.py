@@ -5,8 +5,14 @@ Times every call of `ee_dr` and of `ee_instrument` with the linear
 instrument phi(x) z, for each instrument variant (identity, simple,
 optimal), on two kinds of random input: scalar Bernoulli Z (p=1, the
 inputs of the `kernel-scalar` benchmark workload) and two Gaussian Z
-components (p=2).  It prints the median microseconds per call of each
-(case, kernel, variant), then one JSON line with the same numbers.
+components (p=2).  Every (case, kernel, variant) is timed in each of
+PASSES passes, and the passes interleave them.  Each pass's median
+microseconds per call is scaled by the benchmark's host-speed calibration
+(bench/measure.py), timed just before and just after it, to read as on a
+host where the calibration loop takes CAL_REF_S: a shared host's speed
+drifts by tens of percent over seconds, and the scaling divides most of
+that out.  It prints the median over the passes of these scaled medians,
+then one JSON line with the same numbers.
 
     PYTHONPATH=src python3 scripts/time_kernels.py --inputs 2000 --seed 7
 
@@ -22,14 +28,20 @@ import argparse
 import json
 import math
 import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from drlogit.model import (Basis, CovariateModelParams, InstrumentSpec, LinearInstrument,
                            ee_dr, ee_instrument)
 
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+from measure import CAL_REF_S, Calibration  # noqa: E402
+
 VARIANTS = ("identity", "simple", "optimal")
+PASSES = 5
 
 
 def _bernoulli_p1(rng: np.random.Generator, count: int):
@@ -59,14 +71,14 @@ def _gaussian_p2(rng: np.random.Generator, count: int):
 CASES = {"p1-bernoulli": _bernoulli_p1, "p2-gaussian": _gaussian_p2}
 
 
-def _median_us(kernel, instrument, basis, draws) -> float:
+def _median_ns(kernel, instrument, basis, draws) -> float:
     clock = time.perf_counter_ns
     times = []
     for y, z, x, beta, alpha, covar in draws:
         t0 = clock()
         kernel(y, z, x, beta, alpha, covar, instrument, basis)
         times.append(clock() - t0)
-    return round(statistics.median(times) / 1e3, 3)
+    return statistics.median(times)
 
 
 def main(argv=None) -> None:
@@ -77,24 +89,38 @@ def main(argv=None) -> None:
     if args.inputs < 1:
         ap.error("--inputs must be positive")
 
+    inputs = {case: make(np.random.default_rng(args.seed), args.inputs)
+              for case, make in CASES.items()}
+    cal = Calibration()
+    cal_before = cal.seconds()
+    timings: dict = {}
+    for pass_ in range(PASSES):
+        for case, (basis, draws) in inputs.items():
+            for variant in VARIANTS:
+                spec = InstrumentSpec(variant)
+                for kernel, instrument in ((ee_dr, spec),
+                                           (ee_instrument, LinearInstrument(spec))):
+                    if pass_ == 0:
+                        _median_ns(kernel, instrument, basis, draws[:50])  # warm-up
+                    ns = _median_ns(kernel, instrument, basis, draws)
+                    cal_after = cal.seconds()
+                    timings.setdefault((case, kernel.__name__, variant), []).append(
+                        ns * 2.0 * CAL_REF_S / (cal_before + cal_after))
+                    cal_before = cal_after
     us: dict = {}
-    for case, make in CASES.items():
-        basis, draws = make(np.random.default_rng(args.seed), args.inputs)
-        us[case] = {"ee_dr": {}, "ee_instrument": {}}
-        for variant in VARIANTS:
-            spec = InstrumentSpec(variant)
-            for kernel, instrument in ((ee_dr, spec), (ee_instrument, LinearInstrument(spec))):
-                _median_us(kernel, instrument, basis, draws[:50])  # warm-up
-                us[case][kernel.__name__][variant] = _median_us(kernel, instrument, basis, draws)
+    for (case, name, variant), medians in timings.items():
+        us.setdefault(case, {}).setdefault(name, {})[variant] = round(
+            statistics.median(medians) / 1e3, 3)
 
-    print(f"median us per call, {args.inputs} inputs per case, seed {args.seed}")
+    print(f"median us per call at the reference host speed, {args.inputs} inputs per case, "
+          f"seed {args.seed}, median of {PASSES} passes")
     print(f"  {'case':<14}{'kernel':<15}" + "".join(f"{v:>10}" for v in VARIANTS))
     for case, kernels in us.items():
         for name, per_variant in kernels.items():
             print(f"  {case:<14}{name:<15}"
                   + "".join(f"{per_variant[v]:>10.2f}" for v in VARIANTS))
-    print(json.dumps({"inputs": args.inputs, "seed": args.seed, "us_per_call": us},
-                     sort_keys=True))
+    print(json.dumps({"inputs": args.inputs, "seed": args.seed, "passes": PASSES,
+                      "us_per_call": us}, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -159,17 +160,61 @@ def _raise_first_row_fault(path, rows, width: int, order: list[int]) -> None:
             raise CliError(f"{path}: row {i} has y={row[order[0]]!r}, must be 0 or 1")
 
 
+def _plain_body(text: str) -> list[str] | None:
+    """The data lines of text when numpy's C parser reads them as the csv
+    module and float() do; None when only the csv path can read them."""
+    plain = text.replace("\r\n", "\n")
+    # csv unquotes '"', ends a row at a lone CR and reads a blank line as a
+    # row of 0 cells, which loadtxt skips; loadtxt strips \x1c-\x1f around a
+    # number, which float() refuses
+    if any(c in plain for c in '"\r\x1c\x1d\x1e\x1f') or "\n\n" in plain:
+        return None
+    # not splitlines(): csv keeps \x0b, \x0c, \x85 and \u2028 inside a cell
+    lines = plain.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    body = lines[1:]
+    # a line past csv's field size limit may hold a cell that csv refuses
+    if max(map(len, body), default=0) > csv.field_size_limit():
+        return None
+    return body
+
+
+def _parse_plain(body: list[str], width: int, y_col: int, zx_cols: list[int]):
+    """The (n, width) cells of plain data lines by numpy's C parser, or None
+    where the csv path must look: a token loadtxt refuses, a skipped line,
+    a y outside {0, 1} or a non-finite z or x cell."""
+    try:
+        cells = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if cells.shape != (len(body), width):
+        return None
+    y = cells[:, y_col]
+    if not (((y == 0.0) | (y == 1.0)).all() and np.isfinite(cells[:, zx_cols]).all()):
+        return None
+    return cells
+
+
 def read_dataset_csv(path) -> Dataset:
     """Read a dataset with header y,z1..zp,x1..xq (column order free,
     numbering dense from 1).  Raises CliError naming the offending
-    column, row or cell on malformed input."""
+    column, row or cell on malformed input.
+
+    A plain body goes through numpy's C parser; anything else, and any
+    body that parser refuses, through the csv module and Python's float,
+    which define the accepted input and every error."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CliError(f"{path}: empty file, expected a header row") from None
-        rows = list(reader)
+        text = fh.read()
+    body = _plain_body(text)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CliError(f"{path}: empty file, expected a header row") from None
+    # csv reads the rows before the header is checked, so that a csv.Error
+    # comes first; a plain body waits for the C parser instead
+    rows = list(reader) if body is None else None
     cols = {name: i for i, name in enumerate(header)}
     if len(cols) != len(header):
         raise CliError(f"{path}: duplicate column names in header")
@@ -193,32 +238,38 @@ def read_dataset_csv(path) -> Dataset:
     if extra:
         raise CliError(f"{path}: unexpected columns {sorted(extra)}")
 
-    n, width = len(rows), len(header)
+    n, width = len(body if rows is None else rows), len(header)
     if n == 0:
         raise CliError(f"{path}: no data rows")
-    try:
-        if any(len(row) != width for row in rows):
-            raise ValueError("ragged rows")
-        # Python's float, so the accepted tokens are exactly float()'s
-        cells = np.fromiter(map(float, chain.from_iterable(rows)), dtype=float,
-                            count=n * width).reshape(n, width)
-        y = cells[:, cols["y"]]
-        if not ((y == 0.0) | (y == 1.0)).all():
-            raise ValueError("y outside {0, 1}")
-    except ValueError:
-        order = [cols[name] for name in ("y", *z_names, *x_names)]
-        _raise_first_row_fault(path, rows, width, order)
-        raise  # not reached: the walk finds the fault the fast pass hit
-    z = cells[:, [cols[name] for name in z_names]]
-    x = cells[:, [cols[name] for name in x_names]]
-    finite = np.isfinite(z).all(axis=1) & np.isfinite(x).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        name = next(c for c, v in zip(z_names + x_names, [*z[i], *x[i]])
-                    if not math.isfinite(v))
-        raise CliError(f"{path}: row {i + 2}, column {name!r} has non-finite value "
-                       f"{rows[i][cols[name]]!r}")
-    return Dataset._trusted(y.astype(np.int64), z, x)
+    y_col = cols["y"]
+    z_cols = [cols[name] for name in z_names]
+    x_cols = [cols[name] for name in x_names]
+    cells = None if body is None else _parse_plain(body, width, y_col, z_cols + x_cols)
+    if cells is None:
+        if rows is None:
+            rows = list(reader)
+        try:
+            if any(len(row) != width for row in rows):
+                raise ValueError("ragged rows")
+            # Python's float, so the accepted tokens are exactly float()'s
+            cells = np.fromiter(map(float, chain.from_iterable(rows)), dtype=float,
+                                count=n * width).reshape(n, width)
+            y = cells[:, y_col]
+            if not ((y == 0.0) | (y == 1.0)).all():
+                raise ValueError("y outside {0, 1}")
+        except ValueError:
+            _raise_first_row_fault(path, rows, width, [y_col, *z_cols, *x_cols])
+            raise  # not reached: the walk finds the fault the bulk conversion hit
+        z, x = cells[:, z_cols], cells[:, x_cols]
+        finite = np.isfinite(z).all(axis=1) & np.isfinite(x).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            name = next(c for c, v in zip(z_names + x_names, [*z[i], *x[i]])
+                        if not math.isfinite(v))
+            raise CliError(f"{path}: row {i + 2}, column {name!r} has non-finite value "
+                           f"{rows[i][cols[name]]!r}")
+    return Dataset._trusted(cells[:, y_col].astype(np.int64), cells[:, z_cols],
+                            cells[:, x_cols])
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +391,7 @@ def cmd_simulate(rc: RunConfig) -> int:
 
 def cmd_compare(rc: RunConfig) -> int:
     if len(rc.phis) < 2:
-        raise CliError("compare needs at least 2 phi variants (config 'phis' or --phi, repeated)")
+        raise CliError("compare needs at least 2 phi variants in the config field 'phis'")
     if len(rc.scenarios) != 1:
         raise CliError("compare needs exactly one scenario name")
     scenarios = _select_scenarios(rc.scenarios)

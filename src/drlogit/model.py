@@ -478,11 +478,12 @@ def _component_moments(family: Family, f_j: np.ndarray, resid_var: float,
                     (m, m * shift, m * (resid_var + shift * shift)))
     # the weight of r0 = -f_j is 1 - f_j = r1, that of r1 is f_j
     r0, r1 = -f_j, 1.0 - f_j
-    with np.errstate(over="ignore"):
-        e0, e1 = np.exp(tilt * r0), np.exp(tilt * r1)
     r0_sq, r1_sq = r0 * r0, r1 * r1
-    return tuple((v0 + v1, v0 * r0 + v1 * r1, v0 * r0_sq + v1 * r1_sq)
-                 for v0, v1 in ((r1, f_j), (e0 * r1, e1 * f_j)))
+    # an overflowed exp times a zero weight is NaN, refused by the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0, e1 = np.exp(tilt * r0), np.exp(tilt * r1)
+        return tuple((v0 + v1, v0 * r0 + v1 * r1, v0 * r0_sq + v1 * r1_sq)
+                     for v0, v1 in ((r1, f_j), (e0 * r1, e1 * f_j)))
 
 
 def _instruments(spec: InstrumentSpec, g: np.ndarray, f: np.ndarray, beta: np.ndarray,

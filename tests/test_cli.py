@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -261,10 +262,14 @@ def _per_cell_read_csv(path) -> Dataset:
 _HEADERS = (("y", "z1", "x1"), ("x1", "y", "z2", "z1", "x2"), ("z1", "x2", "x1", "y"))
 _GOOD_Y = ("0", "1", "1.0", "+1", " 0 ", '"1"', "0_0", "-0")
 _BAD_Y = ("2", "-1", "0.5", "nan", "inf")
-_GOOD_CELLS = ("0.5", "-1.25", "3", "+1", "1_0", " 1.0 ", "\t2e-3", '"0.25"', "1e-320")
+# \x0b, \x0c and \x85 pad a number for float(); \x1c does not, though
+# numpy's parser strips it
+_GOOD_CELLS = ("0.5", "-1.25", "3", "+1", "1_0", "\u0661", " 1.0 ", "\t2e-3", '"0.25"',
+               "1e-320", "\x0b1.5", "2\x0c", "\x850.75")
 _NON_FINITE_CELLS = ("Infinity", "-inf", "nan", "1e999")
-_NON_NUMERIC_CELLS = ("oops", "", "1..2", '"1,5"', "0x10")
-_ROW_FAULTS = ("non-finite", "bad-y", "non-numeric") * 2 + ("blank", "short", "long")
+_NON_NUMERIC_CELLS = ("oops", "", "1..2", '"1,5"', "0x10", "#1", "1\x0c2", "0.5\x1c")
+_ROW_FAULTS = (("non-finite", "bad-y", "non-numeric") * 2
+               + ("blank", "spaces", "short", "long", "lone-cr"))
 
 
 def _csv_line(header, draw) -> str:
@@ -272,6 +277,8 @@ def _csv_line(header, draw) -> str:
                   if draw(st.integers(0, 3)) == 0 else st.just([]))
     if "blank" in faults:
         return ""
+    if "spaces" in faults:
+        return draw(st.sampled_from([" ", "\t", "  "]))
     cells = [draw(st.sampled_from(_GOOD_Y if name == "y" else _GOOD_CELLS))
              for name in header]
     zx = [j for j, name in enumerate(header) if name != "y"]
@@ -287,14 +294,21 @@ def _csv_line(header, draw) -> str:
         cells = cells[:draw(st.integers(1, len(cells) - 1))]
     if "long" in faults:
         cells.append("0")
-    return ",".join(cells)
+    line = ",".join(cells)
+    if "lone-cr" in faults:
+        cut = draw(st.integers(0, len(line)))
+        line = line[:cut] + "\r" + line[cut:]
+    return line
 
 
 @st.composite
 def _csv_texts(draw):
     header = draw(st.sampled_from(_HEADERS))
+    quote = draw(st.booleans())
+    head = ",".join(f'"{name}"' if quote else name for name in header)
     lines = [_csv_line(header, draw) for _ in range(draw(st.integers(1, 6)))]
-    return "\n".join([",".join(header), *lines]) + draw(st.sampled_from(["\n", "", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([head, *lines]) + draw(st.sampled_from([end, ""]))
 
 
 @given(_csv_texts())
@@ -302,19 +316,34 @@ def _csv_texts(draw):
 # conversion that skipped the width check would drop it unseen
 @example("y,z1,x1\n0,1,2\n1,2,3,0\n")
 @example("y,z1,x1\n0,1,2\n\n1,2,3\n")  # a blank line between data rows
+@example("y,z1,x1\r\n0,1,2\r\n1,2,3\r\n")
+@example("y,z1,x1\n0,1,2\n \n1,2,3\n")  # a line of spaces, which loadtxt may skip
+@example("y,z1,x1\n0,1\r2,3\n")
+@example("y,z1,x1\n0,1,2\x1c\n")
+@example('"y",z1,x1\n0,1,2\n')
+@example("y,z1,x1\n0,#1,2\n")
+@example("y,z1,x1\n\n")  # loadtxt warns on a body with no data
+@example("y,z1,x1\n0,1,2,3\n1,2,3,4\n")  # every row long by the same cell
+# a cell past the csv module's field size limit is a csv.Error, raised
+# before the header (here without y) is checked
+@example("w,z1,x1\n0,1," + "0" * csv.field_size_limit() + "1\n")
 @settings(max_examples=300, deadline=None)
 def test_read_csv_matches_per_cell_reader(text):
-    """Quoted, padded, underscored and signed cells, blank lines, ragged
-    rows, non-numeric cells, y outside {0, 1} and non-finite cells, alone
-    or several in different rows: the reader returns the per-cell
-    reader's arrays byte for byte or raises its exact CliError."""
-    with tempfile.TemporaryDirectory() as tmp:
+    """Quoted, padded, underscored, non-ASCII-digit and signed cells, cells
+    holding \\x0b, \\x0c, \\x1c, \\x85 or '#', quoted headers, LF or CRLF line
+    ends, lone CRs, blank and whitespace-only lines, ragged rows,
+    non-numeric cells, y outside {0, 1} and non-finite cells, alone or
+    several in different rows: the reader returns the per-cell reader's
+    arrays byte for byte or raises its exact CliError (or csv.Error), with
+    no warning."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
         path = Path(tmp) / "d.csv"
         path.write_text(text, newline="")
         try:
             want = _per_cell_read_csv(path)
-        except CliError as exc:
-            with pytest.raises(CliError) as got:
+        except (CliError, csv.Error) as exc:
+            with pytest.raises(type(exc)) as got:
                 read_dataset_csv(path)
             assert str(got.value) == str(exc)
             return
@@ -322,6 +351,26 @@ def test_read_csv_matches_per_cell_reader(text):
         for name in ("y", "z", "x"):
             assert getattr(got, name).dtype == getattr(want, name).dtype
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_plain_csv_takes_the_c_parser(tmp_path, monkeypatch):
+    """A `write_dataset_csv` file (CRLF line ends) and the bundled example
+    are read by numpy's C parser, never by the per-cell float conversion,
+    and give the per-cell reader's arrays byte for byte."""
+    sc = next(s for s in scenario_catalog() if s.name == "S2-gaussian")
+    written = tmp_path / "d.csv"
+    write_dataset_csv(written, sample_dataset(sc.law, 300, 11))
+    assert b"\r\n" in written.read_bytes()
+    wants = {path: _per_cell_read_csv(path) for path in (written, EXAMPLE_CSV)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the per-cell float conversion ran")
+
+    monkeypatch.setattr(np, "fromiter", refuse)
+    for path, want in wants.items():
+        got = read_dataset_csv(path)
+        for name in ("y", "z", "x"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (path, name)
 
 
 def _main_stderr(argv) -> tuple[int, str]:
@@ -533,7 +582,9 @@ def test_compare_requires_two_variants(tmp_path, capsys):
                                "n": 200, "replications": 5}))
     rc = main(["compare", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
-    assert "2 phi variants" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "2 phi variants" in err
+    assert "--phi" not in err  # the compare parser has no such flag
 
 
 def test_compare_writes_ratio_table(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -524,6 +525,22 @@ def test_instrument_optimal_overflowing_gaussian_tilt_refused(beta0, families):
             ee_dr(y, z, [0.2], beta, alpha, covar, spec, basis)
         with pytest.raises(SingularMatrixError, match="condition number"):
             ee_instrument(y, z, [0.2], beta, alpha, covar, LinearInstrument(spec), basis)
+
+
+@pytest.mark.parametrize("beta0", [1000.0, -1000.0])
+def test_instrument_optimal_overflowing_bernoulli_tilt_refused(beta0):
+    """f = expit(40) is 1.0 exactly, so one point of the Bernoulli component
+    has weight 0, and |beta| = 1000 overflows a tilt factor: an inf times
+    that zero weight is NaN, and the scalar optimal kernel refuses the row
+    as ill-conditioned with no warning, for either sign of beta."""
+    basis = Basis.linear_in(1)
+    covar = CovariateModelParams(np.array([[40.0, 0.0]]), ("bernoulli",),
+                                 np.array([math.nan]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match="condition number"):
+            ee_dr(0, [1.0], [0.2], [beta0], [0.3, -0.2], covar, InstrumentSpec("optimal"),
+                  basis)
 
 
 @given(st.floats(0.1, 4.0), st.floats(-2.0, 2.0))
