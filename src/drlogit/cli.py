@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from statistics import NormalDist
 
@@ -160,6 +160,32 @@ def _raise_first_row_fault(path, rows, width: int, order: list[int]) -> None:
             raise CliError(f"{path}: row {i} has y={row[order[0]]!r}, must be 0 or 1")
 
 
+def _csv_rows(path, reader, first: int, limit: int | None = None) -> list[list[str]]:
+    """The next rows of a csv reader (at most limit), the first of them
+    numbered first (the header is row 1); a csv.Error, such as a cell
+    longer than csv.field_size_limit(), becomes a CliError naming its row."""
+    rows = []
+    try:
+        rows.extend(islice(reader, limit))
+    except csv.Error as exc:
+        raise CliError(f"{path}: row {first + len(rows)}: {exc}") from None
+    return rows
+
+
+def _decode_utf8(path, data: bytes) -> str:
+    """data as UTF-8 text; a byte sequence that is not UTF-8 is a CliError
+    naming the csv row it falls in."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # with one character standing in for the bad byte, the text before it
+        # ends in the row that holds it
+        before = data[:exc.start].decode("utf-8") + "0"
+        row = len(_csv_rows(path, csv.reader(io.StringIO(before, newline="")), 1))
+        raise CliError(f"{path}: row {row} is not UTF-8: byte {data[exc.start]:#04x} at "
+                       f"offset {exc.start} ({exc.reason})") from None
+
+
 def _plain_body(text: str) -> list[str] | None:
     """The data lines of text when numpy's C parser reads them as the csv
     module and float() do; None when only the csv path can read them."""
@@ -204,17 +230,17 @@ def read_dataset_csv(path) -> Dataset:
     A plain body goes through numpy's C parser; anything else, and any
     body that parser refuses, through the csv module and Python's float,
     which define the accepted input and every error."""
-    with open(path, newline="") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        text = _decode_utf8(path, fh.read())
     body = _plain_body(text)
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CliError(f"{path}: empty file, expected a header row") from None
-    # csv reads the rows before the header is checked, so that a csv.Error
-    # comes first; a plain body waits for the C parser instead
-    rows = list(reader) if body is None else None
+    head = _csv_rows(path, reader, 1, 1)
+    if not head:
+        raise CliError(f"{path}: empty file, expected a header row")
+    header = head[0]
+    # csv reads the rows before the header is checked, so that a row it
+    # refuses comes first; a plain body waits for the C parser instead
+    rows = _csv_rows(path, reader, 2) if body is None else None
     cols = {name: i for i, name in enumerate(header)}
     if len(cols) != len(header):
         raise CliError(f"{path}: duplicate column names in header")
@@ -247,7 +273,7 @@ def read_dataset_csv(path) -> Dataset:
     cells = None if body is None else _parse_plain(body, width, y_col, z_cols + x_cols)
     if cells is None:
         if rows is None:
-            rows = list(reader)
+            rows = _csv_rows(path, reader, 2)
         try:
             if any(len(row) != width for row in rows):
                 raise ValueError("ragged rows")

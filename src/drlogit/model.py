@@ -422,7 +422,9 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
     form for a Gaussian component (the same for every row) and as a
     two-point sum per row for a Bernoulli one, at O(n p^3) cost.  A tilt
     whose Gaussian moments overflow gives an inf entry of B, refused as
-    ill-conditioned like any other non-finite row.
+    ill-conditioned like any other non-finite row.  B is inverted in closed
+    form for p <= 2 and by LAPACK for p >= 3; a row whose phi comes out
+    non-finite, from a B too close to zero to invert, is refused too.
     """
     n, p = f.shape
     if beta.shape[0] != p:
@@ -432,9 +434,10 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
                           for l, fam in enumerate(covar.families)))
     # entry (j, k) of A and B is the product, in component order, of moment
     # order [l == j] + [l == k] of component l; an overflowed moment times a
-    # zero one is NaN, refused below
+    # zero one is NaN, and a B too close to zero overflows its inverse, both
+    # refused below
     a_mat, tilt_mat = np.empty((n, p, p)), np.empty((n, p, p))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(p):
             for k in range(p):
                 orders = [(l == j) + (l == k) for l in range(p)]
@@ -443,23 +446,60 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
         tilt_mat *= np.exp(-(g + f @ beta))[:, None, None]
         b_mat = a_mat + tilt_mat
 
-    if p == 1:
-        # |b| / |b| is 1 wherever it is defined
-        b = b_mat[:, 0, 0]
-        conds = np.where(np.isfinite(b) & (b != 0.0), 1.0, np.inf)
-    else:
-        finite = np.isfinite(b_mat).all(axis=(1, 2))
-        eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], b_mat, 0.0)))
-        lo, hi = eig.min(axis=1), eig.max(axis=1)
+        # the condition number is hi / lo, the extreme eigenvalue magnitudes of B
+        if p == 1:
+            # |b| / |b| is 1 wherever it is defined
+            b = b_mat[:, 0, 0]
+            finite, hi = np.isfinite(b), np.abs(b)
+            lo, phi = hi, a_mat / b_mat
+        else:
+            finite = np.isfinite(b_mat).all(axis=(1, 2))
+            if p == 2:
+                hi, lo, phi = _closed_form_2x2(a_mat, b_mat)
+            else:
+                eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], b_mat, 0.0)))
+                lo, hi = eig.min(axis=1), eig.max(axis=1)
         conds = np.divide(hi, lo, out=np.full(n, np.inf), where=finite & (lo > 0))
-    if (conds > COND_LIMIT).any():
-        worst = int(np.argmax(conds))
-        raise SingularMatrixError(
-            f"optimal instrument: inner moment matrix has condition number "
-            f"{conds[worst]:.3g} > {COND_LIMIT:.0e} at row {worst}")
-    if p == 1:
-        return a_mat / b_mat, conds
-    return np.linalg.solve(b_mat, a_mat).transpose(0, 2, 1), conds
+    if not (conds > COND_LIMIT).any():
+        if p > 2:
+            # only now: LAPACK raises on a singular B
+            phi = np.linalg.solve(b_mat, a_mat).transpose(0, 2, 1)
+        # 0 <= a <= b bounds phi by 1 for p = 1; for p >= 2 a B that passes
+        # the condition test can still be too close to zero to invert
+        if p == 1 or np.isfinite(phi).all():
+            return phi, conds
+        conds[~np.isfinite(phi).all(axis=(1, 2))] = np.inf
+    worst = int(np.argmax(conds))
+    raise SingularMatrixError(
+        f"optimal instrument: inner moment matrix has condition number "
+        f"{conds[worst]:.3g} > {COND_LIMIT:.0e} at row {worst}")
+
+
+def _closed_form_2x2(a_mat: np.ndarray, b_mat: np.ndarray):
+    """|big| and |small|, the larger and smaller eigenvalue magnitudes of a
+    symmetric 2x2 B, and A B^{-1}, per row in vector arithmetic on b00,
+    b01 and b11.
+
+    With tr = b00 + b11, d = (b00 - b11)/2 and r = hypot(d, b01), the
+    eigenvalues are tr/2 +- r.  The one of larger magnitude, big, is the
+    diagonal entry on the side of tr plus e = r - |d| signed as tr, and
+    small is the other diagonal entry minus that e; e is taken as
+    b01^2 / (r + |d|), which does not cancel, so a diagonal B gives its
+    entries exactly.
+    B^{-1} = adj(B) / (big small) is divided by big and then by small, so
+    that no determinant under- or overflows for a tiny or a huge B."""
+    b00, b01, b11 = b_mat[:, 0, 0], b_mat[:, 0, 1], b_mat[:, 1, 1]
+    tr, d = b00 + b11, 0.5 * (b00 - b11)
+    r = np.hypot(d, b01)
+    # the floor, the smallest positive double, only turns the 0/0 of B = cI into 0
+    e = np.copysign(b01 * (b01 / np.maximum(r + np.abs(d), 5e-324)), tr)
+    near = (tr >= 0) == (d >= 0)
+    big, small = np.where(near, b00, b11) + e, np.where(near, b11, b00) - e
+    i00, i01, i11 = (np.array([b11, -b01, b00]) / big / small)[:, :, None]
+    phi = np.empty_like(a_mat)
+    phi[:, :, 0] = a_mat[:, :, 0] * i00 + a_mat[:, :, 1] * i01
+    phi[:, :, 1] = a_mat[:, :, 0] * i01 + a_mat[:, :, 1] * i11
+    return np.abs(big), np.abs(small), phi
 
 
 def _component_moments(family: Family, f_j: np.ndarray, resid_var: float,

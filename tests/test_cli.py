@@ -198,13 +198,16 @@ def _per_cell_read_csv(path) -> Dataset:
     """Reference reader: converts and checks one cell at a time, row by
     row; `read_dataset_csv` must return the same arrays or raise the same
     CliError."""
+    rows = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CliError(f"{path}: empty file, expected a header row") from None
-        rows = list(reader)
+            for row in csv.reader(fh):
+                rows.append(row)
+        except csv.Error as exc:
+            raise CliError(f"{path}: row {len(rows) + 1}: {exc}") from None
+    if not rows:
+        raise CliError(f"{path}: empty file, expected a header row")
+    header, rows = rows[0], rows[1:]
     cols = {name: i for i, name in enumerate(header)}
     if len(cols) != len(header):
         raise CliError(f"{path}: duplicate column names in header")
@@ -324,8 +327,8 @@ def _csv_texts(draw):
 @example("y,z1,x1\n0,#1,2\n")
 @example("y,z1,x1\n\n")  # loadtxt warns on a body with no data
 @example("y,z1,x1\n0,1,2,3\n1,2,3,4\n")  # every row long by the same cell
-# a cell past the csv module's field size limit is a csv.Error, raised
-# before the header (here without y) is checked
+# a cell past the csv module's field size limit is refused, naming its
+# row, before the header (here without y) is checked
 @example("w,z1,x1\n0,1," + "0" * csv.field_size_limit() + "1\n")
 @settings(max_examples=300, deadline=None)
 def test_read_csv_matches_per_cell_reader(text):
@@ -334,16 +337,15 @@ def test_read_csv_matches_per_cell_reader(text):
     ends, lone CRs, blank and whitespace-only lines, ragged rows,
     non-numeric cells, y outside {0, 1} and non-finite cells, alone or
     several in different rows: the reader returns the per-cell reader's
-    arrays byte for byte or raises its exact CliError (or csv.Error), with
-    no warning."""
+    arrays byte for byte or raises its exact CliError, with no warning."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         path = Path(tmp) / "d.csv"
         path.write_text(text, newline="")
         try:
             want = _per_cell_read_csv(path)
-        except (CliError, csv.Error) as exc:
-            with pytest.raises(type(exc)) as got:
+        except CliError as exc:
+            with pytest.raises(CliError) as got:
                 read_dataset_csv(path)
             assert str(got.value) == str(exc)
             return
@@ -351,6 +353,42 @@ def test_read_csv_matches_per_cell_reader(text):
         for name in ("y", "z", "x"):
             assert getattr(got, name).dtype == getattr(want, name).dtype
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("head, row", [
+    ("y,z1,x1\n0,1,2\n1,0.5,", 3),
+    ('y,z1,x1\n0,"1\n",2\n1,0.5,', 3),  # row 2 spans two lines
+    ("y,z1,", 1),
+])
+def test_fit_cell_past_field_size_limit_exits_2_naming_the_row(tmp_path, head, row):
+    """A cell longer than csv.field_size_limit() is refused with exit 2 and
+    one error line naming its csv row, not a csv.Error traceback."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text(head + "0" * (csv.field_size_limit() + 1) + "\n0,1,2\n", newline="")
+    rc, err = _main_stderr(["fit", "--data", str(bad), "--config", str(EXAMPLE_CFG)])
+    assert rc == 2
+    assert err == (f"error: {bad}: row {row}: field larger than field limit "
+                   f"({csv.field_size_limit()})\n")
+
+
+@pytest.mark.parametrize("head, row", [
+    (b"y,z1,x1\n0,1,2\n1,0.5,", 3),
+    (b'y,z1,x1\n0,"1\n",2\n1,0.5,', 3),  # row 2 spans two lines
+    (b"y,z1,x1\r\n0,1,2\r\n", 3),  # at the start of a row
+    (b"y,\xe9", 1),  # in the header, a Latin-1 e-acute
+])
+def test_fit_non_utf8_byte_exits_2_naming_the_row(tmp_path, head, row):
+    """A byte that is not UTF-8 is refused with exit 2 and one error line
+    naming its csv row, its value and its offset in the file."""
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(head + b"\xff,0.5\n0,1,2\n")
+    rc, err = _main_stderr(["fit", "--data", str(bad), "--config", str(EXAMPLE_CFG)])
+    assert rc == 2
+    byte = head[-1] if head.endswith(b"\xe9") else 0xFF
+    offset = len(head) - 1 if head.endswith(b"\xe9") else len(head)
+    assert err.startswith(f"error: {bad}: row {row} is not UTF-8: byte {byte:#04x} at "
+                          f"offset {offset} (")
+    assert err.count("\n") == 1
 
 
 def test_plain_csv_takes_the_c_parser(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -639,13 +640,10 @@ def _gathered_component_moments(family, f_j, resid_var, tilt):
                                   np.einsum("ik,ik->i", v, r2)]) for v in (w, w_tilt))
 
 
-def _gathered_optimal_instrument(g, f, beta, covar):
-    """Reference optimal instrument: A and B start as ones and each
-    component multiplies in its moments through a fancy-index gather;
-    `_optimal_instrument_batch` must reproduce it byte for byte."""
+def _gathered_moment_matrices(g, f, beta, covar):
+    """Reference A and B: both start as ones and each component multiplies
+    in its moments through a fancy-index gather."""
     n, p = f.shape
-    if beta.shape[0] != p:
-        raise ValueError("beta and covariate model disagree on dim(Z)")
     comp = np.arange(p)
     order_jkl = (comp[:, None, None] == comp).astype(int) + (comp[None, :, None] == comp)
     a_mat, tilt_mat = np.ones((n, p, p)), np.ones((n, p, p))
@@ -656,30 +654,54 @@ def _gathered_optimal_instrument(g, f, beta, covar):
         tilt_mat *= tilted[:, order_jkl[:, :, j]]
     with np.errstate(over="ignore", invalid="ignore"):
         tilt_mat *= np.exp(-(g + f @ beta))[:, None, None]
-    b_mat = a_mat + tilt_mat
+    return a_mat, a_mat + tilt_mat
+
+
+def _gathered_optimal_instrument(g, f, beta, covar):
+    """Reference optimal instrument: the gathered A and B, condition numbers
+    from eigvalsh and phi from LAPACK's solve; `_optimal_instrument_batch`
+    must reproduce it byte for byte for p = 1 and p >= 3.  When every row
+    passes the condition test, a row whose phi is not finite is refused as
+    well."""
+    n, p = f.shape
+    if beta.shape[0] != p:
+        raise ValueError("beta and covariate model disagree on dim(Z)")
+    a_mat, b_mat = _gathered_moment_matrices(g, f, beta, covar)
     finite = np.isfinite(b_mat).all(axis=(1, 2))
     if p == 1:
         eig = np.abs(b_mat[:, 0])
     else:
         eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], b_mat, 0.0)))
     lo, hi = eig.min(axis=1), eig.max(axis=1)
-    conds = np.divide(hi, lo, out=np.full(n, np.inf), where=finite & (lo > 0))
+    with np.errstate(over="ignore"):
+        conds = np.divide(hi, lo, out=np.full(n, np.inf), where=finite & (lo > 0))
+    if np.all(conds <= COND_LIMIT):
+        phi = a_mat / b_mat if p == 1 else np.linalg.solve(b_mat, a_mat).transpose(0, 2, 1)
+        conds[~np.isfinite(phi).all(axis=(1, 2))] = np.inf
     if np.any(conds > COND_LIMIT):
         worst = int(np.argmax(conds))
         raise SingularMatrixError(
             f"optimal instrument: inner moment matrix has condition number "
             f"{conds[worst]:.3g} > {COND_LIMIT:.0e} at row {worst}")
-    if p == 1:
-        return a_mat / b_mat, conds
-    return np.linalg.solve(b_mat, a_mat).transpose(0, 2, 1), conds
+    return phi, conds
+
+
+def _exact_phi_2x2(a, b):
+    """A B^{-1} for one 2x2 pair in exact rational arithmetic on the stored
+    doubles, rounded once at the end."""
+    (a00, a01), (a10, a11) = [[Fraction(v) for v in row] for row in a.tolist()]
+    (b00, b01), (b10, b11) = [[Fraction(v) for v in row] for row in b.tolist()]
+    det = b00 * b11 - b01 * b10
+    return np.array([[float((a00 * b11 - a01 * b10) / det), float((a01 * b00 - a00 * b01) / det)],
+                     [float((a10 * b11 - a11 * b10) / det), float((a11 * b00 - a10 * b01) / det)]])
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def _batch_cases(draw):
-    p = draw(st.integers(1, 3))
+def _batch_cases(draw, dims=st.integers(1, 3)):
+    p = draw(dims)
     n = draw(st.integers(1, 40))
     families = tuple(draw(st.sampled_from(["gaussian", "bernoulli"])) for _ in range(p))
     beta = np.array(draw(st.lists(st.floats(-3.0, 3.0, **_finite), min_size=p, max_size=p)))
@@ -708,14 +730,37 @@ def _outcome_or_error(fn, *args):
         return type(exc), str(exc)
 
 
+def _assert_p2_matches_reference(case):
+    """The closed-form p = 2 instrument against the LAPACK reference: the
+    same refusal, or condition numbers within 1e-12 relative of eigvalsh's
+    and phi within 1e-12 * max(1, |exact|) of A B^{-1} in exact arithmetic
+    on the reference's A and B; never a RuntimeWarning."""
+    got = _outcome_or_error(_optimal_instrument_batch, *case)
+    assert not (isinstance(got[0], type) and issubclass(got[0], RuntimeWarning)), got
+    want = _outcome_or_error(_gathered_optimal_instrument, *case)
+    if isinstance(want[0], type):
+        assert got == want
+        return want
+    assert not isinstance(got[0], type), got
+    (phi, conds), (_, ref_conds) = got, want
+    assert np.all(np.abs(conds - ref_conds) <= 1e-12 * ref_conds)
+    exact = np.array([_exact_phi_2x2(a, b) for a, b in zip(*_gathered_moment_matrices(*case))])
+    assert np.all(np.abs(phi - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
+    return want
+
+
 @given(_batch_cases())
 @settings(max_examples=400, deadline=None)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_optimal_instrument_batch_matches_gathered_reference(case):
     """p <= 3 with mixed families, 1 to 40 rows, rows with |g| = 750 and
-    Bernoulli means at 0 or 1: phi and the condition numbers equal the
-    reference byte for byte, or both raise the same error (a RuntimeWarning
-    counts as one)."""
+    Bernoulli means at 0 or 1: for p = 1 and p = 3, phi and the condition
+    numbers equal the reference byte for byte, or both raise the same
+    error (a RuntimeWarning counts as one); p = 2 inverts B in closed form
+    and is held to `_assert_p2_matches_reference`."""
+    if case[1].shape[1] == 2:
+        _assert_p2_matches_reference(case)
+        return
     want = _outcome_or_error(_gathered_optimal_instrument, *case)
     got = _outcome_or_error(_optimal_instrument_batch, *case)
     if isinstance(want[0], type):
@@ -724,6 +769,83 @@ def test_optimal_instrument_batch_matches_gathered_reference(case):
     assert not isinstance(got[0], type), got
     for mine, ref in zip(got, want):
         assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
+
+
+@st.composite
+def _ill_conditioned_p2_cases(draw):
+    """p = 2 rows whose B has condition number between 1e6 and 1e11: two
+    Gaussian components with variances 1 and s in 10^-9.9..10^-7 (B is
+    their covariance scaled by 1 + e^{...} plus a rank-one tilt, so that
+    its condition number lies within 1/s..10/s), or a Gaussian one of
+    variance 1 beside a Bernoulli mean within 1e-9..1e-8 of 0 or 1 under
+    a milder tilt."""
+    n = draw(st.integers(1, 20))
+    mixed = draw(st.booleans())
+    small = 10.0 ** draw(st.floats(-9.0, -8.0) if mixed else st.floats(-9.9, -7.0))
+    if mixed:
+        families, resid_var = ("bernoulli", "gaussian"), np.array([math.nan, 1.0])
+        f0 = draw(st.lists(st.sampled_from([small, 1.0 - small]), min_size=n, max_size=n))
+        width = 2.0
+    else:
+        families, resid_var = ("gaussian", "gaussian"), np.array([1.0, small])
+        f0 = draw(st.lists(st.floats(-3.0, 3.0, **_finite), min_size=n, max_size=n))
+        width = 6.0
+    f1 = draw(st.lists(st.floats(-3.0, 3.0, **_finite), min_size=n, max_size=n))
+    order = [1, 0] if draw(st.booleans()) else [0, 1]
+    f = np.column_stack([f0, f1])[:, order]
+    beta = np.array(draw(st.lists(st.floats(-width / 2, width / 2, **_finite),
+                                  min_size=2, max_size=2)))[order]
+    g = np.array(draw(st.lists(st.floats(-width, width, **_finite), min_size=n, max_size=n)))
+    covar = CovariateModelParams(np.zeros((2, 1)), tuple(families[i] for i in order),
+                                 resid_var[order])
+    return g, f, beta, covar
+
+
+@given(_ill_conditioned_p2_cases())
+@settings(max_examples=100, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_optimal_instrument_p2_ill_conditioned_matches_reference(case):
+    """Every row has a condition number between 1e6 and 1e11, where LAPACK's
+    LU loses up to about cond * 1e-16 of phi: the closed form still holds
+    to `_assert_p2_matches_reference`."""
+    _, ref_conds = _assert_p2_matches_reference(case)
+    assert np.all((ref_conds >= 1e6) & (ref_conds <= 1e11)), ref_conds
+
+
+@given(_batch_cases(st.just(2)))
+@settings(max_examples=100, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_optimal_instrument_p2_diagonal_condition_is_exact(case):
+    """beta = 0 makes B diagonal: its condition number is max / min of the
+    diagonal exactly, as eigvalsh gives it, or both refuse alike."""
+    g, f, _, covar = case
+    beta = np.zeros(2)
+    _, b_mat = _gathered_moment_matrices(g, f, beta, covar)
+    got = _outcome_or_error(_optimal_instrument_batch, g, f, beta, covar)
+    want = _outcome_or_error(_gathered_optimal_instrument, g, f, beta, covar)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert (b_mat[:, 0, 1] == 0.0).all()
+    diag = np.abs(b_mat[:, [0, 1], [0, 1]])
+    assert got[1].tobytes() == (diag.max(axis=1) / diag.min(axis=1)).tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_optimal_instrument_refuses_non_finite_phi(p):
+    """Bernoulli means that underflow to 5e-324 (gamma'b(x) = -745) give a B
+    whose condition number is 1 but whose inverse overflows, so phi is inf
+    or NaN: the row is refused as ill-conditioned instead of returning NaN."""
+    covar = CovariateModelParams(np.tile([[-745.0, 0.0]], (p, 1)), ("bernoulli",) * p,
+                                 np.full(p, math.nan))
+    with pytest.raises(SingularMatrixError, match="condition number inf > 1e\\+12 at row 0"):
+        ee_dr(0, np.zeros(p), [0.3], np.zeros(p), [0.1, 0.2], covar,
+              InstrumentSpec("optimal"), Basis.linear_in(1))
+    f = np.full((1, p), 5e-324)
+    a_mat, b_mat = _gathered_moment_matrices(np.array([0.1 + 0.2 * 0.3]), f, np.zeros(p), covar)
+    assert np.isfinite(b_mat).all() and np.linalg.cond(b_mat[0]) == 1.0
 
 
 # ---------------------------------------------------------------------------
