@@ -9,7 +9,8 @@ covariate fit and, per estimator, the kernel build, the Newton solve and the
 sandwich.  It prints the median ms per replication of every phase, then the
 median number of Newton equation evaluations (`system` calls) and of
 kernel weights (`_Kernel.weight`, one exp over the Y=1 rows each) per beta
-solve, and one JSON line with the same numbers.
+solve, the mean number of `np.linalg.solve` and `np.linalg.inv` calls per
+replication, and one JSON line with the same numbers.
 
     PYTHONPATH=src python3 scripts/time_replication.py \
         --scenario S1-binary --n 2000 --reps 50 --seed 7
@@ -79,12 +80,21 @@ def _replication(sc, rep: int, clock) -> None:
             continue
 
 
-def _newton_counts(sc, reps: int) -> dict:
+def _counts(sc, reps: int) -> tuple[dict, dict]:
     """Median `system` calls and weight evaluations per beta solve, per
-    estimator, from an untimed pass with counting wrappers installed."""
+    estimator, and mean `np.linalg.solve`/`np.linalg.inv` calls per
+    replication, from an untimed pass with counting wrappers installed."""
     real_newton, real_weight = estimators.damped_newton, estimators._Kernel.weight
+    real_linalg = {"solve": np.linalg.solve, "inv": np.linalg.inv}
     counts = {"system": 0, "weight": 0}
+    linalg_calls = dict.fromkeys(real_linalg, 0)
     per_solve = defaultdict(lambda: defaultdict(list))
+
+    def counting_linalg(name):
+        def counted(*args, **kwargs):
+            linalg_calls[name] += 1
+            return real_linalg[name](*args, **kwargs)
+        return counted
 
     def counting_newton(system, *rest):
         # the first callable is the one evaluated at every trial point
@@ -107,14 +117,17 @@ def _newton_counts(sc, reps: int) -> dict:
         return out
 
     estimators.damped_newton, estimators._Kernel.weight = counting_newton, counting_weight
+    np.linalg.solve, np.linalg.inv = counting_linalg("solve"), counting_linalg("inv")
     try:
         for rep in range(reps):
             _replication(sc, rep, solve_clock)
     finally:
         estimators.damped_newton, estimators._Kernel.weight = real_newton, real_weight
-    return {name: {"system_calls_per_solve": statistics.median(c["system"]),
-                   "weight_evaluations_per_solve": statistics.median(c["weight"])}
-            for name, c in per_solve.items()}
+        np.linalg.solve, np.linalg.inv = real_linalg["solve"], real_linalg["inv"]
+    newton = {name: {"system_calls_per_solve": statistics.median(c["system"]),
+                     "weight_evaluations_per_solve": statistics.median(c["weight"])}
+              for name, c in per_solve.items()}
+    return newton, {name: calls / reps for name, calls in linalg_calls.items()}
 
 
 def main(argv=None) -> None:
@@ -147,7 +160,7 @@ def main(argv=None) -> None:
         per_phase = {p: round(statistics.median(ms.get(p, 0.0) for ms in per_rep), 4)
                      for p in phases}
         total = round(statistics.median(sum(ms.values()) for ms in per_rep), 4)
-        counts = _newton_counts(sc, args.reps)
+        counts, linalg_calls = _counts(sc, args.reps)
 
         print(f"{name}  n={sc.n}  reps={args.reps}  seed={sc.seed}")
         for phase, ms in per_phase.items():
@@ -156,9 +169,12 @@ def main(argv=None) -> None:
         for est, c in counts.items():
             print(f"  {est:<24}{c['system_calls_per_solve']:>6g} system calls, "
                   f"{c['weight_evaluations_per_solve']:g} weight evaluations per solve")
+        print(f"  {'np.linalg calls':<24}{linalg_calls['solve']:>6g} solve, "
+              f"{linalg_calls['inv']:g} inv per replication")
         print(json.dumps({"scenario": name, "n": sc.n, "reps": args.reps, "seed": sc.seed,
                           "per_phase_ms": per_phase, "replication_ms": total,
-                          "newton": counts}, sort_keys=True))
+                          "newton": counts, "linalg_calls_per_replication": linalg_calls},
+                         sort_keys=True))
 
 
 if __name__ == "__main__":

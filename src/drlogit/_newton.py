@@ -38,11 +38,8 @@ def damped_newton(system: Callable[[np.ndarray], tuple], start: np.ndarray) -> N
     for it in range(_MAX_ITER):
         if norm <= _TOL:
             return NewtonResult(params, True, it, halvings, norm)
-        try:
-            step = np.linalg.solve(jacobian(), -eq)
-        except np.linalg.LinAlgError:
-            return NewtonResult(params, False, it, halvings, norm, singular=True)
-        if not np.isfinite(step).all():
+        step = _newton_step(jacobian(), eq)
+        if step is None:
             return NewtonResult(params, False, it, halvings, norm, singular=True)
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
@@ -58,6 +55,25 @@ def damped_newton(system: Callable[[np.ndarray], tuple], start: np.ndarray) -> N
             # no step length improved the equation norm
             return NewtonResult(params, norm <= _TOL, it + 1, halvings, norm)
     return NewtonResult(params, norm <= _TOL, _MAX_ITER, halvings, norm)
+
+
+def _newton_step(jac: np.ndarray, eq: np.ndarray) -> np.ndarray | None:
+    """The step solving jac @ step = -eq, or None for a singular jac or a
+    non-finite step.  A 1x1 jac takes one float division, which is what
+    LAPACK's solve computes for it, bit for bit, at a fraction of the call's
+    cost; a NaN or inf pivot passes through it as it passes through LAPACK."""
+    if jac.shape == (1, 1):
+        pivot = jac.item()
+        if pivot == 0.0:
+            return None
+        # Python floats: an overflowing quotient is inf without a warning
+        step = -eq.item() / pivot
+        return np.array([step]) if math.isfinite(step) else None
+    try:
+        step = np.linalg.solve(jac, -eq)
+    except np.linalg.LinAlgError:
+        return None
+    return step if np.isfinite(step).all() else None
 
 
 def _max_norm(v: np.ndarray) -> float:

@@ -189,7 +189,7 @@ def _decode_utf8(path, data: bytes) -> str:
 def _plain_body(text: str) -> list[str] | None:
     """The data lines of text when numpy's C parser reads them as the csv
     module and float() do; None when only the csv path can read them."""
-    plain = text.replace("\r\n", "\n")
+    plain = text.replace("\r\n", "\n") if "\r" in text else text
     # csv unquotes '"', ends a row at a lone CR and reads a blank line as a
     # row of 0 cells, which loadtxt skips; loadtxt strips \x1c-\x1f around a
     # number, which float() refuses

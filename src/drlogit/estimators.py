@@ -140,12 +140,14 @@ class _Context:
         kernel's arrays: e = expit(g) is its phi and f its covariate means."""
         if self.data.p != 1:
             raise ValueError("closed-form estimator needs scalar Z")
-        if not np.isin(self.data.z[:, 0], (0.0, 1.0)).all():
+        z = self.data.z[:, 0]
+        z0, z1 = z == 0.0, z == 1.0
+        if not (z0 | z1).all():
             raise ValueError("closed-form estimator needs binary Z values")
         kernel = self.kernel(InstrumentSpec("simple"))  # refuses a Y=1 covariate fit
-        e, f, y, z = kernel.phi[:, 0, 0], kernel.f[:, 0], self.data.y, self.data.z[:, 0]
-        b_sum = float(np.sum((1.0 - e) * (1.0 - f) * ((y == 1) & (z == 1.0))))
-        a_sum = float(np.sum((1.0 - e) * f * ((y == 1) & (z == 0.0)))
+        e, f, y = kernel.phi[:, 0, 0], kernel.f[:, 0], self.data.y
+        b_sum = float(np.sum((1.0 - e) * (1.0 - f) * ((y == 1) & z1)))
+        a_sum = float(np.sum((1.0 - e) * f * ((y == 1) & z0))
                       + np.sum(e[y == 0] * (z[y == 0] - f[y == 0])))
         if a_sum <= 0.0 or b_sum <= 0.0:
             raise ConvergenceError(
@@ -179,10 +181,11 @@ class _Kernel:
         self.g1 = ctx.g.take(self.one)
 
     def weight(self, beta: np.ndarray) -> np.ndarray:
-        """exp(-eta) on the Y=1 rows, the negated derivative of their residual in eta."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            # dot, not @: matmul takes a non-BLAS loop for a single column
-            return np.exp(-(self.z1.dot(beta) + self.g1))
+        """exp(-eta) on the Y=1 rows, the negated derivative of their residual
+        in eta.  Its callers hold np.errstate(over="ignore", invalid="ignore")
+        around it and what they build from it: one errstate per evaluation."""
+        # dot, not @: matmul takes a non-BLAS loop for a single column
+        return np.exp(-(self.z1.dot(beta) + self.g1))
 
     def residual(self, w1: np.ndarray) -> np.ndarray:
         r = np.full(self.n, -1.0)
@@ -190,13 +193,13 @@ class _Kernel:
         return r
 
     def system(self, beta: np.ndarray):
-        w1 = self.weight(beta)
         with np.errstate(over="ignore", invalid="ignore"):
+            w1 = self.weight(beta)
             return (self.u1.T @ w1 - self.c0) / self.n, lambda: self.jacobian(beta, w1)
 
     def jacobian(self, beta: np.ndarray, w1: np.ndarray | None = None) -> np.ndarray:
-        w1 = self.weight(beta) if w1 is None else w1
         with np.errstate(over="ignore", invalid="ignore"):
+            w1 = self.weight(beta) if w1 is None else w1
             return -(self.u1 * w1[:, None]).T @ self.z1 / self.n
 
 
@@ -280,7 +283,8 @@ def assemble_influence(data: Dataset, beta_hat: np.ndarray, outcome: OutcomeFit,
 
 def _assemble(kernel: _Kernel, beta: np.ndarray) -> InfluencePieces:
     n, p, m = kernel.n, beta.shape[0], kernel.bmat.shape[1]
-    w1 = kernel.weight(beta)  # one exp over the Y=1 rows serves resid, h_matrix and b1
+    with np.errstate(over="ignore", invalid="ignore"):
+        w1 = kernel.weight(beta)  # one exp over the Y=1 rows serves resid, h_matrix and b1
     resid, h_matrix = kernel.residual(w1), kernel.jacobian(beta, w1)
     b1 = -(kernel.u1 * w1[:, None]).T @ kernel.bmat.take(kernel.one, axis=0) / n
     # d r / d gamma_{jk} = -resid * phi[:, j] * link'(f_j) * b_k: one (n, p*p)' (n, m) product
@@ -290,10 +294,23 @@ def _assemble(kernel: _Kernel, beta: np.ndarray) -> InfluencePieces:
           ).reshape(p, p * m)
 
     combo = resid[:, None] * kernel.u + kernel.outcome.s1[:, p:] @ b1.T + kernel.covar.s2 @ b2.T
-    try:
-        influence = -combo.dot(np.linalg.inv(h_matrix).T)  # @ is a slow loop for p = 1
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("mean equation Jacobian (H) is singular") from exc
+    influence = -combo.dot(_inverse(h_matrix).T)  # @ is a slow loop for p = 1
     covariance = influence.T @ influence / n**2
     return InfluencePieces(h_matrix=h_matrix, b1=b1, b2=b2, influence=influence,
                            covariance=(covariance + covariance.T) / 2.0)
+
+
+def _inverse(h: np.ndarray) -> np.ndarray:
+    """inv(h), refusing a singular h.  A 1x1 h is inverted by one reciprocal,
+    which is what LAPACK computes for it, bit for bit (a NaN or inf h
+    included), without the call's overhead."""
+    if h.shape == (1, 1):
+        pivot = h.item()
+        if pivot == 0.0:
+            raise SingularMatrixError("mean equation Jacobian (H) is singular")
+        # Python floats: a subnormal pivot gives inf without a warning
+        return np.array([[1.0 / pivot]])
+    try:
+        return np.linalg.inv(h)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("mean equation Jacobian (H) is singular") from exc

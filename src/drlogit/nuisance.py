@@ -72,12 +72,16 @@ class CovariateFit:
 
 def _fit_logistic_core(w: np.ndarray, y: np.ndarray, start: np.ndarray):
     """Newton-Raphson on the mean score w'(y - pi)/n = 0, one expit per trial point, for
-    the outcome MLE and the Bernoulli covariate fits; returns the result and its pi."""
+    the outcome MLE and the Bernoulli covariate fits; returns the result and the pi of
+    the last evaluation, which for a converged result is the one at its params."""
+    y = np.asarray(y, dtype=float)
+    last_pi = None
+
     def system(th):
-        pi = expit(w @ th)
+        nonlocal last_pi
+        last_pi = pi = expit(w @ th)
         return w.T @ (y - pi) / w.shape[0], lambda: _neg_info(w, pi)
-    res = damped_newton(system, start)
-    return res, expit(w @ res.params)
+    return damped_newton(system, start), last_pi
 
 
 def fit_outcome_mle(data: Dataset, basis: Basis) -> OutcomeFit:
@@ -96,9 +100,15 @@ def _fit_outcome_mle(data: Dataset, basis: Basis, bmat: np.ndarray) -> OutcomeFi
         raise ValueError("response is constant: need at least one y=0 and one y=1 row")
     # an identically-zero column of the design [z, b(x)] has an equation component
     # that vanishes for every parameter value, so its coefficient is pinned at zero
-    w = np.column_stack([data.z, bmat])
-    active = np.flatnonzero(np.any(w != 0.0, axis=0))
-    wa = w[:, active]
+    # w is column-major, the layout that w[:, active] takes (the fit's sums run
+    # in the layout's order), so an all-active w serves as it stands, and each
+    # column's any() reads contiguous memory
+    k = data.p + bmat.shape[1]
+    w = np.empty((data.n, k), order="F")
+    w[:, :data.p], w[:, data.p:] = data.z, bmat
+    active = [j for j in range(k) if w[:, j].any()]
+    everywhere = len(active) == k
+    wa = w if everywhere else w[:, active]
     if np.linalg.matrix_rank(wa) < wa.shape[1]:
         raise ValueError("outcome design matrix [z, b(x)] is rank deficient")
 
@@ -114,13 +124,17 @@ def _fit_outcome_mle(data: Dataset, basis: Basis, bmat: np.ndarray) -> OutcomeFi
         raise ConvergenceError("perfect separation: the likelihood has no finite maximizer")
     # s1 solves info_a s1_i = score_i: one inverse of the small matrix, then
     # one product over all rows
-    k, info_a = w.shape[1], -_neg_info(wa, pi)
-    theta = np.zeros(k)
-    theta[active] = res.params
-    info = np.eye(k)
-    info[np.ix_(active, active)] = info_a
-    s1 = np.zeros((data.n, k))
-    s1[:, active] = (wa * (data.y - pi)[:, None]) @ np.linalg.inv(info_a).T
+    info_a = -_neg_info(wa, pi)
+    s1a = (wa * (data.y - pi)[:, None]) @ np.linalg.inv(info_a).T
+    if everywhere:
+        theta, info, s1 = res.params, info_a, s1a
+    else:
+        theta = np.zeros(k)
+        theta[active] = res.params
+        info = np.eye(k)
+        info[np.ix_(active, active)] = info_a
+        s1 = np.zeros((data.n, k))
+        s1[:, active] = s1a
     return OutcomeFit(params=OutcomeModelParams(theta[:data.p], theta[data.p:]),
                       info_matrix=info, s1=s1, iterations=res.iterations, basis=basis)
 
@@ -173,10 +187,10 @@ def _fit_covariate_level(data: Dataset, basis: Basis, bmat: np.ndarray,
             resid = zj - b0 @ gamma[j]
             resid_var[j] = float(resid @ resid) / sub.size
         elif fam == "bernoulli":
-            if not np.isin(zj, (0.0, 1.0)).all():
+            if not ((zj == 0.0) | (zj == 1.0)).all():
                 raise ValueError(
                     f"Bernoulli component {j} has non-binary values on the fitting subsample")
-            res, fj = _fit_logistic_core(b0, zj.astype(np.int64), np.zeros(m))
+            res, fj = _fit_logistic_core(b0, zj, np.zeros(m))
             if not res.converged:
                 raise ConvergenceError(
                     f"logistic covariate fit for component {j} did not converge")

@@ -90,6 +90,9 @@ def estimate(name: str, ctx: _Context) -> tuple[np.ndarray, np.ndarray, SolveDia
 # True-law building blocks
 # ---------------------------------------------------------------------------
 
+# the largest exponent whose exp is a finite float
+_LOG_MAX_FLOAT = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class XLawGrid:
@@ -109,11 +112,15 @@ class XLawGrid:
         object.__setattr__(self, "probs", tuple(float(v) for v in self.probs))
         if len(self.points) != len(self.probs):
             raise ValueError("points and probs must have equal length")
+        if not all(map(math.isfinite, (v for row in self.points for v in row))):
+            raise ValueError("points must be finite")
+
+    def draw_index(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Indices into `points` of n draws; draw(n, rng) is points[draw_index(n, rng)]."""
+        return rng.choice(len(self.points), size=n, p=np.asarray(self.probs, dtype=float))
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        pts = np.asarray(self.points, dtype=float)
-        idx = rng.choice(pts.shape[0], size=n, p=np.asarray(self.probs, dtype=float))
-        return pts[idx]
+        return np.asarray(self.points, dtype=float)[self.draw_index(n, rng)]
 
 
 @dataclass(frozen=True)
@@ -150,8 +157,12 @@ class GaussianComponent:
 
     def variance(self, x: np.ndarray) -> np.ndarray:
         if self.log_var_basis is not None:
-            return np.exp(self.log_var_basis.design(x)
-                          @ np.asarray(self.log_var_coef, dtype=float))
+            log_var = self.log_var_basis.design(x) @ np.asarray(self.log_var_coef, dtype=float)
+            # refused before exp warns: a NaN compares False as well
+            if not (log_var <= _LOG_MAX_FLOAT).all():
+                raise ValueError("log-linear variance overflows (exponent beyond "
+                                 f"{_LOG_MAX_FLOAT:.6g} or NaN)")
+            return np.exp(log_var)
         n = np.atleast_2d(np.asarray(x, dtype=float)).shape[0]
         return np.full(n, self.sigma2)
 
@@ -201,11 +212,36 @@ class TrueLaw:
 
 def sample_binary(law: TrueLaw, n: int, seed) -> Dataset:
     """Draw n rows with scalar binary Z from the exact normalized
-    2x2 table of (Y, Z) given X.  Deterministic given the seed."""
+    2x2 table of (Y, Z) given X.  Deterministic given the seed.
+
+    On a grid X law the table is built once per support point and gathered
+    by the drawn point index, which gives the rows the per-row table's
+    values; a support point that is never drawn is not checked."""
     if law.p != 1 or not isinstance(law.components[0], BernoulliComponent):
         raise ValueError("sample_binary needs a single Bernoulli Z component")
     rng = np.random.default_rng(seed)
-    x = law.x_law.draw(n, rng)
+    if isinstance(law.x_law, XLawGrid):
+        support = np.asarray(law.x_law.points, dtype=float)
+        index = law.x_law.draw_index(n, rng)
+        x = support[index]
+        cum = _cell_cumsum(law, support, np.bincount(index, minlength=support.shape[0]) > 0)
+        cum = cum.take(index, axis=0)
+    else:
+        x = law.x_law.draw(n, rng)
+        cum = _cell_cumsum(law, x, None)
+    passed = rng.random(n)[:, None] > cum
+    # the cell index counts the cumulative sums the uniform passes; four
+    # column adds cost half of a sum along the short axis
+    idx = passed[:, 0].astype(np.int64) + passed[:, 1] + passed[:, 2] + passed[:, 3]
+    y = (idx >= 2).astype(np.int64)
+    z = (idx & 1).astype(float)[:, None]
+    return Dataset._trusted(y, z, x)
+
+
+def _cell_cumsum(law: TrueLaw, x: np.ndarray, drawn: np.ndarray | None) -> np.ndarray:
+    """Row-wise cumulative sums of the normalized (Y, Z) cell table at the
+    rows of x; refuses a cell that underflows on a row in `drawn` (a boolean
+    row mask; None checks every row)."""
     f0 = law.components[0].prob(x)
     e0 = expit(law.g_star(x))
     tilt = math.exp(float(law.beta_star[0]))
@@ -216,13 +252,9 @@ def sample_binary(law: TrueLaw, n: int, seed) -> Dataset:
         f0 * e0 * tilt,                 # y=1, z=1
     ])
     cells /= cells.sum(axis=1, keepdims=True)
-    if cells.min() < 1e-300:
+    if (cells if drawn is None else cells[drawn]).min() < 1e-300:
         raise ValueError("cell probability underflow in the binary sampler")
-    u = rng.random(n)
-    idx = (u[:, None] > np.cumsum(cells, axis=1)).sum(axis=1)
-    y = (idx >= 2).astype(np.int64)
-    z = (idx % 2).astype(float)[:, None]
-    return Dataset(y, z, x)
+    return np.cumsum(cells, axis=1)
 
 
 def sample_gaussian_tilted(law: TrueLaw, n: int, seed) -> Dataset:
@@ -242,15 +274,17 @@ def sample_gaussian_tilted(law: TrueLaw, n: int, seed) -> Dataset:
     m = np.column_stack([c.mean(x) for c in law.components])
     sigma2 = np.column_stack([c.variance(x) for c in law.components])
     tilt = m @ beta + 0.5 * sigma2 @ (beta * beta)
-    if np.max(np.abs(tilt)) > 700.0:
-        raise ValueError("tilt exponent overflows (|beta'm| beyond 700)")
+    # a NaN fails the comparison too, so a non-finite mean or variance is
+    # refused here: the rows below then come out finite
+    if not (np.abs(tilt) <= 700.0).all():
+        raise ValueError("tilt exponent overflows (|beta'm| beyond 700) or is NaN")
     e0 = expit(law.g_star(x))
     et = np.exp(tilt)
     p1 = e0 * et / ((1.0 - e0) + e0 * et)
     y = (rng.random(n) < p1).astype(np.int64)
     z = m + y[:, None] * (sigma2 * beta[None, :]) \
         + rng.standard_normal((n, law.p)) * np.sqrt(sigma2)
-    return Dataset(y, z, x)
+    return Dataset._trusted(y, z, x)
 
 
 def sample_dataset(law: TrueLaw, n: int, seed) -> Dataset:

@@ -1,12 +1,15 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from drlogit._newton import damped_newton
+from drlogit._newton import _newton_step, damped_newton
 from drlogit.estimators import (
+    _assemble,
     _Context,
+    _inverse,
     _solve,
     assemble_influence,
     closed_form_binary,
@@ -23,6 +26,7 @@ from drlogit.model import (
     InstrumentSpec,
     LinearInstrument,
     OutcomeModelParams,
+    SingularMatrixError,
     _negated,
     covariate_means,
     ee_dr,
@@ -275,6 +279,116 @@ def test_restart_counts_evaluations_of_both_attempts(start, singular):
     res = _solve(kernel, np.array([start]))
     assert res.converged
     _assert_one_evaluation_per_trial_point(counts, res, extra=int(singular))
+
+
+# ---------------------------------------------------------------------------
+# 1x1 systems without LAPACK
+# ---------------------------------------------------------------------------
+
+
+def _wide_magnitudes(rng, size):
+    """Signed floats whose binary exponents span -1074 (subnormal) to 1023."""
+    return np.ldexp(rng.choice([-1.0, 1.0], size) * rng.uniform(0.5, 1.0, size),
+                    rng.integers(-1074, 1024, size))
+
+
+_EDGE_PIVOTS = (math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 1e308, -1e308)
+
+
+def _lapack_step(jac, eq):
+    """The step as damped_newton took it from LAPACK for every shape."""
+    try:
+        step = np.linalg.solve(jac, -eq)
+    except np.linalg.LinAlgError:
+        return None
+    return step if np.isfinite(step).all() else None
+
+
+def test_newton_step_1x1_equals_lapack_solve(rng):
+    """The 1x1 Newton step is LAPACK's solve bit for bit, on random pairs from
+    subnormal to huge magnitudes and on NaN, inf and subnormal pivots; a
+    quotient that overflows, like LAPACK's inf, is no step (singular), and
+    no RuntimeWarning is raised."""
+    pivots = np.concatenate([_wide_magnitudes(rng, 20_000), _EDGE_PIVOTS])
+    eqs = np.concatenate([_wide_magnitudes(rng, 20_000), np.ones(len(_EDGE_PIVOTS))])
+    overflowed = 0
+    for pivot, eq in zip(pivots, eqs):
+        jac, rhs = np.array([[pivot]]), np.array([eq])
+        want = _lapack_step(jac, rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _newton_step(jac, rhs)
+        if want is None:
+            overflowed += 1
+            assert got is None, (pivot, eq)
+        else:
+            assert got is not None and got.shape == (1,), (pivot, eq)
+            assert got.tobytes() == want.tobytes(), (pivot, eq)
+    assert overflowed > 1000  # both the finite and the overflowing case were exercised
+
+
+@pytest.mark.parametrize("pivot", [0.0, -0.0])
+def test_zero_pivot_is_singular_as_in_lapack(pivot):
+    """A zero 1x1 Jacobian ends Newton as singular and a zero H refuses the
+    sandwich, where LAPACK raises LinAlgError."""
+    jac = np.array([[pivot]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac, np.ones(1))
+    assert _newton_step(jac, np.ones(1)) is None
+    res = damped_newton(lambda th: (np.array([1.0]), lambda: jac), np.zeros(1))
+    assert res.singular and not res.converged and res.iterations == 0
+    with pytest.raises(SingularMatrixError, match="singular"):
+        _inverse(jac)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_1x1_step_ends_singular():
+    """A Newton step of -1e300 / 1e-300 overflows: singular, as LAPACK's inf
+    step was, and without an overflow warning."""
+    res = damped_newton(lambda th: (np.array([1e300]), lambda: np.array([[1e-300]])),
+                        np.zeros(1))
+    assert res.singular and not res.converged and res.iterations == 0
+
+
+def test_inverse_1x1_equals_lapack_inv(rng):
+    """The 1x1 inverse is LAPACK's inv bit for bit, the inf of a subnormal
+    pivot and the NaN or zero of a NaN or inf pivot included; a larger H
+    still goes to LAPACK."""
+    pivots = np.concatenate([_wide_magnitudes(rng, 20_000), _EDGE_PIVOTS])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pivot in pivots:
+            h = np.array([[pivot]])
+            assert _inverse(h).tobytes() == np.linalg.inv(h).tobytes(), pivot
+    h = rng.normal(size=(2, 2))
+    assert _inverse(h).tobytes() == np.linalg.inv(h).tobytes()
+
+
+@pytest.mark.parametrize("scenario", ["S1-binary", "S2-gaussian"])
+def test_scalar_solve_and_sandwich_equal_their_lapack_forms(scenario, monkeypatch):
+    """On catalog datasets, every estimator's Newton result and sandwich
+    influence rows are the same bits when the 1x1 step and inverse are
+    taken by LAPACK's solve and inv."""
+    import drlogit._newton as newton
+    import drlogit.estimators as estimators
+    sc = next(s for s in scenario_catalog() if s.name == scenario)
+
+    def run():
+        out = []
+        for seed in range(4):
+            ctx = _Context(sample_dataset(sc.law, 500, 300 + seed), sc.working_basis,
+                           sc.z_families)
+            for variant in ("identity", "simple", "optimal"):
+                kernel = ctx.kernel(InstrumentSpec(variant))
+                res = _solve(kernel, ctx.outcome.params.beta)
+                out += [res.params.tobytes(), res.iterations, res.step_halvings,
+                        _assemble(kernel, res.params).influence.tobytes()]
+        return out
+
+    fast = run()
+    monkeypatch.setattr(newton, "_newton_step", _lapack_step)
+    monkeypatch.setattr(estimators, "_inverse", np.linalg.inv)
+    assert run() == fast
 
 
 def test_solve_rejects_mismatched_fits(rng):

@@ -1,13 +1,15 @@
+import hashlib
 import json
 import math
 import pickle
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from drlogit.model import Basis, BasisTerm, EstimationError, expit
+from drlogit.model import Basis, BasisTerm, Dataset, EstimationError, expit
 from drlogit.nuisance import fit_outcome_mle
 from drlogit.simulate import (
     BernoulliComponent,
@@ -16,6 +18,7 @@ from drlogit.simulate import (
     TrueLaw,
     XLawGrid,
     XLawUniform,
+    _gaussian_law,
     _run_replication,
     run_scenario,
     sample_binary,
@@ -24,8 +27,11 @@ from drlogit.simulate import (
     scenario_catalog,
     summary_rows,
     with_size,
+    write_dataset_csv,
     write_summary_json,
 )
+
+SAMPLER_SHA256 = Path(__file__).resolve().parent / "sampler_sha256.json"
 
 
 def _lin():
@@ -193,6 +199,73 @@ def test_sample_dataset_dispatch():
     assert sample_dataset(cat["S1-gaussian"].law, 50, 1).p == 1
     with pytest.raises(ValueError, match="Bernoulli"):
         sample_binary(cat["S1-gaussian"].law, 50, 1)
+
+
+def _uniform_x_binary_law():
+    return TrueLaw(beta_star=(0.5,), x_law=XLawUniform((-1.5,), (1.5,)), g_basis=_lin(),
+                   g_coef=(0.2, 0.6), components=(BernoulliComponent(_lin(), (-0.2, 0.9)),))
+
+
+def test_sampler_bytes_pinned(tmp_path):
+    """write_dataset_csv of every catalog scenario, and of a binary law on a
+    uniform X, at n in {7, 600, 2000} and seeds {1, 7, 123} has the sha256
+    recorded when the binary sampler built its cell table per row and every
+    sample passed through Dataset's checks: same draws, same bits."""
+    laws = [(sc.name, sc.law) for sc in scenario_catalog()]
+    laws.append(("uniform-x-binary", _uniform_x_binary_law()))
+    path, got = tmp_path / "data.csv", {}
+    for name, law in laws:
+        for n in (7, 600, 2000):
+            for seed in (1, 7, 123):
+                write_dataset_csv(path, sample_dataset(law, n, seed))
+                got[f"{name}/{n}/{seed}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == json.loads(SAMPLER_SHA256.read_text())
+
+
+@pytest.mark.parametrize("name", ["S1-binary", "S2-gaussian"])
+def test_sampler_output_is_what_dataset_checks_accept(name):
+    """The samplers skip Dataset's checks; their arrays are those the checks
+    would give: int64 y in {0, 1}, finite 2-d float z and x of n rows."""
+    ds = sample_dataset(next(s.law for s in scenario_catalog() if s.name == name), 300, 5)
+    checked = Dataset(ds.y, ds.z, ds.x)
+    for got, want in ((ds.y, checked.y), (ds.z, checked.z), (ds.x, checked.x)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _two_point_binary_law(probs):
+    """X in {0, 1}; at x = 1, g = 800 makes 1 - e0 and so the Y=0 cells underflow."""
+    return TrueLaw(beta_star=(0.5,), x_law=XLawGrid(points=((0.0,), (1.0,)), probs=probs),
+                   g_basis=_lin(), g_coef=(0.0, 800.0),
+                   components=(BernoulliComponent(_lin(), (0.0, 0.5)),))
+
+
+def test_binary_underflow_refused_only_at_drawn_points():
+    """The cell-underflow refusal fires when the underflowing support point
+    is drawn, and not when it has probability 0 and is never drawn."""
+    with pytest.raises(ValueError, match="underflow"):
+        sample_binary(_two_point_binary_law((0.5, 0.5)), 50, 3)
+    ds = sample_binary(_two_point_binary_law((1.0, 0.0)), 50, 3)
+    assert ds.n == 50 and (ds.x == 0.0).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_log_variance_refused_before_any_warning():
+    """A log-linear variance beyond the float range is refused with a
+    ValueError before exp overflows; it used to reach the sample as NaN."""
+    law = _gaussian_law(0.0, (0.3, 0.4), (0.1, 1.0), log_var_coef=(800.0, 0.0))
+    with pytest.raises(ValueError, match="variance overflows"):
+        sample_gaussian_tilted(law, 50, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_laws_refused():
+    """A NaN mean coefficient fails the tilt check and a non-finite grid point
+    is refused on construction, so no sample carries a non-finite value."""
+    with pytest.raises(ValueError, match="tilt"):
+        sample_gaussian_tilted(_gaussian_law(0.5, (0.2, 0.6), (math.nan, 0.7)), 50, 1)
+    with pytest.raises(ValueError, match="finite"):
+        XLawGrid(points=((0.0,), (math.inf,)), probs=(0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
