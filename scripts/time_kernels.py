@@ -12,7 +12,10 @@ microseconds per call is scaled by the benchmark's host-speed calibration
 host where the calibration loop takes CAL_REF_S: a shared host's speed
 drifts by tens of percent over seconds, and the scaling divides most of
 that out.  It prints the median over the passes of these scaled medians,
-then one JSON line with the same numbers.
+with their min-max over the passes beside it, then one JSON line with the
+same numbers: `us_per_call` holds the medians and `us_spread` the
+[min, max] pairs, so that a difference between two runs can be read
+against each run's own spread.
 
     PYTHONPATH=src python3 scripts/time_kernels.py --inputs 2000 --seed 7
 
@@ -108,19 +111,24 @@ def main(argv=None) -> None:
                         ns * 2.0 * CAL_REF_S / (cal_before + cal_after))
                     cal_before = cal_after
     us: dict = {}
+    spread: dict = {}
     for (case, name, variant), medians in timings.items():
         us.setdefault(case, {}).setdefault(name, {})[variant] = round(
             statistics.median(medians) / 1e3, 3)
+        spread.setdefault(case, {}).setdefault(name, {})[variant] = [
+            round(min(medians) / 1e3, 3), round(max(medians) / 1e3, 3)]
 
     print(f"median us per call at the reference host speed, {args.inputs} inputs per case, "
-          f"seed {args.seed}, median of {PASSES} passes")
-    print(f"  {'case':<14}{'kernel':<15}" + "".join(f"{v:>10}" for v in VARIANTS))
+          f"seed {args.seed}, median (min-max) of {PASSES} passes")
+    print(f"  {'case':<14}{'kernel':<15}" + "".join(f"{v:>24}" for v in VARIANTS))
     for case, kernels in us.items():
         for name, per_variant in kernels.items():
-            print(f"  {case:<14}{name:<15}"
-                  + "".join(f"{per_variant[v]:>10.2f}" for v in VARIANTS))
+            ranges = spread[case][name]
+            cells = [f"{per_variant[v]:.2f} ({ranges[v][0]:.2f}-{ranges[v][1]:.2f})"
+                     for v in VARIANTS]
+            print(f"  {case:<14}{name:<15}" + "".join(f"{c:>24}" for c in cells))
     print(json.dumps({"inputs": args.inputs, "seed": args.seed, "passes": PASSES,
-                      "us_per_call": us}, sort_keys=True))
+                      "us_per_call": us, "us_spread": spread}, sort_keys=True))
 
 
 if __name__ == "__main__":

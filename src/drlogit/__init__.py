@@ -8,23 +8,16 @@ from .model import (
     CovariateModelParams,
     Dataset,
     EstimationError,
-    FiniteLaw,
     InstrumentSpec,
     LinearInstrument,
     OutcomeModelParams,
     SingularMatrixError,
-    calibrated_residual,
-    calibrated_residual_y1,
     covariate_means,
     ee_dr,
-    ee_dr_y1,
     ee_instrument,
     expit,
     instrument_matrix,
     instrument_matrices,
-    logistic_finite_law,
-    ortho_complement_identity_gap,
-    response_prob,
 )
 from .nuisance import (
     CovariateFit,

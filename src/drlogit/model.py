@@ -8,20 +8,18 @@ feature basis b(X): an outcome model g(X; alpha) = alpha' b(X), and a
 covariate-mean model for E(Z | Y=0, X) with per-component Gaussian or
 Bernoulli families.
 
-This module houses the value types, numerically careful link and
-residual evaluations, the instrument matrices phi(X) entering the
-doubly robust estimating function, the estimating-function kernels
-themselves, and exact finite-support laws used as enumeration oracles.
-All functions are pure; nothing here holds mutable state.
+This module houses the value types, a numerically careful link
+evaluation, the instrument matrices phi(X) entering the doubly robust
+estimating function, and the estimating-function kernels themselves.  All functions are pure; nothing here holds mutable state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import mul
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -38,18 +36,11 @@ __all__ = [
     "InstrumentSpec",
     "LinearInstrument",
     "BinaryInstrument",
-    "FiniteLaw",
-    "logistic_finite_law",
-    "response_prob",
-    "calibrated_residual",
-    "calibrated_residual_y1",
     "covariate_means",
     "instrument_matrix",
     "instrument_matrices",
     "ee_dr",
-    "ee_dr_y1",
     "ee_instrument",
-    "ortho_complement_identity_gap",
 ]
 
 
@@ -370,37 +361,10 @@ def _linear_predictor(z, x, beta: np.ndarray, alpha: np.ndarray, basis: Basis):
     return z, bx, g, float(beta @ z) + g
 
 
-def _eta(z, x, params: OutcomeModelParams, basis: Basis) -> float:
-    return _linear_predictor(z, x, params.beta, params.alpha, basis)[3]
-
-
-def response_prob(z, x, params: OutcomeModelParams, basis: Basis) -> float:
-    """P(Y=1 | Z=z, X=x) under the working model, expit(beta'z + alpha'b(x))."""
-    return expit(_eta(z, x, params, basis))
-
-
 def _check_y(y) -> int:
     if y not in (0, 1):
         raise ValueError("y must be 0 or 1")
     return int(y)
-
-
-def calibrated_residual(y, z, x, params: OutcomeModelParams, basis: Basis) -> float:
-    """Inverse-probability residual y/pi - 1 = y*exp(-eta) - (1-y).
-
-    This is the residual of calibrated (rather than maximum likelihood)
-    logistic fitting; it equals (y - pi)/pi whenever pi is in (0, 1).
-    """
-    y = _check_y(y)
-    if y == 0:
-        return -1.0
-    return math.exp(-_eta(z, x, params, basis))
-
-
-def calibrated_residual_y1(y, z, x, params: OutcomeModelParams, basis: Basis) -> float:
-    """Mirror residual anchored at Y=1: y - (1-y)*exp(eta) = (y - pi)/(1 - pi),
-    which is minus calibrated_residual of 1 - y under the negated model."""
-    return -calibrated_residual(1 - _check_y(y), z, x, _negated(params), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +387,9 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
     two-point sum per row for a Bernoulli one, at O(n p^3) cost.  A tilt
     whose Gaussian moments overflow gives an inf entry of B, refused as
     ill-conditioned like any other non-finite row.  B is inverted in closed
-    form for p <= 2 and by LAPACK for p >= 3; a row whose phi comes out
+    form for p <= 2 and by LAPACK, after scaling rows and columns by powers
+    of two to about a unit diagonal, for p >= 3, where a row with a
+    subnormal diagonal entry is refused; a row whose phi comes out
     non-finite, from a B too close to zero to invert, is refused too.
     """
     n, p = f.shape
@@ -462,8 +428,17 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
         conds = np.divide(hi, lo, out=np.full(n, np.inf), where=finite & (lo > 0))
     if not (conds > COND_LIMIT).any():
         if p > 2:
-            # only now: LAPACK raises on a singular B
-            phi = np.linalg.solve(b_mat, a_mat).transpose(0, 2, 1)
+            # only now: LAPACK raises on a singular B.  LU runs on D^{-1} B D^{-1}
+            # and D^{-1} A D^{-1}, D the power of two nearest sqrt(diag B), so that
+            # the spread of the diagonal costs no digits; the scaling is exact.  A
+            # subnormal diagonal entry has lost its digits already: its row's phi
+            # is NaN, refused below like a B too close to zero to invert
+            diag = np.diagonal(b_mat, axis1=1, axis2=2)
+            e = np.rint(0.5 * np.log2(diag)).astype(int)
+            scale = -(e[:, :, None] + e[:, None, :])
+            phi = np.linalg.solve(np.ldexp(b_mat, scale), np.ldexp(a_mat, scale))
+            phi = np.ldexp(phi.transpose(0, 2, 1), e[:, :, None] - e[:, None, :])
+            phi[(diag < np.finfo(float).tiny).any(axis=1)] = np.nan
         # 0 <= a <= b bounds phi by 1 for p = 1; for p >= 2 a B that passes
         # the condition test can still be too close to zero to invert
         if p == 1 or np.isfinite(phi).all():
@@ -537,33 +512,19 @@ def _instruments(spec: InstrumentSpec, g: np.ndarray, f: np.ndarray, beta: np.nd
     return scale[:, None, None] * np.eye(p), np.ones(n)
 
 
-def _instruments_at(spec: InstrumentSpec, x: np.ndarray, outcome: OutcomeModelParams,
-                    covar: CovariateModelParams, basis: Basis, condition_on_y1: bool):
-    if condition_on_y1:
-        outcome = _negated(outcome)
+def instrument_matrices(spec: InstrumentSpec, x: np.ndarray, outcome: OutcomeModelParams,
+                        covar: CovariateModelParams, basis: Basis) -> np.ndarray:
+    """Evaluate phi at every row of x; returns an (n, p, p) array."""
     bx = basis.design(x)
     return _instruments(spec, bx @ outcome.alpha, _means_from_design(covar, bx),
-                        outcome.beta, covar)
-
-
-def instrument_matrices(spec: InstrumentSpec, x: np.ndarray, outcome: OutcomeModelParams,
-                        covar: CovariateModelParams, basis: Basis, *,
-                        condition_on_y1: bool = False) -> np.ndarray:
-    """Evaluate phi at every row of x; returns an (n, p, p) array.  With
-    condition_on_y1, covar models E(Z | Y=1, X) and phi is the Y=1 mirror."""
-    return _instruments_at(spec, np.atleast_2d(np.asarray(x, dtype=float)), outcome, covar,
-                           basis, condition_on_y1)[0]
+                        outcome.beta, covar)[0]
 
 
 def instrument_matrix(spec: InstrumentSpec, x: np.ndarray, outcome: OutcomeModelParams,
-                      covar: CovariateModelParams, basis: Basis, *,
-                      condition_on_y1: bool = False, return_cond: bool = False):
-    """phi at a single point x; with return_cond=True also reports the
-    condition number of the inverted moment matrix (1 for the scalar
-    identity and simple variants)."""
-    mats, conds = _instruments_at(spec, np.atleast_1d(np.asarray(x, dtype=float))[None, :],
-                                  outcome, covar, basis, condition_on_y1)
-    return (mats[0], float(conds[0])) if return_cond else mats[0]
+                      covar: CovariateModelParams, basis: Basis) -> np.ndarray:
+    """phi at a single point x, the one-row case of instrument_matrices."""
+    return instrument_matrices(spec, np.atleast_1d(np.asarray(x, dtype=float))[None, :],
+                               outcome, covar, basis)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -614,15 +575,6 @@ def ee_dr(y, z, x, beta, alpha, covar: CovariateModelParams,
     return resid * _apply_phi(instrument, z - f, g, f, beta, alpha, covar)
 
 
-def ee_dr_y1(y, z, x, beta, alpha, covar1: CovariateModelParams,
-             instrument: InstrumentSpec, basis: Basis) -> np.ndarray:
-    """Mirror of ee_dr conditioning on Y=1: the residual anchors at Y=1 and
-    f models E(Z | Y=1, X).  By the odds-ratio symmetry it is minus ee_dr
-    of the relabeled response 1 - y with (beta, alpha) negated."""
-    return -ee_dr(1 - _check_y(y), z, x, -np.asarray(beta, dtype=float),
-                  -np.asarray(alpha, dtype=float), covar1, instrument, basis)
-
-
 def ee_instrument(y, z, x, beta, alpha, covar: CovariateModelParams,
                   u: LinearInstrument | BinaryInstrument, basis: Basis) -> np.ndarray:
     """General-instrument estimating function
@@ -651,149 +603,3 @@ def ee_instrument(y, z, x, beta, alpha, covar: CovariateModelParams,
         uval = u1 if z[0] == 1.0 else u0
         return w * (uval - ((1.0 - f[0]) * u0 + f[0] * u1))
     raise TypeError(f"unsupported instrument type {type(u).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Exact finite-support laws
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteLaw:
-    """A finite joint law of (Y, Z, X): support rows with probabilities."""
-
-    y: np.ndarray
-    z: np.ndarray
-    x: np.ndarray
-    prob: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.y)
-        z = np.atleast_2d(np.asarray(self.z, dtype=float))
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        pr = np.asarray(self.prob, dtype=float)
-        if z.shape[0] != y.shape[0]:
-            z = z.T
-        if x.shape[0] != y.shape[0]:
-            x = x.T
-        if not np.isin(y, (0, 1)).all():
-            raise ValueError("finite-law y values must be 0 or 1")
-        if (pr < 0).any():
-            raise ValueError("finite-law probabilities must be nonnegative")
-        if not (y.shape[0] == z.shape[0] == x.shape[0] == pr.shape[0]):
-            raise ValueError("finite-law arrays must have matching lengths")
-        _freeze(self, y=np.array(y, dtype=np.int64), z=np.array(z), x=np.array(x),
-                prob=np.array(pr))
-
-    @property
-    def size(self) -> int:
-        return self.y.shape[0]
-
-    def check_normalized(self, tol: float = 1e-10) -> None:
-        s = float(self.prob.sum())
-        if abs(s - 1.0) > tol:
-            raise ValueError(f"law not normalized: probabilities sum to {s!r}")
-
-    def expectation(self, fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-        """Exact E[fn(Y, Z, X)] by enumeration over the support."""
-        total = None
-        for i in range(self.size):
-            v = np.atleast_1d(np.asarray(
-                fn(int(self.y[i]), self.z[i], self.x[i]), dtype=float))
-            total = v * self.prob[i] if total is None else total + v * self.prob[i]
-        return total
-
-
-def logistic_finite_law(
-    beta: np.ndarray,
-    g_of_x: Callable[[np.ndarray], float],
-    x_points: np.ndarray,
-    x_probs: np.ndarray,
-    z_support: np.ndarray,
-    pz_given_y0: np.ndarray,
-) -> FiniteLaw:
-    """Finite law from the odds-ratio factorization
-    p(y, z | x) proportional to exp(beta'z * y) p(z | Y=0, x) p(y | Z=0, x),
-    with P(Y=1 | Z=0, x) = expit(g(x)).
-
-    By construction the law satisfies P(Y=1 | Z=z, X=x) =
-    expit(beta'z + g(x)) exactly, and p(z | Y=0, x) is exactly the
-    declared table, which makes correct/incorrect working-model scenarios
-    unambiguous.  `pz_given_y0[k, l]` is P(Z = z_support[l] | Y=0, x_k).
-    """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
-    if x_points.shape[0] != np.asarray(x_probs).shape[0]:
-        x_points = x_points.T
-    x_probs = np.asarray(x_probs, dtype=float)
-    z_support = np.atleast_2d(np.asarray(z_support, dtype=float))
-    if z_support.shape[1] != beta.shape[0]:
-        z_support = z_support.T
-    pz = np.atleast_2d(np.asarray(pz_given_y0, dtype=float))
-
-    ys, zs, xs, ps = [], [], [], []
-    for k in range(x_points.shape[0]):
-        xk = x_points[k]
-        e0 = expit(float(g_of_x(xk)))
-        w = []
-        for l in range(z_support.shape[0]):
-            zl = z_support[l]
-            w.append((0, zl, (1.0 - e0) * pz[k, l]))
-            w.append((1, zl, e0 * pz[k, l] * math.exp(float(beta @ zl))))
-        c = sum(t[2] for t in w)
-        for yv, zl, wv in w:
-            ys.append(yv)
-            zs.append(zl)
-            xs.append(xk)
-            ps.append(x_probs[k] * wv / c)
-    return FiniteLaw(np.array(ys), np.array(zs), np.array(xs), np.array(ps))
-
-
-def ortho_complement_identity_gap(
-    h: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    law: FiniteLaw,
-) -> float:
-    """Exact-enumeration check of the conditioning identity
-    E[h pi (1-pi) | X] = P(Y=0 | X) E[h pi | Y=0, X],
-    where pi(z, x) = P(Y=1 | Z=z, X=x) is computed from the law itself.
-
-    Returns the maximum absolute discrepancy over the X support (and over
-    components of h).  Requires a normalized law with every pi strictly
-    inside (0, 1) and P(Y=0 | X) > 0 for every supported x.
-    """
-    law.check_normalized()
-    groups: dict[bytes, list[int]] = {}
-    for i in range(law.size):
-        groups.setdefault(law.x[i].tobytes(), []).append(i)
-
-    worst = 0.0
-    for idx in groups.values():
-        idx = np.asarray(idx)
-        px = float(law.prob[idx].sum())
-        if px <= 0.0:
-            continue
-        p_y0 = float(law.prob[idx[law.y[idx] == 0]].sum())
-        if p_y0 == 0.0:
-            raise ValueError("P(Y=0 | X=x) is zero for a supported x; "
-                             "the Y=0 conditioning is undefined")
-        zgroups: dict[bytes, list[int]] = {}
-        for i in idx:
-            zgroups.setdefault(law.z[i].tobytes(), []).append(int(i))
-        lhs = None
-        rhs = None
-        for zidx in zgroups.values():
-            zidx = np.asarray(zidx)
-            pz = float(law.prob[zidx].sum())
-            p1 = float(law.prob[zidx[law.y[zidx] == 1]].sum())
-            pi = p1 / pz
-            if not 0.0 < pi < 1.0:
-                raise ValueError("pi(z, x) must be strictly inside (0, 1) "
-                                 "on the whole support")
-            hval = np.atleast_1d(np.asarray(
-                h(law.z[zidx[0]], law.x[zidx[0]]), dtype=float))
-            term_l = (pz / px) * pi * (1.0 - pi) * hval
-            term_r = ((pz - p1) / px) * pi * hval
-            lhs = term_l if lhs is None else lhs + term_l
-            rhs = term_r if rhs is None else rhs + term_r
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst

@@ -42,13 +42,11 @@ __all__ = [
 class OutcomeFit:
     """Fitted logistic outcome model.
 
-    `info_matrix` is the (p+m) x (p+m) curvature of the estimating
-    equation in mean form; `s1` holds the per-observation influence rows
-    (n, p+m), the first p columns for beta and the rest for alpha.
+    `s1` holds the per-observation influence rows (n, p+m), the first p
+    columns for beta and the rest for alpha.
     """
 
     params: OutcomeModelParams
-    info_matrix: np.ndarray
     s1: np.ndarray
     iterations: int
     basis: Basis
@@ -65,7 +63,6 @@ class CovariateFit:
 
     params: CovariateModelParams
     s2: np.ndarray
-    subsample_size: int
     basis: Basis
     response_level: int = 0
 
@@ -127,16 +124,14 @@ def _fit_outcome_mle(data: Dataset, basis: Basis, bmat: np.ndarray) -> OutcomeFi
     info_a = -_neg_info(wa, pi)
     s1a = (wa * (data.y - pi)[:, None]) @ np.linalg.inv(info_a).T
     if everywhere:
-        theta, info, s1 = res.params, info_a, s1a
+        theta, s1 = res.params, s1a
     else:
         theta = np.zeros(k)
         theta[active] = res.params
-        info = np.eye(k)
-        info[np.ix_(active, active)] = info_a
         s1 = np.zeros((data.n, k))
         s1[:, active] = s1a
     return OutcomeFit(params=OutcomeModelParams(theta[:data.p], theta[data.p:]),
-                      info_matrix=info, s1=s1, iterations=res.iterations, basis=basis)
+                      s1=s1, iterations=res.iterations, basis=basis)
 
 
 def _neg_info(w: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -201,5 +196,4 @@ def _fit_covariate_level(data: Dataset, basis: Basis, bmat: np.ndarray,
             raise ValueError(f"unknown family {fam!r}")
         s2[sub, j * m:(j + 1) * m] = n * ((b0 * resid[:, None]) @ np.linalg.inv(ne).T)
     params = CovariateModelParams(gamma=gamma, families=families, resid_var=resid_var)
-    return CovariateFit(params=params, s2=s2, subsample_size=int(sub.size), basis=basis,
-                        response_level=level)
+    return CovariateFit(params=params, s2=s2, basis=basis, response_level=level)

@@ -114,6 +114,12 @@ class XLawGrid:
             raise ValueError("points and probs must have equal length")
         if not all(map(math.isfinite, (v for row in self.points for v in row))):
             raise ValueError("points must be finite")
+        # the check Generator.choice makes on every draw, made once here
+        if not all(math.isfinite(v) and v >= 0.0 for v in self.probs):
+            raise ValueError(f"probs must be finite and nonnegative, got {self.probs}")
+        total = math.fsum(self.probs)
+        if abs(total - 1.0) > math.sqrt(np.finfo(float).eps):
+            raise ValueError(f"probs must sum to 1, got a sum of {total!r}")
 
     def draw_index(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Indices into `points` of n draws; draw(n, rng) is points[draw_index(n, rng)]."""

@@ -16,11 +16,11 @@ from drlogit.model import (
     BasisTerm,
     CovariateModelParams,
     Dataset,
-    FiniteLaw,
     OutcomeModelParams,
     expit,
-    logistic_finite_law,
 )
+
+from oracles import FiniteLaw, logistic_finite_law
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from drlogit.model import (
     Basis,
     BasisTerm,
     CovariateModelParams,
-    FiniteLaw,
     InstrumentSpec,
     LinearInstrument,
     OutcomeModelParams,
@@ -29,8 +28,6 @@ from drlogit.model import (
     expit,
     instrument_matrices,
     instrument_matrix,
-    logistic_finite_law,
-    ortho_complement_identity_gap,
 )
 from drlogit.nuisance import fit_covariate, fit_outcome_mle
 from drlogit.simulate import (
@@ -42,6 +39,7 @@ from drlogit.simulate import (
 )
 
 from conftest import mean_r_frozen_phi
+from oracles import FiniteLaw, logistic_finite_law, ortho_complement_identity_gap
 
 _WORKERS = 2
 

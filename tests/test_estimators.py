@@ -33,12 +33,12 @@ from drlogit.model import (
     ee_instrument,
     expit,
     instrument_matrices,
-    logistic_finite_law,
 )
 from drlogit.nuisance import fit_covariate, fit_covariate_y1, fit_outcome_mle
 from drlogit.simulate import sample_binary, sample_dataset, scenario_catalog
 
 from conftest import bisect_root, exact_counts_dataset
+from oracles import logistic_finite_law
 
 
 def _dyadic_beta0_law():

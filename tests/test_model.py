@@ -16,29 +16,24 @@ from drlogit.model import (
     BinaryInstrument,
     CovariateModelParams,
     Dataset,
-    FiniteLaw,
     InstrumentSpec,
     LinearInstrument,
     OutcomeModelParams,
     SingularMatrixError,
     _component_moments,
+    _instruments,
     _optimal_instrument_batch,
-    calibrated_residual,
-    calibrated_residual_y1,
     covariate_means,
     ee_dr,
-    ee_dr_y1,
     ee_instrument,
     expit,
     instrument_matrix,
     instrument_matrices,
-    logistic_finite_law,
-    ortho_complement_identity_gap,
-    response_prob,
 )
 from drlogit.nuisance import CovariateFit, OutcomeFit
 
 from conftest import random_binary_finite_law
+from oracles import FiniteLaw, ortho_complement_identity_gap
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +164,7 @@ def test_instrument_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# response_prob and residuals
+# Residuals
 # ---------------------------------------------------------------------------
 
 
@@ -177,64 +172,33 @@ def _params(beta, alpha):
     return OutcomeModelParams(np.atleast_1d(beta), np.atleast_1d(alpha))
 
 
-def test_response_prob_zero_predictor():
-    p = _params([0.0], [0.0, 0.0])
-    assert response_prob([1.3], [0.2], p, Basis.linear_in(1)) == pytest.approx(0.5)
-
-
-def test_response_prob_reduces_to_expit():
-    basis = Basis((BasisTerm("intercept"),))
-    p = _params([1.0], [0.0])
-    assert response_prob([math.log(3.0)], [0.0], p, basis) == pytest.approx(0.75, rel=1e-14)
-
-
-def test_response_prob_cancellation():
-    basis = Basis((BasisTerm("intercept"),))
-    p = _params([1.0, -1.0], [0.3])
-    got = response_prob([2.0, 2.0], [0.7], p, basis)
-    assert got == pytest.approx(expit(0.3), rel=1e-14)
-
-
-def test_response_prob_dimension_mismatch():
-    basis = Basis((BasisTerm("intercept"),))
-    with pytest.raises(ValueError):
-        response_prob([1.0, 2.0], [0.0], _params([1.0], [0.0]), basis)
-    with pytest.raises(ValueError):
-        response_prob([1.0], [0.0], _params([1.0], [0.0, 1.0]), basis)
-
-
-def test_calibrated_residual_trivials():
-    basis = Basis((BasisTerm("intercept"),))
-    assert calibrated_residual(0, [5.0], [0.0], _params([2.0], [1.0]), basis) == -1.0
-    assert calibrated_residual(1, [0.0], [0.0], _params([0.0], [0.0]), basis) == 1.0
-    # beta'z + g = log 2 -> e^{-log 2} = 0.5
-    p = _params([math.log(2.0)], [0.0])
-    assert calibrated_residual(1, [1.0], [0.0], p, basis) == pytest.approx(0.5, rel=1e-14)
-
-
-def test_calibrated_residual_y1_trivials():
-    basis = Basis((BasisTerm("intercept"),))
-    assert calibrated_residual_y1(1, [9.0], [0.0], _params([1.0], [0.0]), basis) == 1.0
-    assert calibrated_residual_y1(0, [0.0], [0.0], _params([0.0], [0.0]), basis) == -1.0
-    p = _params([math.log(2.0)], [0.0])
-    assert calibrated_residual_y1(0, [1.0], [0.0], p, basis) == pytest.approx(-2.0, rel=1e-14)
+def ee_dr_y1(y, z, x, beta, alpha, covar1, instrument, basis):
+    """The Y=1 mirror of ee_dr: the residual anchors at Y=1 and covar1
+    models E(Z | Y=1, X).  By the odds-ratio symmetry it is minus ee_dr of
+    the relabeled response 1 - y with (beta, alpha) negated."""
+    return -ee_dr(1 - y, z, x, -np.asarray(beta, dtype=float), -np.asarray(alpha, dtype=float),
+                  covar1, instrument, basis)
 
 
 @given(st.integers(0, 1), st.floats(-20, 20), st.floats(-10, 10))
 @settings(max_examples=200)
 def test_residual_identities_against_stable_ratio(y, zval, a0):
     """zeta0 = (y - pi)/pi and zeta1 = (y - pi)/(1 - pi), with the ratio
-    oracles evaluated through the stable complement expit(-eta)."""
+    oracles evaluated through the stable complement expit(-eta): the
+    identity-instrument ee_dr and its Y=1 mirror at z - f = 1, so that the
+    kernel returns its residual."""
     basis = Basis((BasisTerm("intercept"),))
-    p = _params([1.0], [a0])
+    covar = CovariateModelParams(np.zeros((1, 1)), ("gaussian",), np.ones(1))
     eta = zval + a0
     pi, one_minus_pi = expit(eta), expit(-eta)
     want0 = (y - pi) / pi if y == 0 else one_minus_pi / pi
     want1 = (y - pi) / (1.0 - pi) if y == 1 else -pi / one_minus_pi
-    got0 = calibrated_residual(y, [zval], [0.0], p, basis)
-    got1 = calibrated_residual_y1(y, [zval], [0.0], p, basis)
-    assert got0 == pytest.approx(want0, rel=1e-12)
-    assert got1 == pytest.approx(want1, rel=1e-12)
+    spec = InstrumentSpec("identity")
+    got0 = ee_dr(y, [1.0], [0.0], [zval], [a0], covar, spec, basis)
+    got1 = ee_dr_y1(y, [1.0], [0.0], [zval], [a0], covar, spec, basis)
+    assert got0.shape == got1.shape == (1,)
+    assert got0[0] == pytest.approx(want0, rel=1e-12)
+    assert got1[0] == pytest.approx(want1, rel=1e-12)
 
 
 @st.composite
@@ -271,11 +235,9 @@ def test_calibrated_equation_on_y1_rows_matches_full_rows(case):
     n, p = z.shape
     basis = Basis.linear_in(1)
     outcome = OutcomeFit(params=OutcomeModelParams(np.zeros(p), alpha),
-                         info_matrix=np.eye(p + 2), s1=np.zeros((n, p + 2)),
-                         iterations=0, basis=basis)
+                         s1=np.zeros((n, p + 2)), iterations=0, basis=basis)
     covar = CovariateFit(params=CovariateModelParams(gamma, ("gaussian",) * p, np.ones(p)),
-                         s2=np.zeros((n, 2 * p)), subsample_size=int(np.sum(y == 0)),
-                         basis=basis)
+                         s2=np.zeros((n, 2 * p)), basis=basis)
     kernel = _Context(Dataset(y, z, x), basis, outcome=outcome,
                       covars={0: covar}).kernel(InstrumentSpec("identity"))
     bx = np.column_stack([np.ones(n), x[:, 0]])
@@ -474,8 +436,9 @@ def test_instrument_optimal_p3_matches_tensor_grid(order, condition_on_y1, rng):
     for _ in range(4):
         out = OutcomeModelParams(rng.uniform(-1.2, 1.2, 3), rng.uniform(-1.0, 1.0, 3))
         x = rng.uniform(-1.5, 1.5, 2)
-        got = instrument_matrix(InstrumentSpec("optimal"), x, out, covar, basis,
-                                condition_on_y1=condition_on_y1)
+        # the Y=1 mirror is phi under the negated outcome model
+        mirror = OutcomeModelParams(-out.beta, -out.alpha) if condition_on_y1 else out
+        got = instrument_matrix(InstrumentSpec("optimal"), x, mirror, covar, basis)
         for moments, grid_order in [(_tensor_grid_moments, 21),
                                     (_tilted_tensor_grid_moments, order)]:
             a_mat, b_mat = moments(x, out, covar, basis, grid_order, condition_on_y1)
@@ -492,11 +455,13 @@ def test_instrument_optimal_overflowing_row_refused(g, condition_on_y1):
     out = OutcomeModelParams(np.array([0.6, -0.4]), np.array([g, 0.0]))
     xs = np.array([[0.3], [0.0]])
     ok = OutcomeModelParams(out.beta, np.zeros(2))
-    assert np.isfinite(instrument_matrices(InstrumentSpec("optimal"), xs, ok, covar, basis,
-                                           condition_on_y1=condition_on_y1)).all()
+    if condition_on_y1:
+        # the Y=1 mirror is phi under the negated outcome model
+        out, ok = (OutcomeModelParams(-o.beta, -o.alpha) for o in (out, ok))
+    assert np.isfinite(instrument_matrices(InstrumentSpec("optimal"), xs, ok, covar,
+                                           basis)).all()
     with pytest.raises(SingularMatrixError, match="condition number"):
-        instrument_matrices(InstrumentSpec("optimal"), xs, out, covar, basis,
-                            condition_on_y1=condition_on_y1)
+        instrument_matrices(InstrumentSpec("optimal"), xs, out, covar, basis)
 
 
 @pytest.mark.parametrize("beta0", [20.0, -20.0])
@@ -566,8 +531,9 @@ def test_instrument_condition_number_p2_matches_svd():
                                  ("gaussian", "gaussian"), np.array([0.4, 2.5]))
     out = OutcomeModelParams(np.array([0.9, -0.6]), np.array([0.3, -0.5]))
     x = np.array([0.7])
-    _, cond = instrument_matrix(InstrumentSpec("optimal"), x, out, covar, basis,
-                                return_cond=True)
+    g = np.array([basis.row(x) @ out.alpha])
+    _, (cond,) = _optimal_instrument_batch(g, covariate_means(covar, x[None, :], basis),
+                                           out.beta, covar)
     _, b_mat = _tensor_grid_moments(x, out, covar, basis, 21, False)
     assert cond > 2.0
     assert cond == pytest.approx(np.linalg.cond(b_mat), rel=1e-10)
@@ -583,8 +549,8 @@ def test_instrument_optimal_p4_gaussian_matches_tensor_grid(condition_on_y1, rng
     for _ in range(3):
         out = OutcomeModelParams(rng.uniform(-0.8, 0.8, 4), rng.uniform(-1.0, 1.0, 2))
         x = rng.uniform(-1.5, 1.5, 1)
-        got = instrument_matrix(InstrumentSpec("optimal"), x, out, covar, basis,
-                                condition_on_y1=condition_on_y1)
+        mirror = OutcomeModelParams(-out.beta, -out.alpha) if condition_on_y1 else out
+        got = instrument_matrix(InstrumentSpec("optimal"), x, mirror, covar, basis)
         a_mat, b_mat = _tensor_grid_moments(x, out, covar, basis, 11, condition_on_y1)
         want = a_mat @ np.linalg.inv(b_mat)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
@@ -602,11 +568,11 @@ def test_instrument_optimal_singular_inner_matrix():
 def test_instrument_condition_number_reported(lin_basis):
     out = _params([0.5], [0.1, 0.2])
     covar = _covar_gauss([0.0, 0.3], 1.0)
-    phi, cond = instrument_matrix(InstrumentSpec("optimal"), [0.2], out, covar,
-                                  lin_basis, return_cond=True)
-    assert phi.shape == (1, 1) and cond == 1.0  # 1x1 inner matrix
-    _, cond_simple = instrument_matrix(InstrumentSpec("simple"), [0.2], out, covar,
-                                       lin_basis, return_cond=True)
+    g = lin_basis.design([0.2]) @ out.alpha
+    f = covariate_means(covar, [0.2], lin_basis)
+    phi, (cond,) = _optimal_instrument_batch(g, f, out.beta, covar)
+    assert phi.shape == (1, 1, 1) and cond == 1.0  # 1x1 inner matrix
+    _, (cond_simple,) = _instruments(InstrumentSpec("simple"), g, f, out.beta, covar)
     assert cond_simple == 1.0
 
 
@@ -659,7 +625,8 @@ def _gathered_moment_matrices(g, f, beta, covar):
 
 def _gathered_optimal_instrument(g, f, beta, covar):
     """Reference optimal instrument: the gathered A and B, condition numbers
-    from eigvalsh and phi from LAPACK's solve; `_optimal_instrument_batch`
+    from eigvalsh and phi from LAPACK's solve, for p >= 3 of the system
+    equilibrated by powers of two; `_optimal_instrument_batch`
     must reproduce it byte for byte for p = 1 and p >= 3.  When every row
     passes the condition test, a row whose phi is not finite is refused as
     well."""
@@ -676,7 +643,20 @@ def _gathered_optimal_instrument(g, f, beta, covar):
     with np.errstate(over="ignore"):
         conds = np.divide(hi, lo, out=np.full(n, np.inf), where=finite & (lo > 0))
     if np.all(conds <= COND_LIMIT):
-        phi = a_mat / b_mat if p == 1 else np.linalg.solve(b_mat, a_mat).transpose(0, 2, 1)
+        if p == 1:
+            phi = a_mat / b_mat
+        elif p == 2:
+            phi = np.linalg.solve(b_mat, a_mat).transpose(0, 2, 1)
+        else:
+            # B and A scaled by D^{-1} on both sides, D the power of two nearest
+            # sqrt(diag B), phi = D (A' B'^{-1}) D^{-1}; a row with a subnormal
+            # diagonal entry is NaN
+            diag = np.einsum("nii->ni", b_mat)
+            exps = np.rint(0.5 * np.log2(diag)).astype(int)
+            scale = np.ldexp(1.0, exps[:, :, None] + exps[:, None, :])
+            phi = np.linalg.solve(b_mat / scale, a_mat / scale).transpose(0, 2, 1)
+            phi *= np.ldexp(1.0, exps[:, :, None] - exps[:, None, :])
+            phi[(diag < np.finfo(float).tiny).any(axis=1)] = np.nan
         conds[~np.isfinite(phi).all(axis=(1, 2))] = np.inf
     if np.any(conds > COND_LIMIT):
         worst = int(np.argmax(conds))
@@ -694,6 +674,47 @@ def _exact_phi_2x2(a, b):
     det = b00 * b11 - b01 * b10
     return np.array([[float((a00 * b11 - a01 * b10) / det), float((a01 * b00 - a00 * b01) / det)],
                      [float((a10 * b11 - a11 * b10) / det), float((a11 * b00 - a10 * b01) / det)]])
+
+
+def _exact_phi(a, b):
+    """A B^{-1} for one p x p pair in exact rational arithmetic on the stored
+    doubles, by Gauss-Jordan elimination on [B | A] (B^{-1} A is phi'
+    for symmetric A and B), rounded once at the end."""
+    p = len(b)
+    rows = [[Fraction(v) for v in brow + arow] for brow, arow in zip(b.tolist(), a.tolist())]
+    for c in range(p):
+        pivot = next(r for r in range(c, p) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(p):
+            if r != c and rows[r][c] != 0:
+                ratio = rows[r][c] / rows[c][c]
+                rows[r] = [u - ratio * w for u, w in zip(rows[r], rows[c])]
+    return np.array([[float(rows[k][p + j] / rows[k][k]) for k in range(p)] for j in range(p)])
+
+
+def test_optimal_instrument_p3_solve_is_exact_across_scales():
+    """Three Gaussian components with variances s2 in 10^-11..1 and tilts
+    with beta_j sqrt(s2_j) in [-1.5, 1.5]: B = D C D with C well conditioned
+    and D spanning 10^-5.5..1.  A = diag(s2) and
+    B = A + exp(-(g + f'beta)) M (diag(s2) + v v'), with v = -beta s2 and
+    M = exp(beta' diag(s2) beta / 2), are rebuilt here from that closed
+    form, and every entry of phi is within 1e-14 max(1, |phi|) of A B^{-1}
+    in exact rational arithmetic.  On these rows LU on the raw B is off by
+    up to 8.0e-12, the equilibrated solve by 9.5e-16."""
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        s2 = 10.0 ** rng.uniform(-11.0, 0.0, 3)
+        beta = rng.uniform(-1.5, 1.5, 3) / np.sqrt(s2)
+        covar = CovariateModelParams(np.zeros((3, 1)), ("gaussian",) * 3, s2)
+        g = rng.uniform(-1.0, 1.0, 100)
+        f = rng.normal(size=(100, 3)) * np.sqrt(s2)
+        phi, _ = _optimal_instrument_batch(g, f, beta, covar)
+        v = -beta * s2
+        tilted = math.exp(0.5 * float(beta * s2 @ beta)) * (np.diag(s2) + np.outer(v, v))
+        for i in range(g.size):
+            b_mat = np.diag(s2) + math.exp(-(g[i] + f[i] @ beta)) * tilted
+            exact = _exact_phi(np.diag(s2), b_mat)
+            assert np.all(np.abs(phi[i] - exact) <= 1e-14 * np.maximum(1.0, np.abs(exact))), i
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)
@@ -863,6 +884,18 @@ def test_ee_dr_trivial_identity_instrument(lin_basis):
     assert got0[0] == pytest.approx(-0.5, rel=1e-14)
 
 
+def test_ee_dr_dimension_mismatch():
+    """z must match beta, and the basis must give as many features as alpha
+    has coefficients."""
+    basis = Basis((BasisTerm("intercept"),))
+    covar = CovariateModelParams(np.zeros((1, 1)), ("gaussian",), np.ones(1))
+    spec = InstrumentSpec("identity")
+    with pytest.raises(ValueError, match="z has shape"):
+        ee_dr(1, [1.0, 2.0], [0.0], [1.0], [0.0], covar, spec, basis)
+    with pytest.raises(ValueError, match="basis gives 1 features, alpha has 2"):
+        ee_dr(1, [1.0], [0.0], [1.0], [0.0, 1.0], covar, spec, basis)
+
+
 def test_ee_dr_simple_factor_oracle(lin_basis):
     """y=1, beta=log 2, z=1, g=0, f=0.3: direct product oracle
     0.5 * 0.5 * 0.7 = 0.175, cross-checked against both algebraic forms."""
@@ -963,8 +996,9 @@ def test_scalar_optimal_kernels_match_public_instrument(p, rng):
             # ee_dr_y1 is minus the Y=0 form of 1 - y under (-beta, -alpha)
             yy, e = (1 - y, -eta) if y1 else (y, eta)
             resid = math.exp(-e) if yy == 1 else -1.0
-            phi = instrument_matrix(spec, x, OutcomeModelParams(beta, alpha), covar, basis,
-                                    condition_on_y1=y1)
+            sign_ba = -1.0 if y1 else 1.0
+            phi = instrument_matrix(spec, x, OutcomeModelParams(sign_ba * beta, sign_ba * alpha),
+                                    covar, basis)
             ref = sign * resid * (phi @ (z - covariate_means(covar, x[None, :], basis)[0]))
             u = LinearInstrument(spec) if kernel is ee_instrument else spec
             got = kernel(y, z, x, beta, alpha, covar, u, basis)

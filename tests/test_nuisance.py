@@ -64,17 +64,20 @@ def test_mle_rank_deficient_raises(rng):
 
 def test_mle_score_reevaluated_independently(rng, lin_basis):
     """The returned parameters drive the re-evaluated mean score below
-    1e-10 in max norm; s1 column means follow."""
+    1e-10 in max norm; s1 column means follow, and each s1 row solves
+    info s1_i = score_i with the information matrix, symmetric positive
+    definite, re-evaluated at those parameters."""
     ds = _synthetic(rng, n=200)
     fit = fit_outcome_mle(ds, lin_basis)
     w = np.column_stack([ds.z, lin_basis.design(ds.x)])
     theta = np.concatenate([fit.params.beta, fit.params.alpha])
-    score = w.T @ (ds.y - expit(w @ theta)) / ds.n
+    pi = expit(w @ theta)
+    score = w.T @ (ds.y - pi) / ds.n
     assert np.max(np.abs(score)) <= 1e-10
     assert np.max(np.abs(fit.s1.mean(axis=0))) <= 1e-8
-    # info matrix is symmetric positive definite
-    np.testing.assert_allclose(fit.info_matrix, fit.info_matrix.T)
-    assert np.linalg.eigvalsh(fit.info_matrix).min() > 0
+    info = (w * (pi * (1.0 - pi))[:, None]).T @ w / ds.n
+    assert np.linalg.eigvalsh(info).min() > 0
+    np.testing.assert_allclose(fit.s1 @ info, w * (ds.y - pi)[:, None], rtol=1e-9, atol=1e-12)
 
 
 def _logit(prob: float) -> float:
@@ -120,7 +123,7 @@ def test_covariate_intercept_only_moments():
     fit = fit_covariate(ds, _intercept_basis(), ["gaussian"])
     assert fit.params.gamma[0, 0] == pytest.approx(2.0, rel=1e-12)
     assert fit.params.resid_var[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert fit.subsample_size == 3
+    assert not fit.s2[3:].any()  # the y=1 rows sit outside the subsample
     assert fit.response_level == 0
 
 

@@ -39,14 +39,19 @@ def test_time_replication_counts_one_weight_per_system_call():
 
 def test_time_kernels_reports_every_kernel_and_variant():
     """scripts/time_kernels.py ends with a JSON line holding a positive
-    median per (case, kernel, variant)."""
+    median per (case, kernel, variant) and the min-max of the pass medians
+    around it, both also printed in the table."""
     lines = _run_script("time_kernels.py", "--inputs", "20")
     report = json.loads(lines[-1])
     assert report["inputs"] == 20
-    us = report["us_per_call"]
-    assert sorted(us) == ["p1-bernoulli", "p2-gaussian"]
-    for kernels in us.values():
-        assert sorted(kernels) == ["ee_dr", "ee_instrument"]
-        for per_variant in kernels.values():
+    us, spread = report["us_per_call"], report["us_spread"]
+    assert sorted(us) == sorted(spread) == ["p1-bernoulli", "p2-gaussian"]
+    for case, kernels in us.items():
+        assert sorted(kernels) == sorted(spread[case]) == ["ee_dr", "ee_instrument"]
+        for name, per_variant in kernels.items():
             assert sorted(per_variant) == ["identity", "optimal", "simple"]
-            assert all(v > 0 for v in per_variant.values())
+            for variant, median in per_variant.items():
+                lo, hi = spread[case][name][variant]
+                assert 0 < lo <= median <= hi
+                row = next(line for line in lines if line.split()[:2] == [case, name])
+                assert f"{median:.2f} ({lo:.2f}-{hi:.2f})" in row

@@ -268,6 +268,24 @@ def test_non_finite_laws_refused():
         XLawGrid(points=((0.0,), (math.inf,)), probs=(0.5, 0.5))
 
 
+@pytest.mark.parametrize("probs, match", [
+    ((0.5, 0.4, 0.3), "probs must sum to 1, got a sum of 1.2"),
+    ((0.5, 0.5 - 1e-7, 0.0), "probs must sum to 1"),
+    ((0.6, -0.1, 0.5), "probs must be finite and nonnegative"),
+    ((0.5, math.nan, 0.5), "probs must be finite and nonnegative"),
+    ((0.5, math.inf, 0.5), "probs must be finite and nonnegative"),
+], ids=["sum-1.2", "sum-short", "negative", "nan", "inf"])
+def test_x_grid_refuses_bad_probs(probs, match):
+    """A grid whose probs numpy's Generator.choice would refuse on every
+    draw is refused on construction, naming probs; a sum off 1 by less
+    than sqrt(eps), which choice accepts, is accepted."""
+    points = ((-1.0,), (0.0,), (1.0,))
+    with pytest.raises(ValueError, match=match):
+        XLawGrid(points=points, probs=probs)
+    grid = XLawGrid(points=points, probs=(0.3, 0.4, 0.3 + 1e-9))
+    assert set(grid.draw(50, np.random.default_rng(0))[:, 0]) <= {-1.0, 0.0, 1.0}
+
+
 # ---------------------------------------------------------------------------
 # Scenarios and the runner
 # ---------------------------------------------------------------------------
