@@ -17,20 +17,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from statistics import NormalDist
 
 import numpy as np
 
-from .estimators import _Context
-from .model import Basis, BasisTerm, Dataset, EstimationError
+from .estimators import DEFAULT_ESTIMATORS, KNOWN_ESTIMATORS, _Context, wald_interval
+from .model import VARIANTS, Basis, BasisTerm, Dataset, EstimationError
 from .simulate import (
-    DEFAULT_ESTIMATORS,
-    KNOWN_ESTIMATORS,
+    SUMMARY_COLUMNS,
     MonteCarloSummary,
-    estimate,
     run_scenario,
     run_scenarios,
     scenario_catalog,
@@ -41,8 +38,6 @@ from .simulate import (
 )
 
 __all__ = ["main", "RunConfig", "read_dataset_csv", "basis_from_terms"]
-
-_PHI_CHOICES = ("identity", "simple", "optimal")
 
 
 class CliError(Exception):
@@ -79,8 +74,8 @@ class RunConfig:
             if name not in KNOWN_ESTIMATORS:
                 raise CliError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
         for phi in self.phis:
-            if phi not in _PHI_CHOICES:
-                raise CliError(f"unknown phi variant {phi!r}; choices: {_PHI_CHOICES}")
+            if phi not in VARIANTS:
+                raise CliError(f"unknown phi variant {phi!r}; choices: {VARIANTS}")
         if self.workers < 1:
             raise CliError("workers must be at least 1")
 
@@ -315,18 +310,16 @@ def cmd_fit(rc: RunConfig) -> int:
         raise CliError(f"config lists {len(z_families)} z_families but data has p={data.p}")
     estimators = rc.estimators or ["mle", "dr_simple"]
 
-    zq = NormalDist().inv_cdf(0.5 + rc.level / 2.0)
     results, ctx = {}, None
     for name in estimators:
         try:
             if ctx is None:  # the outcome fit's failure is the first estimator's
                 ctx = _Context(data, basis, z_families)
-            beta, se, diag = estimate(name, ctx)
+            beta, se, diag = ctx.estimate(name)
         except (EstimationError, ValueError) as exc:
             raise CliError(f"estimator {name!r} failed: {exc}") from exc
         results[name] = {"beta": beta.tolist(), "se": se.tolist(),
-                         "ci": np.column_stack([beta - zq * se, beta + zq * se]).tolist(),
-                         "diagnostics": asdict(diag) if is_dataclass(diag) else diag}
+                         "ci": wald_interval(beta, se, rc.level).tolist(), "diagnostics": diag}
 
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"n": data.n, "p": data.p, "q": data.q, "level": rc.level,
@@ -378,18 +371,12 @@ def _apply_overrides(sc, rc: RunConfig, index: int):
 
 
 def markdown_table(summaries: list[MonteCarloSummary]) -> str:
-    head = ("| scenario | estimator | bias | sd | mean_se | rmse | coverage | mcse | n_fail |\n"
-            "|---|---|---|---|---|---|---|---|---|\n")
-    body = []
+    lines = ["| " + " | ".join(SUMMARY_COLUMNS) + " |", "|---" * len(SUMMARY_COLUMNS) + "|"]
     for s in summaries:
         for row in summary_rows(s):
-            body.append("| " + " | ".join([
-                row["scenario"], row["estimator"],
-                f"{row['bias']:.6g}", f"{row['sd']:.6g}", f"{row['mean_se']:.6g}",
-                f"{row['rmse']:.6g}", f"{row['coverage']:.6g}", f"{row['mcse']:.6g}",
-                str(row["n_fail"]),
-            ]) + " |")
-    return head + "\n".join(body) + "\n"
+            lines.append("| " + " | ".join(f"{v:.6g}" if isinstance(v, float) else str(v)
+                                           for v in row.values()) + " |")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_simulate(rc: RunConfig) -> int:
@@ -462,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit estimators on a CSV dataset")
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--config", required=True)
-    p_fit.add_argument("--phi", choices=_PHI_CHOICES)
+    p_fit.add_argument("--phi", choices=VARIANTS)
     p_fit.add_argument("--level", type=float)
     p_fit.add_argument("--out", default=None)
 

@@ -14,7 +14,7 @@ covariate model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from statistics import NormalDist
 from typing import Sequence
@@ -22,11 +22,13 @@ from typing import Sequence
 import numpy as np
 
 from ._newton import damped_newton
-from .model import (Basis, ConvergenceError, Dataset, InstrumentSpec, SingularMatrixError,
-                    _instruments, _means_from_design, _negated)
+from .model import (VARIANTS, Basis, ConvergenceError, Dataset, InstrumentSpec,
+                    SingularMatrixError, _instruments, _means_from_design, _negated)
 from .nuisance import CovariateFit, OutcomeFit, _fit_covariate_level, _fit_outcome_mle
 
 __all__ = [
+    "DEFAULT_ESTIMATORS",
+    "KNOWN_ESTIMATORS",
     "SolveDiagnostics",
     "EstimateReport",
     "InfluencePieces",
@@ -34,7 +36,13 @@ __all__ = [
     "solve_dr_y1",
     "closed_form_binary",
     "assemble_influence",
+    "wald_interval",
 ]
+
+# the estimator menu: the outcome MLE, the doubly robust class per instrument
+# variant, its Y=1 mirror, and the closed form for scalar binary Z
+DEFAULT_ESTIMATORS = ("mle", *(f"dr_{v}" for v in VARIANTS))
+KNOWN_ESTIMATORS = (*DEFAULT_ESTIMATORS, *(f"dr_y1_{v}" for v in VARIANTS), "closed_form")
 
 
 @dataclass(frozen=True)
@@ -47,15 +55,28 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Point estimate with sandwich inference for one instrument choice."""
+    """Point estimate with sandwich inference for one instrument choice; the
+    standard errors and the Wald interval derive from covariance and level."""
 
     beta_hat: np.ndarray
     covariance: np.ndarray
-    std_errors: np.ndarray
-    wald_ci: np.ndarray  # (p, 2) lower/upper
     influence: np.ndarray  # (n, p)
     diagnostics: SolveDiagnostics
     level: float
+
+    @property
+    def std_errors(self) -> np.ndarray:
+        return np.sqrt(np.diag(self.covariance))
+
+    @property
+    def wald_ci(self) -> np.ndarray:
+        return wald_interval(self.beta_hat, self.std_errors, self.level)
+
+
+def wald_interval(beta: np.ndarray, se: np.ndarray, level: float) -> np.ndarray:
+    """The level Wald interval beta -+ z se, as (p, 2) lower/upper bounds."""
+    zq = NormalDist().inv_cdf(0.5 + level / 2.0)
+    return np.column_stack([beta - zq * se, beta + zq * se])
 
 
 @dataclass(frozen=True)
@@ -109,31 +130,39 @@ class _Context:
                         outcome=replace(o, params=_negated(o.params), s1=-o.s1),
                         covars={0: replace(self.covar(1), response_level=0)}, bmat=self.bmat)
 
+    def estimate(self, name: str) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(beta, se, diagnostics) of the KNOWN_ESTIMATORS entry `name` on this
+        dataset; dr_y1_<v> is the mirror's dr_<v> with beta negated."""
+        if name not in KNOWN_ESTIMATORS:
+            raise KeyError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
+        if name == "mle":
+            s1, n, p = self.outcome.s1, self.data.n, self.data.p
+            return (self.outcome.params.beta, np.sqrt(np.diag(s1.T @ s1 / n**2)[:p]),
+                    {"iterations": self.outcome.iterations})
+        if name == "closed_form":
+            beta = np.array([self.closed_form()])
+            pieces = _assemble(self.kernel(InstrumentSpec("simple")), beta)
+            return beta, np.sqrt(np.diag(pieces.covariance)), {}
+        ctx = self.mirror if name.startswith("dr_y1_") else self
+        rep = ctx.solve(InstrumentSpec(name.rpartition("_")[2]))
+        beta = rep.beta_hat if ctx is self else -rep.beta_hat
+        return beta, rep.std_errors, asdict(rep.diagnostics)
+
     def solve(self, instrument: InstrumentSpec, level: float = 0.95) -> EstimateReport:
         """solve_dr on this context."""
         kernel = self.kernel(instrument)
         res = _solve(kernel, self.outcome.params.beta)
         pieces = _assemble(kernel, res.params)
-        se = np.sqrt(np.diag(pieces.covariance))
-        zq = NormalDist().inv_cdf(0.5 + level / 2.0)
         h = pieces.h_matrix
         # a finite nonzero 1x1 has condition 1, what np.linalg.cond's SVD gives it
         condition = (1.0 if h.shape == (1, 1) and math.isfinite(h[0, 0]) and h[0, 0] != 0.0
                      else float(np.linalg.cond(h)))
         return EstimateReport(
-            beta_hat=res.params.copy(), covariance=pieces.covariance, std_errors=se,
-            wald_ci=np.column_stack([res.params - zq * se, res.params + zq * se]),
+            beta_hat=res.params.copy(), covariance=pieces.covariance,
             influence=pieces.influence, level=level,
             diagnostics=SolveDiagnostics(iterations=res.iterations, final_eq_norm=res.final_norm,
                                          jacobian_condition=condition,
                                          step_halvings=res.step_halvings))
-
-    def solve_y1(self, instrument: InstrumentSpec, level: float = 0.95) -> EstimateReport:
-        """solve_dr_y1 on this context: the mirror's solve with beta_hat, the
-        influence rows and the Wald interval negated back."""
-        rep = self.mirror.solve(instrument, level)
-        return replace(rep, beta_hat=-rep.beta_hat, influence=-rep.influence,
-                       wald_ci=-rep.wald_ci[:, ::-1])
 
     def closed_form(self) -> float:
         """closed_form_binary on this context, from the simple-instrument
@@ -209,6 +238,17 @@ def _check_level(covar: CovariateFit, level: int) -> None:
                          f"but this estimator needs Y={level}")
 
 
+def _fits_context(data: Dataset, basis: Basis, outcome: OutcomeFit, covar: CovariateFit,
+                  level: int) -> _Context:
+    """The one-off context of a public entry point, covar conditioning on
+    Y=level; refuses a fit made on another basis than `basis`, which would
+    pair its coefficients with the wrong features."""
+    for label, fit in (("outcome", outcome), ("covariate", covar)):
+        if fit.basis != basis:
+            raise ValueError(f"the {label} fit was made on another basis than the one given")
+    return _Context(data, basis, outcome=outcome, covars={level: covar})
+
+
 def _solve(kernel: _Kernel, start: np.ndarray):
     res = damped_newton(kernel.system, start)
     if not res.converged and not np.allclose(start, 0.0):
@@ -233,7 +273,7 @@ def solve_dr(data: Dataset, outcome: OutcomeFit, covar: CovariateFit,
     fit's beta and restarted from zero on non-convergence.  The returned
     covariance is the sandwich built from the estimated influence values.
     """
-    return _Context(data, basis, outcome=outcome, covars={0: covar}).solve(instrument, level)
+    return _fits_context(data, basis, outcome, covar, 0).solve(instrument, level)
 
 
 def solve_dr_y1(data: Dataset, outcome: OutcomeFit, covar1: CovariateFit,
@@ -243,12 +283,12 @@ def solve_dr_y1(data: Dataset, outcome: OutcomeFit, covar1: CovariateFit,
     calibrated residual and a covariate model for E(Z | Y=1, X).
 
     By the odds-ratio symmetry it is solve_dr on the relabeled data
-    (Y -> 1 - Y) under the negated outcome fit, with beta_hat, the influence
-    rows and the Wald interval negated back; the rest carries over.
+    (Y -> 1 - Y) under the negated outcome fit, with beta_hat and the
+    influence rows negated back; the rest carries over.
     """
     _check_level(covar1, 1)
-    ctx = _Context(data, basis, outcome=outcome, covars={1: covar1})
-    return ctx.solve_y1(instrument, level)
+    rep = _fits_context(data, basis, outcome, covar1, 1).mirror.solve(instrument, level)
+    return replace(rep, beta_hat=-rep.beta_hat, influence=-rep.influence)
 
 
 def closed_form_binary(data: Dataset, outcome: OutcomeFit,
@@ -262,7 +302,7 @@ def closed_form_binary(data: Dataset, outcome: OutcomeFit,
         A = sum over y=1, z=0 rows of (1-e_i) f_i
             + sum over y=0 rows of e_i (z_i - f_i).
     """
-    return _Context(data, outcome.basis, outcome=outcome, covars={0: covar}).closed_form()
+    return _fits_context(data, outcome.basis, outcome, covar, 0).closed_form()
 
 
 def assemble_influence(data: Dataset, beta_hat: np.ndarray, outcome: OutcomeFit,
@@ -277,7 +317,7 @@ def assemble_influence(data: Dataset, beta_hat: np.ndarray, outcome: OutcomeFit,
     beta_hat - beta_bar is their sample mean to first order; the
     covariance is their scaled Gram matrix, symmetric PSD by construction.
     """
-    kernel = _Context(data, basis, outcome=outcome, covars={0: covar}).kernel(instrument)
+    kernel = _fits_context(data, basis, outcome, covar, 0).kernel(instrument)
     return _assemble(kernel, np.atleast_1d(np.asarray(beta_hat, float)))
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "Dataset",
     "OutcomeModelParams",
     "CovariateModelParams",
+    "VARIANTS",
     "InstrumentSpec",
     "LinearInstrument",
     "BinaryInstrument",
@@ -288,7 +289,8 @@ class CovariateModelParams:
         return len(self.families)
 
 
-Variant = Literal["identity", "simple", "optimal"]
+# the instrument variants phi of the doubly robust class, in menu order
+VARIANTS = ("identity", "simple", "optimal")
 
 
 @dataclass(frozen=True)
@@ -305,10 +307,10 @@ class InstrumentSpec:
               Bernoulli one.
     """
 
-    variant: Variant = "simple"
+    variant: str = "simple"
 
     def __post_init__(self):
-        if self.variant not in ("identity", "simple", "optimal"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown instrument variant {self.variant!r}")
 
 
@@ -386,7 +388,8 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
     form for a Gaussian component (the same for every row) and as a
     two-point sum per row for a Bernoulli one, at O(n p^3) cost.  A tilt
     whose Gaussian moments overflow gives an inf entry of B, refused as
-    ill-conditioned like any other non-finite row.  B is inverted in closed
+    ill-conditioned like any other non-finite row, and so is a row whose
+    smallest eigenvalue magnitude of B is subnormal.  B is inverted in closed
     form for p <= 2 and by LAPACK, after scaling rows and columns by powers
     of two to about a unit diagonal, for p >= 3, where a row with a
     subnormal diagonal entry is refused; a row whose phi comes out
@@ -425,7 +428,9 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
             else:
                 eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], b_mat, 0.0)))
                 lo, hi = eig.min(axis=1), eig.max(axis=1)
-        conds = np.divide(hi, lo, out=np.full(n, np.inf), where=finite & (lo > 0))
+        # a subnormal lo has lost its digits: its row is refused like a zero one
+        conds = np.divide(hi, lo, out=np.full(n, np.inf),
+                          where=finite & (lo >= np.finfo(float).tiny))
     if not (conds > COND_LIMIT).any():
         if p > 2:
             # only now: LAPACK raises on a singular B.  LU runs on D^{-1} B D^{-1}

@@ -25,15 +25,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .estimators import SolveDiagnostics, _Context, _assemble
-from .model import (
-    Basis,
-    BasisTerm,
-    Dataset,
-    EstimationError,
-    InstrumentSpec,
-    expit,
-)
+from .estimators import DEFAULT_ESTIMATORS, KNOWN_ESTIMATORS, _Context
+from .model import Basis, BasisTerm, Dataset, EstimationError, expit
 
 __all__ = [
     "XLawGrid",
@@ -47,43 +40,16 @@ __all__ = [
     "sample_binary",
     "sample_gaussian_tilted",
     "sample_dataset",
-    "estimate",
     "run_scenario",
     "run_scenarios",
     "scenario_catalog",
     "write_dataset_csv",
+    "SUMMARY_COLUMNS",
     "summary_rows",
     "write_summary_json",
     "write_summary_csv",
     "DEFAULT_ESTIMATORS",
 ]
-
-DEFAULT_ESTIMATORS = ("mle", "dr_identity", "dr_simple", "dr_optimal")
-
-KNOWN_ESTIMATORS = ("mle", "dr_identity", "dr_simple", "dr_optimal",
-                    "dr_y1_identity", "dr_y1_simple", "dr_y1_optimal",
-                    "closed_form")
-
-
-def estimate(name: str, ctx: _Context) -> tuple[np.ndarray, np.ndarray, SolveDiagnostics | dict]:
-    """Run one estimator of KNOWN_ESTIMATORS on the dataset of `ctx`, the
-    per-dataset context through which the menu shares b(x), the nuisance
-    fits and the kernels; returns (beta, se, diagnostics)."""
-    if name not in KNOWN_ESTIMATORS:
-        raise KeyError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
-    if name == "mle":
-        s1 = ctx.outcome.s1
-        return (ctx.outcome.params.beta, np.sqrt(np.diag(s1.T @ s1 / ctx.data.n**2)[:ctx.data.p]),
-                {"iterations": ctx.outcome.iterations})
-    if name == "closed_form":
-        beta = np.array([ctx.closed_form()])
-        pieces = _assemble(ctx.kernel(InstrumentSpec("simple")), beta)
-        return beta, np.sqrt(np.diag(pieces.covariance)), {}
-    if name.startswith("dr_y1_"):
-        rep = ctx.solve_y1(InstrumentSpec(name.removeprefix("dr_y1_")))
-    else:
-        rep = ctx.solve(InstrumentSpec(name.removeprefix("dr_")))
-    return rep.beta_hat, rep.std_errors, rep.diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +354,7 @@ def _run_replication(sc: Scenario, rep: int, estimators: Sequence[str]) -> dict:
         return {name: None for name in estimators}
     for name in estimators:
         try:
-            beta, se, _ = estimate(name, ctx)
+            beta, se, _ = ctx.estimate(name)
             out[name] = (float(beta[0]), float(se[0]))
         except (EstimationError, ValueError, np.linalg.LinAlgError):
             # data-dependent failure: counted, not propagated
@@ -605,25 +571,14 @@ def write_dataset_csv(path, data: Dataset) -> None:
                        + [repr(float(v)) for v in data.x[i]])
 
 
+# the columns of every summary report: the scenario, then EstimatorSummary fields
+SUMMARY_COLUMNS = ("scenario", "estimator", "bias", "sd", "mean_se", "rmse",
+                   "coverage", "mcse", "n_fail")
+
+
 def summary_rows(summary: MonteCarloSummary) -> list[dict]:
-    return [
-        {
-            "scenario": summary.scenario,
-            "estimator": e.estimator,
-            "bias": e.bias,
-            "sd": e.sd,
-            "mean_se": e.mean_se,
-            "rmse": e.rmse,
-            "coverage": e.coverage,
-            "mcse": e.mcse,
-            "n_fail": e.n_fail,
-        }
-        for e in summary.estimators
-    ]
-
-
-_CSV_FIELDS = ["scenario", "estimator", "bias", "sd", "mean_se", "rmse",
-               "coverage", "mcse", "n_fail"]
+    return [{c: summary.scenario if c == "scenario" else getattr(e, c) for c in SUMMARY_COLUMNS}
+            for e in summary.estimators]
 
 
 def write_summary_json(summaries: Sequence[MonteCarloSummary], path) -> None:
@@ -635,7 +590,7 @@ def write_summary_json(summaries: Sequence[MonteCarloSummary], path) -> None:
 
 def write_summary_csv(summaries: Sequence[MonteCarloSummary], path) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
+        w = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
         w.writeheader()
         for s in summaries:
             for row in summary_rows(s):

@@ -484,16 +484,22 @@ def test_malformed_config_exits_2_naming_the_field(case):
     never with a traceback or exit 1.  A config `out` is tried without --out,
     from a temporary working directory."""
     cfg, env_seed, names = case
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        path = Path(tmp) / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        env = {} if env_seed is None else {"DRLOGIT_SEED": env_seed}
-        out = [] if isinstance(cfg, dict) and "out" in cfg else ["--out", tmp]
-        with mock.patch.dict(os.environ, env):
-            if env_seed is None:
-                os.environ.pop("DRLOGIT_SEED", None)
-            rc, err = _main_stderr(["fit", "--data", str(EXAMPLE_CSV), "--config", str(path),
-                                    *out])
+    # os.chdir: contextlib.chdir needs Python 3.11, above the declared floor of 3.10
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            env = {} if env_seed is None else {"DRLOGIT_SEED": env_seed}
+            out = [] if isinstance(cfg, dict) and "out" in cfg else ["--out", tmp]
+            with mock.patch.dict(os.environ, env):
+                if env_seed is None:
+                    os.environ.pop("DRLOGIT_SEED", None)
+                rc, err = _main_stderr(["fit", "--data", str(EXAMPLE_CSV), "--config",
+                                        str(path), *out])
+        finally:
+            os.chdir(cwd)
     lines = err.splitlines()
     assert rc == 2, err
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err
@@ -518,10 +524,15 @@ def test_simulate_workers_and_bytes(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--scenarios", "S1-binary",
                  "--workers", "2", "--out", str(out2)]) == 0
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-    assert (out1 / "S1-binary_summary.csv").exists()
     assert (out1 / "S1-binary_summary.json").exists()
+    # the column order of the summary CSV and summary.md headers
+    with open(out1 / "S1-binary_summary.csv", newline="") as fh:
+        assert fh.readline() == "scenario,estimator,bias,sd,mean_se,rmse,coverage,mcse,n_fail\r\n"
     md = (out1 / "summary.md").read_text()
-    assert md.startswith("| scenario |") and "S1-binary" in md
+    assert md.splitlines(keepends=True)[:2] == [
+        "| scenario | estimator | bias | sd | mean_se | rmse | coverage | mcse | n_fail |\n",
+        "|---|---|---|---|---|---|---|---|---|\n"]
+    assert "S1-binary" in md
 
 
 def test_simulate_runs_every_scenario_through_one_pool(tmp_path, monkeypatch):

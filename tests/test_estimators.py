@@ -400,6 +400,28 @@ def test_solve_rejects_mismatched_fits(rng):
         solve_dr_y1(ds, outcome, covar, InstrumentSpec("simple"), basis)
 
 
+def test_entry_points_refuse_a_basis_not_the_fits(rng):
+    """A basis other than the one a fit was made on pairs its coefficients
+    with the wrong features (on S1-gaussian, n=2000, seed 7, the simple
+    solve read 1.28 with intercept + x^2 against 0.48 on the fits' basis):
+    each public entry point refuses it, naming the fit whose basis differs."""
+    ds, basis, outcome, covar = _binary_fixture(rng)
+    other = Basis((BasisTerm("intercept"), BasisTerm("square", 0)))
+    assert other.m == basis.m
+    covar1 = fit_covariate_y1(ds, basis, ("bernoulli",))
+    covar_other = fit_covariate(ds, other, ("bernoulli",))
+    spec = InstrumentSpec("simple")
+    for call, fit in [
+            (lambda: solve_dr(ds, outcome, covar, spec, other), "outcome"),
+            (lambda: solve_dr_y1(ds, outcome, covar1, spec, other), "outcome"),
+            (lambda: assemble_influence(ds, outcome.params.beta, outcome, covar, spec, other),
+             "outcome"),
+            (lambda: solve_dr(ds, outcome, covar_other, spec, basis), "covariate"),
+            (lambda: closed_form_binary(ds, outcome, covar_other), "covariate")]:
+        with pytest.raises(ValueError, match=f"the {fit} fit was made on another basis"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Closed form
 # ---------------------------------------------------------------------------

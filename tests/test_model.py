@@ -627,8 +627,9 @@ def _gathered_optimal_instrument(g, f, beta, covar):
     """Reference optimal instrument: the gathered A and B, condition numbers
     from eigvalsh and phi from LAPACK's solve, for p >= 3 of the system
     equilibrated by powers of two; `_optimal_instrument_batch`
-    must reproduce it byte for byte for p = 1 and p >= 3.  When every row
-    passes the condition test, a row whose phi is not finite is refused as
+    must reproduce it byte for byte for p = 1 and p >= 3.  A row whose
+    smallest eigenvalue magnitude is subnormal fails the condition test;
+    when every row passes it, a row whose phi is not finite is refused as
     well."""
     n, p = f.shape
     if beta.shape[0] != p:
@@ -641,7 +642,9 @@ def _gathered_optimal_instrument(g, f, beta, covar):
         eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], b_mat, 0.0)))
     lo, hi = eig.min(axis=1), eig.max(axis=1)
     with np.errstate(over="ignore"):
-        conds = np.divide(hi, lo, out=np.full(n, np.inf), where=finite & (lo > 0))
+        # a subnormal lo is refused like a zero one
+        conds = np.divide(hi, lo, out=np.full(n, np.inf),
+                          where=finite & (lo >= np.finfo(float).tiny))
     if np.all(conds <= COND_LIMIT):
         if p == 1:
             phi = a_mat / b_mat
@@ -853,12 +856,14 @@ def test_optimal_instrument_p2_diagonal_condition_is_exact(case):
     assert got[1].tobytes() == want[1].tobytes()
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_optimal_instrument_refuses_non_finite_phi(p):
-    """Bernoulli means that underflow to 5e-324 (gamma'b(x) = -745) give a B
-    whose condition number is 1 but whose inverse overflows, so phi is inf
-    or NaN: the row is refused as ill-conditioned instead of returning NaN."""
+    """Bernoulli means that underflow to 5e-324 (gamma'b(x) = -745) give a
+    subnormal B whose condition number is 1: for p >= 2 its inverse
+    overflows, so phi is inf or NaN, and for p = 1 a / b reads 0.5 where A
+    B^{-1} on the exact moments is expit(0.16) = 0.54.  The row is refused
+    as ill-conditioned instead."""
     covar = CovariateModelParams(np.tile([[-745.0, 0.0]], (p, 1)), ("bernoulli",) * p,
                                  np.full(p, math.nan))
     with pytest.raises(SingularMatrixError, match="condition number inf > 1e\\+12 at row 0"):
