@@ -24,11 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import DEFAULT_ESTIMATORS, KNOWN_ESTIMATORS, _Context, wald_interval
-from .model import VARIANTS, Basis, BasisTerm, Dataset, EstimationError
+from .model import FAMILIES, VARIANTS, Basis, BasisTerm, Dataset, EstimationError
 from .simulate import (
     SUMMARY_COLUMNS,
     MonteCarloSummary,
-    run_scenario,
     run_scenarios,
     scenario_catalog,
     summary_rows,
@@ -68,8 +67,12 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 < self.level < 1.0:
             raise CliError(f"confidence level must be inside (0, 1), got {self.level}")
-        if self.data is not None and not self.data.exists():
-            raise CliError(f"data file does not exist: {self.data}")
+        if self.data is not None and not (self.data.is_file() and os.access(self.data, os.R_OK)):
+            raise CliError(f"data path {str(self.data)!r} is not a readable file")
+        for fam in self.z_families:
+            if fam not in FAMILIES:
+                raise CliError(f"config field 'z_families' has unknown family {fam!r}; "
+                               f"choices: {FAMILIES}")
         for name in self.estimators:
             if name not in KNOWN_ESTIMATORS:
                 raise CliError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
@@ -299,8 +302,6 @@ def read_dataset_csv(path) -> Dataset:
 
 
 def cmd_fit(rc: RunConfig) -> int:
-    if rc.data is None:
-        raise CliError("fit needs --data FILE")
     if not rc.basis_terms:
         raise CliError("fit needs a config with a 'basis' term list")
     data = read_dataset_csv(rc.data)
@@ -409,16 +410,15 @@ def cmd_compare(rc: RunConfig) -> int:
         raise CliError("compare needs exactly one scenario name")
     scenarios = _select_scenarios(rc.scenarios)
     rc.out_dir.mkdir(parents=True, exist_ok=True)
+    menu = [f"dr_{phi}" for phi in rc.phis]
+    jobs = [(_apply_overrides(sc, rc, i), menu) for i, sc in enumerate(scenarios)]
     rows = []
-    for i, sc in enumerate(scenarios):
-        sc = _apply_overrides(sc, rc, i)
-        menu = [f"dr_{phi}" for phi in rc.phis]
-        summary = run_scenario(sc, menu, level=rc.level, workers=rc.workers)
+    for summary in run_scenarios(jobs, level=rc.level, workers=rc.workers):
         variances = {e.estimator: e.sd**2 for e in summary.estimators}
         base = variances[menu[0]]
         for name in menu:
             rows.append({
-                "scenario": sc.name,
+                "scenario": summary.scenario,
                 "estimator": name,
                 "variance": variances[name],
                 "ratio_to_first": variances[name] / base if base > 0 else float("nan"),
@@ -472,14 +472,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     cfg = _load_config(getattr(args, "config", None))
     rc = RunConfig(command=args.command)
-    for key, kind in [("data", str), ("out", str)] + [
+    for key, kind in [("out", str)] + [
             (key, list) for key in ("z_families", "estimators", "scenarios", "phis")]:
         value = cfg.get(key, kind())  # a string's characters are strings too
         if not isinstance(value, kind) or not all(isinstance(v, str) for v in value):
             raise CliError(f"config field {key!r} must be "
                            f"{'a string' if kind is str else 'a list of strings'}, got {value!r}")
-    rc.data = Path(args.data) if getattr(args, "data", None) else (
-        Path(cfg["data"]) if "data" in cfg else None)
+    rc.data = Path(args.data) if args.command == "fit" else None
     rc.basis_terms = cfg.get("basis", [])
     rc.z_families = list(cfg.get("z_families", []))
     rc.estimators = list(cfg.get("estimators", []))

@@ -56,26 +56,27 @@ class SolveDiagnostics:
 @dataclass(frozen=True)
 class EstimateReport:
     """Point estimate with sandwich inference for one instrument choice; the
-    standard errors and the Wald interval derive from covariance and level."""
+    standard errors derive from covariance, and wald_interval gives the
+    interval at any level."""
 
     beta_hat: np.ndarray
     covariance: np.ndarray
     influence: np.ndarray  # (n, p)
     diagnostics: SolveDiagnostics
-    level: float
 
     @property
     def std_errors(self) -> np.ndarray:
         return np.sqrt(np.diag(self.covariance))
 
-    @property
-    def wald_ci(self) -> np.ndarray:
-        return wald_interval(self.beta_hat, self.std_errors, self.level)
+
+def _wald_quantile(level: float) -> float:
+    """The standard normal quantile z of a two-sided level interval."""
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 def wald_interval(beta: np.ndarray, se: np.ndarray, level: float) -> np.ndarray:
     """The level Wald interval beta -+ z se, as (p, 2) lower/upper bounds."""
-    zq = NormalDist().inv_cdf(0.5 + level / 2.0)
+    zq = _wald_quantile(level)
     return np.column_stack([beta - zq * se, beta + zq * se])
 
 
@@ -148,7 +149,7 @@ class _Context:
         beta = rep.beta_hat if ctx is self else -rep.beta_hat
         return beta, rep.std_errors, asdict(rep.diagnostics)
 
-    def solve(self, instrument: InstrumentSpec, level: float = 0.95) -> EstimateReport:
+    def solve(self, instrument: InstrumentSpec) -> EstimateReport:
         """solve_dr on this context."""
         kernel = self.kernel(instrument)
         res = _solve(kernel, self.outcome.params.beta)
@@ -159,7 +160,7 @@ class _Context:
                      else float(np.linalg.cond(h)))
         return EstimateReport(
             beta_hat=res.params.copy(), covariance=pieces.covariance,
-            influence=pieces.influence, level=level,
+            influence=pieces.influence,
             diagnostics=SolveDiagnostics(iterations=res.iterations, final_eq_norm=res.final_norm,
                                          jacobian_condition=condition,
                                          step_halvings=res.step_halvings))
@@ -238,15 +239,14 @@ def _check_level(covar: CovariateFit, level: int) -> None:
                          f"but this estimator needs Y={level}")
 
 
-def _fits_context(data: Dataset, basis: Basis, outcome: OutcomeFit, covar: CovariateFit,
+def _fits_context(data: Dataset, outcome: OutcomeFit, covar: CovariateFit,
                   level: int) -> _Context:
-    """The one-off context of a public entry point, covar conditioning on
-    Y=level; refuses a fit made on another basis than `basis`, which would
-    pair its coefficients with the wrong features."""
-    for label, fit in (("outcome", outcome), ("covariate", covar)):
-        if fit.basis != basis:
-            raise ValueError(f"the {label} fit was made on another basis than the one given")
-    return _Context(data, basis, outcome=outcome, covars={level: covar})
+    """The one-off context of a public entry point on the outcome fit's
+    basis, covar conditioning on Y=level; refuses a covariate fit made on
+    another basis, which would pair its coefficients with the wrong features."""
+    if covar.basis != outcome.basis:
+        raise ValueError("the covariate fit was made on another basis than the outcome fit's")
+    return _Context(data, outcome.basis, outcome=outcome, covars={level: covar})
 
 
 def _solve(kernel: _Kernel, start: np.ndarray):
@@ -265,20 +265,18 @@ def _solve(kernel: _Kernel, start: np.ndarray):
 
 
 def solve_dr(data: Dataset, outcome: OutcomeFit, covar: CovariateFit,
-             instrument: InstrumentSpec, basis: Basis, *,
-             level: float = 0.95) -> EstimateReport:
+             instrument: InstrumentSpec) -> EstimateReport:
     """Solve the doubly robust estimating equation for beta.
 
     Newton iteration with the analytic Jacobian, started at the outcome
     fit's beta and restarted from zero on non-convergence.  The returned
     covariance is the sandwich built from the estimated influence values.
     """
-    return _fits_context(data, basis, outcome, covar, 0).solve(instrument, level)
+    return _fits_context(data, outcome, covar, 0).solve(instrument)
 
 
 def solve_dr_y1(data: Dataset, outcome: OutcomeFit, covar1: CovariateFit,
-                instrument: InstrumentSpec, basis: Basis, *,
-                level: float = 0.95) -> EstimateReport:
+                instrument: InstrumentSpec) -> EstimateReport:
     """Symmetric variant of solve_dr anchored at Y=1: uses the Y=1
     calibrated residual and a covariate model for E(Z | Y=1, X).
 
@@ -287,7 +285,7 @@ def solve_dr_y1(data: Dataset, outcome: OutcomeFit, covar1: CovariateFit,
     influence rows negated back; the rest carries over.
     """
     _check_level(covar1, 1)
-    rep = _fits_context(data, basis, outcome, covar1, 1).mirror.solve(instrument, level)
+    rep = _fits_context(data, outcome, covar1, 1).mirror.solve(instrument)
     return replace(rep, beta_hat=-rep.beta_hat, influence=-rep.influence)
 
 
@@ -302,12 +300,11 @@ def closed_form_binary(data: Dataset, outcome: OutcomeFit,
         A = sum over y=1, z=0 rows of (1-e_i) f_i
             + sum over y=0 rows of e_i (z_i - f_i).
     """
-    return _fits_context(data, outcome.basis, outcome, covar, 0).closed_form()
+    return _fits_context(data, outcome, covar, 0).closed_form()
 
 
 def assemble_influence(data: Dataset, beta_hat: np.ndarray, outcome: OutcomeFit,
-                       covar: CovariateFit, instrument: InstrumentSpec,
-                       basis: Basis) -> InfluencePieces:
+                       covar: CovariateFit, instrument: InstrumentSpec) -> InfluencePieces:
     """Expansion pieces of the estimating equation at beta_hat.
 
     h_matrix, b1 and b2 are sample means of the analytic derivatives of
@@ -317,7 +314,7 @@ def assemble_influence(data: Dataset, beta_hat: np.ndarray, outcome: OutcomeFit,
     beta_hat - beta_bar is their sample mean to first order; the
     covariance is their scaled Gram matrix, symmetric PSD by construction.
     """
-    kernel = _fits_context(data, basis, outcome, covar, 0).kernel(instrument)
+    kernel = _fits_context(data, outcome, covar, 0).kernel(instrument)
     return _assemble(kernel, np.atleast_1d(np.asarray(beta_hat, float)))
 
 

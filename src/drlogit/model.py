@@ -32,6 +32,7 @@ __all__ = [
     "Basis",
     "Dataset",
     "OutcomeModelParams",
+    "FAMILIES",
     "CovariateModelParams",
     "VARIANTS",
     "InstrumentSpec",
@@ -251,7 +252,8 @@ def _negated(params: OutcomeModelParams) -> OutcomeModelParams:
     return OutcomeModelParams(-params.beta, -params.alpha)
 
 
-Family = Literal["gaussian", "bernoulli"]
+# the working families of a covariate-model component
+FAMILIES = ("gaussian", "bernoulli")
 
 
 @dataclass(frozen=True)
@@ -266,7 +268,7 @@ class CovariateModelParams:
     """
 
     gamma: np.ndarray
-    families: tuple[Family, ...]
+    families: tuple[str, ...]
     resid_var: np.ndarray
 
     def __post_init__(self):
@@ -276,7 +278,7 @@ class CovariateModelParams:
         if gamma.shape[0] != len(fams) or rv.shape[0] != len(fams):
             raise ValueError("gamma rows, families and resid_var must align")
         for j, fam in enumerate(fams):
-            if fam not in ("gaussian", "bernoulli"):
+            if fam not in FAMILIES:
                 raise ValueError(f"unknown family {fam!r} for component {j}")
             if fam == "gaussian" and not rv[j] > 0:
                 raise ValueError(f"Gaussian component {j} needs resid_var > 0")
@@ -482,7 +484,7 @@ def _closed_form_2x2(a_mat: np.ndarray, b_mat: np.ndarray):
     return np.abs(big), np.abs(small), phi
 
 
-def _component_moments(family: Family, f_j: np.ndarray, resid_var: float,
+def _component_moments(family: str, f_j: np.ndarray, resid_var: float,
                        tilt: float) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """The triples (E[r^k]) and (E[exp(tilt r) r^k]) for k = 0, 1, 2, with
     r = Z_j - f_j.  A Gaussian component, r ~ N(0, s2), gives (1,) arrays,
@@ -566,6 +568,13 @@ def _apply_phi(spec: InstrumentSpec, v: np.ndarray, g: float, f: np.ndarray, bet
     return phi @ v
 
 
+def _overflowed(v: np.ndarray) -> np.ndarray:
+    """inf * v: a scalar kernel's value where exp(-eta) overflows, as the
+    array kernel's np.exp gives it (a zero entry gives NaN), without a warning."""
+    with np.errstate(invalid="ignore"):
+        return math.inf * v
+
+
 def ee_dr(y, z, x, beta, alpha, covar: CovariateModelParams,
           instrument: InstrumentSpec, basis: Basis) -> np.ndarray:
     """Doubly robust estimating function
@@ -576,8 +585,11 @@ def ee_dr(y, z, x, beta, alpha, covar: CovariateModelParams,
     """
     y = _check_y(y)
     z, g, eta, f = _point_terms(z, x, beta, alpha, covar, basis)
-    resid = math.exp(-eta) if y == 1 else -1.0
-    return resid * _apply_phi(instrument, z - f, g, f, beta, alpha, covar)
+    v = _apply_phi(instrument, z - f, g, f, beta, alpha, covar)
+    try:
+        return (math.exp(-eta) if y == 1 else -1.0) * v
+    except OverflowError:
+        return _overflowed(v)
 
 
 def ee_instrument(y, z, x, beta, alpha, covar: CovariateModelParams,
@@ -592,12 +604,9 @@ def ee_instrument(y, z, x, beta, alpha, covar: CovariateModelParams,
     """
     y = _check_y(y)
     z, g, eta, f = _point_terms(z, x, beta, alpha, covar, basis)
-    # y/pi - 1 evaluated in the stable factored form (1-pi)/pi for y=1.
-    w = _scalar_expit(-eta) / _scalar_expit(eta) if y == 1 else -1.0
-
     if isinstance(u, LinearInstrument):
-        return w * _apply_phi(u.spec, z - f, g, f, beta, alpha, covar)
-    if isinstance(u, BinaryInstrument):
+        v = _apply_phi(u.spec, z - f, g, f, beta, alpha, covar)
+    elif isinstance(u, BinaryInstrument):
         if covar.p != 1 or covar.families[0] != "bernoulli":
             raise ValueError("tabulated instruments only support scalar binary Z; "
                              "continuous Z is limited to linear-in-Z instruments")
@@ -606,5 +615,11 @@ def ee_instrument(y, z, x, beta, alpha, covar: CovariateModelParams,
         u0 = np.atleast_1d(np.asarray(u.u0(np.asarray(x, dtype=float)), dtype=float))
         u1 = np.atleast_1d(np.asarray(u.u1(np.asarray(x, dtype=float)), dtype=float))
         uval = u1 if z[0] == 1.0 else u0
-        return w * (uval - ((1.0 - f[0]) * u0 + f[0] * u1))
-    raise TypeError(f"unsupported instrument type {type(u).__name__}")
+        v = uval - ((1.0 - f[0]) * u0 + f[0] * u1)
+    else:
+        raise TypeError(f"unsupported instrument type {type(u).__name__}")
+    try:
+        # y/pi - 1 evaluated in the stable factored form (1-pi)/pi for y=1.
+        return (_scalar_expit(-eta) / _scalar_expit(eta) if y == 1 else -1.0) * v
+    except ZeroDivisionError:  # pi underflowed to 0
+        return _overflowed(v)

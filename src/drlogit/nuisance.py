@@ -24,7 +24,6 @@ from .model import (
     ConvergenceError,
     CovariateModelParams,
     Dataset,
-    Family,
     OutcomeModelParams,
     expit,
 )
@@ -139,7 +138,7 @@ def _neg_info(w: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 def fit_covariate(data: Dataset, basis: Basis,
-                  families: Sequence[Family]) -> CovariateFit:
+                  families: Sequence[str]) -> CovariateFit:
     """Fit the working model for E(Z | Y=0, X) on the Y=0 subsample.
 
     Gaussian components: ordinary least squares of z_j on b(x), with the
@@ -150,13 +149,13 @@ def fit_covariate(data: Dataset, basis: Basis,
 
 
 def fit_covariate_y1(data: Dataset, basis: Basis,
-                     families: Sequence[Family]) -> CovariateFit:
+                     families: Sequence[str]) -> CovariateFit:
     """Mirror of fit_covariate on the Y=1 subsample, modelling E(Z | Y=1, X)."""
     return _fit_covariate_level(data, basis, basis.design(data.x), families, level=1)
 
 
 def _fit_covariate_level(data: Dataset, basis: Basis, bmat: np.ndarray,
-                         families: Sequence[Family], level: int) -> CovariateFit:
+                         families: Sequence[str], level: int) -> CovariateFit:
     """The covariate fit on the y=level subsample given bmat = b(x) on all rows."""
     families = tuple(families)
     if len(families) != data.p:

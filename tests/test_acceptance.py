@@ -327,7 +327,7 @@ def test_c06_derivative_matrices_match_finite_differences():
             variant = ("identity", "simple", "optimal")[seed % 3]
             spec = InstrumentSpec(variant)
             beta_hat = outcome.params.beta + 0.05
-            pieces = assemble_influence(ds, beta_hat, outcome, covar, spec, basis)
+            pieces = assemble_influence(ds, beta_hat, outcome, covar, spec)
             phi = instrument_matrices(spec, ds.x, outcome.params, covar.params, basis)
             alpha = outcome.params.alpha
             gamma = covar.params.gamma
@@ -453,7 +453,7 @@ def test_c10_closed_form_agreement():
         outcome = fit_outcome_mle(ds, sc.working_basis)
         covar = fit_covariate(ds, sc.working_basis, ("bernoulli",))
         cf = closed_form_binary(ds, outcome, covar)
-        rep = solve_dr(ds, outcome, covar, InstrumentSpec("simple"), sc.working_basis)
+        rep = solve_dr(ds, outcome, covar, InstrumentSpec("simple"))
         worst = max(worst, abs(cf - rep.beta_hat[0]))
     _report(10, "closed-form binary estimator equals the Newton root",
             worst <= 1e-8, f"max |difference| = {worst:.2e} over 50 datasets")

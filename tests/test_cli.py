@@ -71,7 +71,7 @@ def test_fit_round_trip_matches_in_process(tmp_path):
     basis = basis_from_terms([{"kind": "intercept"}, {"kind": "linear", "j": 0}])
     outcome = fit_outcome_mle(ds, basis)
     covar = fit_covariate(ds, basis, ("bernoulli",))
-    want = solve_dr(ds, outcome, covar, InstrumentSpec("simple"), basis).beta_hat[0]
+    want = solve_dr(ds, outcome, covar, InstrumentSpec("simple")).beta_hat[0]
 
     cfg = {"basis": [{"kind": "intercept"}, {"kind": "linear", "j": 0}],
            "z_families": ["bernoulli"], "estimators": ["dr_simple"]}
@@ -468,11 +468,10 @@ def _malformed_configs():
                                      max_size=2),
                             st.dictionaries(_LETTERS, st.integers(), max_size=1)))
         .map(lambda kv: ({"basis": _GOOD_BASIS, kv[0]: kv[1]}, None, f"'{kv[0]}'")),
-        st.tuples(st.sampled_from(["data", "out"]),
-                  st.one_of(st.integers(), st.none(), st.booleans(),
-                            st.lists(_LETTERS, max_size=2),
-                            st.dictionaries(_LETTERS, st.integers(), max_size=1)))
-        .map(lambda kv: ({"basis": _GOOD_BASIS, kv[0]: kv[1]}, None, f"'{kv[0]}'")),
+        st.one_of(st.integers(), st.none(), st.booleans(), st.lists(_LETTERS, max_size=2),
+                  st.dictionaries(_LETTERS, st.integers(), max_size=1))
+        .map(lambda out: ({"basis": _GOOD_BASIS, "out": out}, None, "'out'")),
+        st.just(({"basis": _GOOD_BASIS, "z_families": ["gausian"]}, None, "'z_families'")),
     )
 
 
@@ -503,6 +502,17 @@ def test_malformed_config_exits_2_naming_the_field(case):
     lines = err.splitlines()
     assert rc == 2, err
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err
+
+
+@pytest.mark.parametrize("data", ["directory", ""])
+def test_fit_data_not_a_readable_file_exits_2_naming_it(data, tmp_path):
+    """A --data that names a directory, or an empty one, exits 2 with one
+    error line naming the path, without a traceback."""
+    path = str(tmp_path) if data == "directory" else data
+    rc, err = _main_stderr(["fit", "--data", path, "--config", str(EXAMPLE_CFG),
+                            "--out", str(tmp_path)])
+    assert rc == 2, err
+    assert err.splitlines() == [f"error: data path {str(Path(path))!r} is not a readable file"]
 
 
 def test_fit_phi_flag_overrides(tmp_path):
@@ -536,8 +546,8 @@ def test_simulate_workers_and_bytes(tmp_path):
 
 
 def test_simulate_runs_every_scenario_through_one_pool(tmp_path, monkeypatch):
-    """Two scenarios with --workers 2 start one process pool, and the
-    summaries equal the single-process ones byte for byte."""
+    """simulate and compare on the two editions of S1 with --workers 2 start
+    one process pool each, and write what one process writes, byte for byte."""
     pools = []
 
     class CountingPool(simulate.ProcessPoolExecutor):
@@ -546,16 +556,21 @@ def test_simulate_runs_every_scenario_through_one_pool(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
-    cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({"n": 250, "replications": 6, "estimators": ["dr_simple"]}))
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    for out, workers in ((out1, "1"), (out2, "2")):
-        assert main(["simulate", "--config", str(cfg), "--scenarios", "S1", "--workers",
-                     workers, "--out", str(out)]) == 0
-    assert pools == [2]
-    for name in ("summary.json", "summary.md", "S1-binary_summary.csv",
-                 "S1-gaussian_summary.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    size = {"n": 250, "replications": 6, "scenarios": ["S1"]}
+    for command, config, names in [
+            ("simulate", {"estimators": ["dr_simple"]},
+             ("summary.json", "summary.md", "S1-binary_summary.csv", "S1-gaussian_summary.json")),
+            ("compare", {"phis": ["simple", "identity"]}, ("compare.json",))]:
+        pools.clear()
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({**size, **config}))
+        out1, out2 = tmp_path / command / "w1", tmp_path / command / "w2"
+        for out, workers in ((out1, "1"), (out2, "2")):
+            assert main([command, "--config", str(cfg), "--workers", workers,
+                         "--out", str(out)]) == 0
+        assert pools == [2], command
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_simulate_mass_failure_keeps_earlier_scenario_files(tmp_path, monkeypatch, capsys):

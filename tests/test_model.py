@@ -19,6 +19,7 @@ from drlogit.model import (
     InstrumentSpec,
     LinearInstrument,
     OutcomeModelParams,
+    VARIANTS,
     SingularMatrixError,
     _component_moments,
     _instruments,
@@ -1023,6 +1024,31 @@ def test_optimal_kernels_refuse_non_finite_coefficients(kernel, beta, alpha, lin
     with pytest.raises(ValueError, match="outcome-model coefficients must be finite"):
         kernel(1, [1.0], [0.3], np.array(beta), np.array(alpha), _covar_bern([0.1, 0.4]), u,
                lin_basis)
+
+
+@pytest.mark.parametrize("family, z, beta, gamma0, want, optimal_refused", [
+    ("bernoulli", 1.0, -800.0, 0.3, math.inf, True),
+    ("gaussian", 800.0, -1.0, 0.3, math.inf, False),
+    ("gaussian", 800.0, -1.0, 800.0, math.nan, True),  # z - f = 0: inf * 0 is NaN
+])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scalar_kernels_give_inf_where_exp_overflows(family, z, beta, gamma0, want,
+                                                     optimal_refused, variant, lin_basis):
+    """At y=1 with eta = beta'z + g = -800, exp(-eta) overflows: both scalar
+    kernels give inf * phi(z - f), what the array kernel's np.exp gives, with
+    no Python exception and no warning.  Where the optimal instrument's own
+    moments overflow (beta'f = -800), it is refused as ill-conditioned."""
+    covar = _covar_bern([gamma0, 0.2]) if family == "bernoulli" else _covar_gauss([gamma0, 0.0],
+                                                                                1.0)
+    spec = InstrumentSpec(variant)
+    for kernel, u in ((ee_dr, spec), (ee_instrument, LinearInstrument(spec))):
+        args = (1, [z], [0.0], np.array([beta]), np.zeros(2), covar, u, lin_basis)
+        if variant == "optimal" and optimal_refused:
+            with pytest.raises(SingularMatrixError):
+                kernel(*args)
+        else:
+            np.testing.assert_array_equal(kernel(*args), [want])
 
 
 def test_ee_instrument_y0_value(lin_basis):

@@ -14,7 +14,6 @@ from drlogit.nuisance import fit_outcome_mle
 from drlogit.simulate import (
     BernoulliComponent,
     GaussianComponent,
-    Scenario,
     TrueLaw,
     XLawGrid,
     XLawUniform,
@@ -32,6 +31,7 @@ from drlogit.simulate import (
 )
 
 SAMPLER_SHA256 = Path(__file__).resolve().parent / "sampler_sha256.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _lin():
@@ -304,13 +304,18 @@ def test_catalog_stable_and_flagged():
     assert pickle.loads(pickle.dumps(s1)) == s1
 
 
-def test_scenario_rejects_wrong_flags():
-    sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
-    with pytest.raises(ValueError, match="flags"):
-        Scenario(name=sc.name, family=sc.family, law=sc.law,
-                 working_basis=sc.working_basis, z_families=sc.z_families,
-                 g_correct=False, f_correct=True, n=sc.n,
-                 replications=sc.replications, seed=sc.seed)
+def test_catalog_flags_match_the_readme_table():
+    """The derived correctness flags of all 12 catalog scenarios are the
+    outcome-model and covariate-model columns of the README's catalog table."""
+    table = {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[1] in ("correct", "misspecified"):
+            table[cells[0]] = (cells[1] == "correct", cells[2] == "correct")
+    catalog = scenario_catalog()
+    assert len(catalog) == 12 and sorted(table) == sorted({sc.family for sc in catalog})
+    for sc in catalog:
+        assert (sc.g_correct, sc.f_correct) == table[sc.family], sc.name
 
 
 def test_run_scenario_summary_identities():
