@@ -28,7 +28,6 @@ def main() -> None:
         "z_families": ["bernoulli"],
         "estimators": ["mle", "dr_identity", "dr_simple", "dr_optimal", "closed_form"],
         "level": 0.95,
-        "seed": SEED,
     }
     with open(DATA / "example_fit_config.json", "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)

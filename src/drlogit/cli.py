@@ -1,11 +1,12 @@
 """Command-line interface: fit estimators on CSV data, run simulation
 studies, and compare instrument choices.
 
-Configuration comes from a JSON file; command-line flags override config
-fields, and the environment variable DRLOGIT_SEED is the seed of last
-resort.  All outputs are reproducible byte for byte for a fixed
-(config, seed): floats are serialized with repr and no timestamps are
-written.
+Each command reads its settings from its flags, then from the config
+keys it reads (_CONFIG_KEYS; any other key is refused), then from
+defaults; simulate and compare take the environment variable
+DRLOGIT_SEED as the seed of last resort.  All outputs are reproducible
+byte for byte for a fixed (config, seed): floats are serialized with
+repr and no timestamps are written.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from .simulate import (
     write_summary_json,
 )
 
-__all__ = ["main", "RunConfig", "read_dataset_csv", "basis_from_terms"]
+__all__ = ["main", "read_dataset_csv", "basis_from_terms"]
 
 
 class CliError(Exception):
@@ -48,42 +48,16 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    command: str
-    data: Path | None = None
-    basis_terms: list[dict] = field(default_factory=list)
-    z_families: list[str] = field(default_factory=list)
-    estimators: list[str] = field(default_factory=list)
-    scenarios: list[str] = field(default_factory=list)
-    level: float = 0.95
-    seed: int | None = None
-    out_dir: Path = Path(".")
-    workers: int = 1
-    n: int | None = None
-    replications: int | None = None
-    phis: list[str] = field(default_factory=list)
-
-    def validate(self) -> None:
-        if not 0.0 < self.level < 1.0:
-            raise CliError(f"confidence level must be inside (0, 1), got {self.level}")
-        if self.data is not None and not (self.data.is_file() and os.access(self.data, os.R_OK)):
-            raise CliError(f"data path {str(self.data)!r} is not a readable file")
-        for fam in self.z_families:
-            if fam not in FAMILIES:
-                raise CliError(f"config field 'z_families' has unknown family {fam!r}; "
-                               f"choices: {FAMILIES}")
-        for name in self.estimators:
-            if name not in KNOWN_ESTIMATORS:
-                raise CliError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
-        for phi in self.phis:
-            if phi not in VARIANTS:
-                raise CliError(f"unknown phi variant {phi!r}; choices: {VARIANTS}")
-        if self.workers < 1:
-            raise CliError("workers must be at least 1")
+# The config keys each command reads; _load_config refuses any other key.
+_CONFIG_KEYS = {
+    "fit": ("basis", "z_families", "estimators", "level", "out"),
+    "simulate": ("scenarios", "estimators", "level", "seed", "out", "workers", "n",
+                 "replications"),
+    "compare": ("scenarios", "phis", "seed", "out", "workers", "n", "replications"),
+}
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
     p = Path(path)
@@ -95,6 +69,10 @@ def _load_config(path: str | None) -> dict:
         raise CliError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError(f"config file {p} must hold a JSON object, got {type(cfg).__name__}")
+    for key in cfg:
+        if key not in _CONFIG_KEYS[command]:
+            raise CliError(f"config key {key!r} is not read by {command}, which reads: "
+                           f"{', '.join(_CONFIG_KEYS[command])}")
     return cfg
 
 
@@ -110,15 +88,49 @@ def _number(value, name: str, kind=int, minimum=None):
     return out
 
 
-def _resolve_seed(flag_seed, cfg: dict):
-    if flag_seed is not None:
-        return _number(flag_seed, "--seed", minimum=0)
-    if "seed" in cfg:
-        return _number(cfg["seed"], "config field 'seed'", minimum=0)
-    env = os.environ.get("DRLOGIT_SEED")
-    if env is not None:
-        return _number(env, "DRLOGIT_SEED", minimum=0)
-    return None
+def _setting(args, cfg: dict, key: str, default, kind=int, minimum=None, env=None):
+    """The number that flag --key gives, else config key `key`, else the
+    environment variable env, else default."""
+    flag = getattr(args, key, None)
+    if flag is not None:
+        return _number(flag, f"--{key}", kind, minimum)
+    if key in cfg:
+        return _number(cfg[key], f"config field {key!r}", kind, minimum)
+    if env is not None and env in os.environ:
+        return _number(os.environ[env], env, kind, minimum)
+    return default
+
+
+def _names(cfg: dict, key: str, choices, flag: str | None = None) -> list[str]:
+    """The names that the comma-separated flag gives, else the list in
+    config key `key`, else none; each must be one of choices."""
+    if flag:
+        value, name = [s.strip() for s in flag.split(",") if s.strip()], f"--{key}"
+    else:
+        value, name = cfg.get(key, []), f"config field {key!r}"
+    # a string's characters are strings too
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise CliError(f"{name} must be a list of strings, got {value!r}")
+    for v in value:
+        if v not in choices:
+            raise CliError(f"{name} has unknown entry {v!r}; choices: {', '.join(choices)}")
+    return value
+
+
+def _level(args, cfg: dict) -> float:
+    level = _setting(args, cfg, "level", 0.95, float)
+    if not 0.0 < level < 1.0:
+        raise CliError(f"confidence level must be inside (0, 1), got {level}")
+    return level
+
+
+def _out_dir(args, cfg: dict) -> Path:
+    if args.out:
+        return Path(args.out)
+    out = cfg.get("out", ".")
+    if not isinstance(out, str):
+        raise CliError(f"config field 'out' must be a string, got {out!r}")
+    return Path(out)
 
 
 def basis_from_terms(terms: list[dict]) -> Basis:
@@ -301,15 +313,23 @@ def read_dataset_csv(path) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(rc: RunConfig) -> int:
-    if not rc.basis_terms:
-        raise CliError("fit needs a config with a 'basis' term list")
-    data = read_dataset_csv(rc.data)
-    basis = basis_from_terms(rc.basis_terms)
-    z_families = rc.z_families or ["gaussian"] * data.p
+def cmd_fit(args, cfg: dict) -> int:
+    path = Path(args.data)
+    if not (path.is_file() and os.access(path, os.R_OK)):
+        raise CliError(f"data path {str(path)!r} is not a readable file")
+    basis = basis_from_terms(cfg.get("basis"))
+    z_families = _names(cfg, "z_families", FAMILIES)
+    estimators = _names(cfg, "estimators", KNOWN_ESTIMATORS)
+    if args.phi:
+        estimators = [e for e in estimators if not e.startswith("dr_")] + [f"dr_{args.phi}"]
+    estimators = estimators or ["mle", "dr_simple"]
+    level = _level(args, cfg)
+    out_dir = _out_dir(args, cfg)
+
+    data = read_dataset_csv(path)
+    z_families = z_families or ["gaussian"] * data.p
     if len(z_families) != data.p:
         raise CliError(f"config lists {len(z_families)} z_families but data has p={data.p}")
-    estimators = rc.estimators or ["mle", "dr_simple"]
 
     results, ctx = {}, None
     for name in estimators:
@@ -320,12 +340,11 @@ def cmd_fit(rc: RunConfig) -> int:
         except (EstimationError, ValueError) as exc:
             raise CliError(f"estimator {name!r} failed: {exc}") from exc
         results[name] = {"beta": beta.tolist(), "se": se.tolist(),
-                         "ci": wald_interval(beta, se, rc.level).tolist(), "diagnostics": diag}
+                         "ci": wald_interval(beta, se, level).tolist(), "diagnostics": diag}
 
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"n": data.n, "p": data.p, "q": data.q, "level": rc.level,
-               "estimators": results}
-    out_path = rc.out_dir / "estimates.json"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    payload = {"n": data.n, "p": data.p, "q": data.q, "level": level, "estimators": results}
+    out_path = out_dir / "estimates.json"
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -345,30 +364,25 @@ def cmd_fit(rc: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _select_scenarios(requested: list[str]):
+def _study(args, cfg: dict):
+    """The scenarios, worker count and output directory of a simulate or
+    compare call: the scenarios (or families of them) that --scenarios
+    or the config selects, all by default, resized by the config's n and
+    replications; a seed from --seed, the config or DRLOGIT_SEED replaces
+    the catalog seeds, offset by 1009 per scenario."""
     catalog = scenario_catalog()
-    if not requested:
-        return list(catalog)
-    by_name = {sc.name: sc for sc in catalog}
-    families: dict[str, list] = {}
+    choices = {sc.name: [sc] for sc in catalog}
     for sc in catalog:
-        families.setdefault(sc.family, []).append(sc)
-    out = []
-    for name in requested:
-        if name in by_name:
-            out.append(by_name[name])
-        elif name in families:
-            out.extend(families[name])
-        else:
-            valid = sorted(by_name) + sorted(families)
-            raise CliError(f"unknown scenario {name!r}; valid names: {', '.join(valid)}")
-    return out
-
-
-def _apply_overrides(sc, rc: RunConfig, index: int):
-    # a user-supplied seed replaces the catalog seeds, offset per scenario
-    seed = rc.seed + 1009 * index if rc.seed is not None else None
-    return with_size(sc, n=rc.n, replications=rc.replications, seed=seed)
+        choices.setdefault(sc.family, []).append(sc)
+    names = _names(cfg, "scenarios", choices, getattr(args, "scenarios", None))
+    scenarios = [sc for name in names for sc in choices[name]] if names else list(catalog)
+    seed = _setting(args, cfg, "seed", None, minimum=0, env="DRLOGIT_SEED")
+    n = _setting(args, cfg, "n", None, minimum=1)
+    replications = _setting(args, cfg, "replications", None, minimum=1)
+    scenarios = [with_size(sc, n=n, replications=replications,
+                           seed=None if seed is None else seed + 1009 * i)
+                 for i, sc in enumerate(scenarios)]
+    return scenarios, _setting(args, cfg, "workers", 1, minimum=1), _out_dir(args, cfg)
 
 
 def markdown_table(summaries: list[MonteCarloSummary]) -> str:
@@ -380,40 +394,40 @@ def markdown_table(summaries: list[MonteCarloSummary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(rc: RunConfig) -> int:
-    scenarios = _select_scenarios(rc.scenarios)
-    estimators = rc.estimators or list(DEFAULT_ESTIMATORS)
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(args, cfg: dict) -> int:
+    estimators = _names(cfg, "estimators", KNOWN_ESTIMATORS) or list(DEFAULT_ESTIMATORS)
+    level = _level(args, cfg)
+    scenarios, workers, out_dir = _study(args, cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     jobs = []
-    for i, sc in enumerate(scenarios):
-        sc = _apply_overrides(sc, rc, i)
+    for sc in scenarios:
         menu = estimators
         if "closed_form" in menu and sc.z_families[0] != "bernoulli":
             menu = [e for e in menu if e != "closed_form"]
         jobs.append((sc, menu))
     summaries = []
-    for summary in run_scenarios(jobs, level=rc.level, workers=rc.workers):
+    for summary in run_scenarios(jobs, level=level, workers=workers):
         summaries.append(summary)
-        write_summary_json([summary], rc.out_dir / f"{summary.scenario}_summary.json")
-        write_summary_csv([summary], rc.out_dir / f"{summary.scenario}_summary.csv")
+        write_summary_json([summary], out_dir / f"{summary.scenario}_summary.json")
+        write_summary_csv([summary], out_dir / f"{summary.scenario}_summary.csv")
         print(f"finished {summary.scenario} (n={summary.n}, R={summary.replications})")
-    (rc.out_dir / "summary.md").write_text(markdown_table(summaries))
-    write_summary_json(summaries, rc.out_dir / "summary.json")
-    print(f"wrote {rc.out_dir / 'summary.md'}")
+    (out_dir / "summary.md").write_text(markdown_table(summaries))
+    write_summary_json(summaries, out_dir / "summary.json")
+    print(f"wrote {out_dir / 'summary.md'}")
     return 0
 
 
-def cmd_compare(rc: RunConfig) -> int:
-    if len(rc.phis) < 2:
+def cmd_compare(args, cfg: dict) -> int:
+    phis = _names(cfg, "phis", VARIANTS)
+    if len(phis) < 2:
         raise CliError("compare needs at least 2 phi variants in the config field 'phis'")
-    if len(rc.scenarios) != 1:
+    scenarios, workers, out_dir = _study(args, cfg)
+    if len(cfg.get("scenarios", [])) != 1:  # _study has checked it is a list of names
         raise CliError("compare needs exactly one scenario name")
-    scenarios = _select_scenarios(rc.scenarios)
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
-    menu = [f"dr_{phi}" for phi in rc.phis]
-    jobs = [(_apply_overrides(sc, rc, i), menu) for i, sc in enumerate(scenarios)]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    menu = [f"dr_{phi}" for phi in phis]
     rows = []
-    for summary in run_scenarios(jobs, level=rc.level, workers=rc.workers):
+    for summary in run_scenarios([(sc, menu) for sc in scenarios], workers=workers):
         variances = {e.estimator: e.sd**2 for e in summary.estimators}
         base = variances[menu[0]]
         for name in menu:
@@ -424,14 +438,14 @@ def cmd_compare(rc: RunConfig) -> int:
                 "ratio_to_first": variances[name] / base if base > 0 else float("nan"),
             })
     payload = {"comparison": rows}
-    with open(rc.out_dir / "compare.json", "w") as fh:
+    with open(out_dir / "compare.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"{'scenario':<16}{'estimator':<16}{'variance':>14}{'ratio':>10}")
     for row in rows:
         print(f"{row['scenario']:<16}{row['estimator']:<16}"
               f"{row['variance']:>14.6g}{row['ratio_to_first']:>10.6g}")
-    print(f"wrote {rc.out_dir / 'compare.json'}")
+    print(f"wrote {out_dir / 'compare.json'}")
     return 0
 
 
@@ -469,54 +483,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = _load_config(getattr(args, "config", None))
-    rc = RunConfig(command=args.command)
-    for key, kind in [("out", str)] + [
-            (key, list) for key in ("z_families", "estimators", "scenarios", "phis")]:
-        value = cfg.get(key, kind())  # a string's characters are strings too
-        if not isinstance(value, kind) or not all(isinstance(v, str) for v in value):
-            raise CliError(f"config field {key!r} must be "
-                           f"{'a string' if kind is str else 'a list of strings'}, got {value!r}")
-    rc.data = Path(args.data) if args.command == "fit" else None
-    rc.basis_terms = cfg.get("basis", [])
-    rc.z_families = list(cfg.get("z_families", []))
-    rc.estimators = list(cfg.get("estimators", []))
-    level_flag = getattr(args, "level", None)
-    rc.level = level_flag if level_flag is not None else _number(
-        cfg.get("level", 0.95), "config field 'level'", float)
-    rc.seed = _resolve_seed(getattr(args, "seed", None), cfg)
-    out_flag = getattr(args, "out", None)
-    rc.out_dir = Path(out_flag) if out_flag else Path(cfg.get("out", "."))
-    workers_flag = getattr(args, "workers", None)
-    rc.workers = workers_flag if workers_flag is not None else _number(
-        cfg.get("workers", 1), "config field 'workers'")
-    rc.n = _number(cfg["n"], "config field 'n'", minimum=1) if "n" in cfg else None
-    rc.replications = (_number(cfg["replications"], "config field 'replications'", minimum=1)
-                       if "replications" in cfg else None)
-    scen_flag = getattr(args, "scenarios", None)
-    if scen_flag:
-        rc.scenarios = [s.strip() for s in scen_flag.split(",") if s.strip()]
-    else:
-        rc.scenarios = list(cfg.get("scenarios", []))
-    phi_flag = getattr(args, "phi", None)
-    rc.phis = [phi_flag] if phi_flag else list(cfg.get("phis", []))
-    if args.command == "fit" and phi_flag:
-        rc.estimators = [e for e in rc.estimators if not e.startswith("dr_")]
-        rc.estimators.append(f"dr_{phi_flag}")
-    rc.validate()
-    return rc
+_COMMANDS = {"fit": cmd_fit, "simulate": cmd_simulate, "compare": cmd_compare}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        rc = _config_from_args(args)
-        if rc.command == "fit":
-            return cmd_fit(rc)
-        if rc.command == "simulate":
-            return cmd_simulate(rc)
-        return cmd_compare(rc)
+        return _COMMANDS[args.command](args, _load_config(args.config, args.command))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -619,7 +619,9 @@ def ee_instrument(y, z, x, beta, alpha, covar: CovariateModelParams,
     else:
         raise TypeError(f"unsupported instrument type {type(u).__name__}")
     try:
-        # y/pi - 1 evaluated in the stable factored form (1-pi)/pi for y=1.
-        return (_scalar_expit(-eta) / _scalar_expit(eta) if y == 1 else -1.0) * v
+        # y/pi - 1 evaluated in the stable factored form (1-pi)/pi for y=1;
+        # a subnormal pi makes it overflow to inf without raising
+        factor = _scalar_expit(-eta) / _scalar_expit(eta) if y == 1 else -1.0
     except ZeroDivisionError:  # pi underflowed to 0
-        return _overflowed(v)
+        factor = math.inf
+    return _overflowed(v) if factor == math.inf else factor * v

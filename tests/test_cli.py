@@ -32,6 +32,7 @@ from drlogit.cli import basis_from_terms
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE_CSV = REPO / "data" / "example_binary_beta0.csv"
 EXAMPLE_CFG = REPO / "data" / "example_fit_config.json"
+README = REPO / "README.md"
 
 
 def test_fit_bundled_example(tmp_path, capsys):
@@ -419,6 +420,7 @@ def _main_stderr(argv) -> tuple[int, str]:
 
 
 @given(st.integers(-3, 0))
+@example(0)
 @settings(max_examples=10, deadline=None)
 def test_simulate_rejects_nonpositive_workers(workers):
     rc, err = _main_stderr(["simulate", "--scenarios", "S1-binary",
@@ -442,47 +444,90 @@ _NOT_A_NUMBER = st.one_of(_LETTERS, st.none(), st.lists(st.integers(), max_size=
 _GOOD_BASIS = [{"kind": "intercept"}, {"kind": "linear", "j": 0}]
 
 
+# a config each command runs on, and which a bad value of one key spoils
+_BASE_CONFIGS = {"fit": {"basis": _GOOD_BASIS},
+                 "simulate": {"scenarios": ["S1-binary"]},
+                 "compare": {"scenarios": ["S1-binary"], "phis": ["simple", "identity"]}}
+# the commands that read each key besides basis
+_READERS = {"level": ("fit", "simulate"), "z_families": ("fit",),
+            "estimators": ("fit", "simulate"), "phis": ("compare",), "out": tuple(_BASE_CONFIGS),
+            **{key: ("simulate", "compare")
+               for key in ("scenarios", "seed", "workers", "n", "replications")}}
+
+
+def _case(command: str, key: str, value, names: str | None = None):
+    return command, {**_BASE_CONFIGS[command], key: value}, None, names or f"'{key}'"
+
+
+def _unread(command: str, key: str, value):
+    return _case(command, key, value, f"config key '{key}' is not read by {command}")
+
+
+def _read_by(keys):
+    """(command, key) for each key and each command that reads it."""
+    return st.sampled_from([(command, key) for key in keys for command in _READERS[key]])
+
+
 def _malformed_configs():
-    """(config, DRLOGIT_SEED or None, text the error line must contain)."""
-    field = st.sampled_from(["level", "workers", "n", "replications", "seed"])
+    """(command, config, DRLOGIT_SEED or None, text the error line must contain)."""
     index = st.sampled_from(["j", "k"])
     bad_index = st.one_of(_NOT_A_NUMBER, st.integers(max_value=-1))
     return st.one_of(
-        st.one_of(st.lists(st.integers(), max_size=2), st.integers(), _LETTERS, st.none())
-        .map(lambda top: (top, None, "JSON object")),
+        st.tuples(st.sampled_from(list(_BASE_CONFIGS)),
+                  st.one_of(st.lists(st.integers(), max_size=2), st.integers(), _LETTERS,
+                            st.none()))
+        .map(lambda ct: (ct[0], ct[1], None, "JSON object")),
         st.one_of(_LETTERS, st.integers(), st.none(), st.lists(st.integers(), max_size=1))
-        .map(lambda term: ({"basis": [*_GOOD_BASIS, term]}, None, "'basis' term 2")),
-        st.tuples(index, bad_index).map(lambda kv: (
-            {"basis": [*_GOOD_BASIS, {"kind": "interaction", "j": 0, "k": 0, kv[0]: kv[1]}]},
-            None, f"field '{kv[0]}'")),
-        st.tuples(field, _NOT_A_NUMBER).map(lambda kv: (
-            {"basis": _GOOD_BASIS, kv[0]: kv[1]}, None, f"'{kv[0]}'")),
-        st.just(({"basis": _GOOD_BASIS, "seed": -1}, None, "'seed'")),
-        st.tuples(st.sampled_from(["n", "replications"]), st.integers(max_value=0)).map(
-            lambda kv: ({"basis": _GOOD_BASIS, kv[0]: kv[1]}, None, f"'{kv[0]}'")),
-        st.one_of(_LETTERS, st.just("1.5"), st.just("-3"))
-        .map(lambda env: ({"basis": _GOOD_BASIS}, env, "DRLOGIT_SEED")),
-        st.tuples(st.sampled_from(["z_families", "estimators", "scenarios", "phis"]),
+        .map(lambda term: _case("fit", "basis", [*_GOOD_BASIS, term], "'basis' term 2")),
+        st.tuples(index, bad_index).map(lambda kv: _case(
+            "fit", "basis", [*_GOOD_BASIS, {"kind": "interaction", "j": 0, "k": 0, kv[0]: kv[1]}],
+            f"field '{kv[0]}'")),
+        st.tuples(_read_by(["level", "workers", "n", "replications", "seed"]), _NOT_A_NUMBER)
+        .map(lambda ck_v: _case(*ck_v[0], ck_v[1])),
+        _read_by(["seed"]).map(lambda ck: _case(*ck, -1)),
+        st.tuples(_read_by(["n", "replications", "workers"]), st.integers(max_value=0))
+        .map(lambda ck_v: _case(*ck_v[0], ck_v[1])),
+        st.tuples(st.sampled_from(["simulate", "compare"]),
+                  st.one_of(_LETTERS, st.just("1.5"), st.just("-3")))
+        .map(lambda ce: (ce[0], _BASE_CONFIGS[ce[0]], ce[1], "DRLOGIT_SEED")),
+        st.tuples(_read_by(["z_families", "estimators", "scenarios", "phis"]),
                   st.one_of(st.integers(), _LETTERS, st.none(), st.booleans(),
                             st.lists(st.one_of(st.integers(), st.none()), min_size=1,
                                      max_size=2),
                             st.dictionaries(_LETTERS, st.integers(), max_size=1)))
-        .map(lambda kv: ({"basis": _GOOD_BASIS, kv[0]: kv[1]}, None, f"'{kv[0]}'")),
-        st.one_of(st.integers(), st.none(), st.booleans(), st.lists(_LETTERS, max_size=2),
-                  st.dictionaries(_LETTERS, st.integers(), max_size=1))
-        .map(lambda out: ({"basis": _GOOD_BASIS, "out": out}, None, "'out'")),
-        st.just(({"basis": _GOOD_BASIS, "z_families": ["gausian"]}, None, "'z_families'")),
+        .map(lambda ck_v: _case(*ck_v[0], ck_v[1])),
+        st.tuples(_read_by(["out"]),
+                  st.one_of(st.integers(), st.none(), st.booleans(),
+                            st.lists(_LETTERS, max_size=2),
+                            st.dictionaries(_LETTERS, st.integers(), max_size=1)))
+        .map(lambda ck_v: _case(*ck_v[0], ck_v[1])),
+        st.sampled_from([("fit", "z_families", ["gausian"]), ("fit", "estimators", ["mle", "ml"]),
+                         ("simulate", "estimators", ["dr_simpel"]),
+                         ("simulate", "scenarios", ["S9"]), ("compare", "scenarios", ["S1-bin"]),
+                         ("compare", "phis", ["simple", "optimum"])])
+        .map(lambda ckv: _case(*ckv)),
+        # a key the command does not read, misspelt or another command's
+        st.tuples(st.sampled_from(list(_BASE_CONFIGS)), _LETTERS, st.just(1))
+        .filter(lambda ckv: ckv[1] not in cli._CONFIG_KEYS[ckv[0]])
+        .map(lambda ckv: _unread(*ckv)),
+        st.sampled_from([("fit", "estimater", ["mle"]), ("fit", "seed", 1),
+                         ("fit", "data", "d.csv"), ("compare", "level", 0.5),
+                         ("simulate", "basis", "nonsense"),
+                         ("simulate", "phis", ["simple", "identity"])])
+        .map(lambda ckv: _unread(*ckv)),
     )
 
 
 @given(_malformed_configs())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_malformed_config_exits_2_naming_the_field(case):
-    """A config value of the wrong type or range, and a DRLOGIT_SEED that is
-    not a nonnegative integer, exit 2 with one error line naming the field,
-    never with a traceback or exit 1.  A config `out` is tried without --out,
-    from a temporary working directory."""
-    cfg, env_seed, names = case
+    """A config key the command does not read, a value of the wrong type or
+    range for a key it reads, and a DRLOGIT_SEED that is not a nonnegative
+    integer (simulate and compare) exit 2 with one error line naming the key,
+    never with a traceback or exit 1, before any data is read or a replication
+    run.  A config `out` is tried without --out, from a temporary working
+    directory."""
+    command, cfg, env_seed, names = case
     # os.chdir: contextlib.chdir needs Python 3.11, above the declared floor of 3.10
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -492,16 +537,41 @@ def test_malformed_config_exits_2_naming_the_field(case):
             path.write_text(json.dumps(cfg))
             env = {} if env_seed is None else {"DRLOGIT_SEED": env_seed}
             out = [] if isinstance(cfg, dict) and "out" in cfg else ["--out", tmp]
-            with mock.patch.dict(os.environ, env):
+            data = ["--data", str(EXAMPLE_CSV)] if command == "fit" else []
+            refuse = mock.Mock(side_effect=AssertionError("ran before the config was checked"))
+            with mock.patch.dict(os.environ, env), \
+                    mock.patch.object(cli, "read_dataset_csv", refuse), \
+                    mock.patch.object(cli, "run_scenarios", refuse):
                 if env_seed is None:
                     os.environ.pop("DRLOGIT_SEED", None)
-                rc, err = _main_stderr(["fit", "--data", str(EXAMPLE_CSV), "--config",
-                                        str(path), *out])
+                rc, err = _main_stderr([command, *data, "--config", str(path), *out])
         finally:
             os.chdir(cwd)
     lines = err.splitlines()
     assert rc == 2, err
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err
+
+
+def test_config_keys_and_fit_example_match_the_readme(tmp_path):
+    """The README's per-command key table is the CLI's, and `fit` runs its
+    fit config example (on data with the two x columns its basis uses)."""
+    text = README.read_text()
+    table = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].strip("`") in cli._CONFIG_KEYS:
+            table[cells[0].strip("`")] = tuple(k.strip(" `") for k in cells[1].split(","))
+    assert table == cli._CONFIG_KEYS
+    example = text.split("Fit config JSON:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(example)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, (500, 2))
+    z = (rng.uniform(size=500) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(float)
+    y = (rng.uniform(size=500) < 1.0 / (1.0 + np.exp(-0.5 * z - x[:, 1]))).astype(np.int64)
+    write_dataset_csv(tmp_path / "d.csv", Dataset(y, z[:, None], x))
+    assert main(["fit", "--data", str(tmp_path / "d.csv"), "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("data", ["directory", ""])
@@ -522,6 +592,30 @@ def test_fit_phi_flag_overrides(tmp_path):
     names = set(payload["estimators"])
     assert "dr_identity" in names
     assert not any(n.startswith("dr_") and n != "dr_identity" for n in names)
+
+
+def test_fit_phi_flag_without_config_estimators_fits_it_alone(tmp_path):
+    """--phi on a config without `estimators` fits dr_<phi> alone, not the
+    default menu with it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": _GOOD_BASIS, "z_families": ["bernoulli"]}))
+    assert main(["fit", "--data", str(EXAMPLE_CSV), "--config", str(cfg),
+                 "--phi", "identity", "--out", str(tmp_path)]) == 0
+    assert list(json.loads((tmp_path / "estimates.json").read_text())["estimators"]) == [
+        "dr_identity"]
+
+
+def test_fit_does_not_read_drlogit_seed(tmp_path, monkeypatch):
+    """fit reads no seed: under DRLOGIT_SEED=abc it exits 0 and writes the
+    bytes it writes without it."""
+    out_env, out_plain = tmp_path / "env", tmp_path / "plain"
+    monkeypatch.setenv("DRLOGIT_SEED", "abc")
+    assert main(["fit", "--data", str(EXAMPLE_CSV), "--config", str(EXAMPLE_CFG),
+                 "--out", str(out_env)]) == 0
+    monkeypatch.delenv("DRLOGIT_SEED")
+    assert main(["fit", "--data", str(EXAMPLE_CSV), "--config", str(EXAMPLE_CFG),
+                 "--out", str(out_plain)]) == 0
+    assert (out_env / "estimates.json").read_bytes() == (out_plain / "estimates.json").read_bytes()
 
 
 def test_simulate_workers_and_bytes(tmp_path):

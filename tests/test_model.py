@@ -1030,15 +1030,20 @@ def test_optimal_kernels_refuse_non_finite_coefficients(kernel, beta, alpha, lin
     ("bernoulli", 1.0, -800.0, 0.3, math.inf, True),
     ("gaussian", 800.0, -1.0, 0.3, math.inf, False),
     ("gaussian", 800.0, -1.0, 800.0, math.nan, True),  # z - f = 0: inf * 0 is NaN
+    # eta = -715 and -740: pi is subnormal, so (1 - pi)/pi overflows without raising
+    ("gaussian", 720.0, -715.0 / 720.0, 0.3, math.inf, False),
+    ("gaussian", 720.0, -715.0 / 720.0, 720.0, math.nan, True),
+    ("gaussian", 740.0, -1.0, 740.0, math.nan, True),
 ])
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_scalar_kernels_give_inf_where_exp_overflows(family, z, beta, gamma0, want,
                                                      optimal_refused, variant, lin_basis):
-    """At y=1 with eta = beta'z + g = -800, exp(-eta) overflows: both scalar
-    kernels give inf * phi(z - f), what the array kernel's np.exp gives, with
-    no Python exception and no warning.  Where the optimal instrument's own
-    moments overflow (beta'f = -800), it is refused as ill-conditioned."""
+    """At y=1 with eta = beta'z + g = -715, -740 or -800, exp(-eta) overflows:
+    both scalar kernels give inf * phi(z - f), what the array kernel's np.exp
+    gives, with no Python exception and no warning.  Where the optimal
+    instrument's own moments overflow (beta'f = eta), it is refused as
+    ill-conditioned."""
     covar = _covar_bern([gamma0, 0.2]) if family == "bernoulli" else _covar_gauss([gamma0, 0.0],
                                                                                 1.0)
     spec = InstrumentSpec(variant)
