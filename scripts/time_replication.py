@@ -4,21 +4,23 @@
 For each scenario, draws replications as `drlogit simulate --seed SEED`
 does (the i-th listed scenario takes seed SEED + 1009 i, replication r the
 stream SeedSequence(seed, spawn_key=(r,))) and times each phase of one
-replication in this process: the sampler, b(x), the outcome fit, the
-covariate fit and, per estimator, the kernel build, the Newton solve and the
-sandwich.  It prints the median ms per replication of every phase, then the
-median number of Newton equation evaluations (`system` calls) and of
-kernel weights (`_Kernel.weight`, one exp over the Y=1 rows each) per beta
-solve, the mean number of `np.linalg.solve` and `np.linalg.inv` calls per
-replication, and one JSON line with the same numbers.
+replication in this process: the sampler, the collapse of the sample onto
+its distinct (y, z, x) rows, b(x), the outcome fit, the covariate fit and,
+per estimator, the kernel build, the Newton solve and the sandwich.  It
+prints the median ms per replication of every phase, the median and range
+of the distinct rows per replication, then the median number of Newton
+equation evaluations (`system` calls) and of kernel weights
+(`_Kernel.weight`, one exp over the Y=1 rows each) per beta solve, the mean
+number of `np.linalg.solve` and `np.linalg.inv` calls per replication, and
+one JSON line with the same numbers.
 
     PYTHONPATH=src python3 scripts/time_replication.py \
         --scenario S1-binary --n 2000 --reps 50 --seed 7
 
 The counts come from a second, untimed pass, so counting adds nothing to the
-times.  The script calls drlogit's private estimator pieces (`_Context`,
-`_solve`, `_assemble`); point PYTHONPATH at another checkout's src/ to time
-that checkout with the same script.
+times.  The script calls drlogit's private estimator pieces (`_distinct`,
+`_fit_outcome_mle`, `_Context`, `_solve`, `_assemble`); a checkout whose
+pieces have other signatures is timed with its own copy of the script.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 import drlogit.estimators as estimators
 from drlogit.estimators import _assemble, _Context, _solve
 from drlogit.model import EstimationError, InstrumentSpec
-from drlogit.nuisance import _fit_outcome_mle
+from drlogit.nuisance import _distinct, _fit_outcome_mle
 from drlogit.simulate import sample_dataset, scenario_catalog, with_size
 
 # the mc-catalog benchmark menu
@@ -54,15 +56,17 @@ class _Clock:
         return out
 
 
-def _replication(sc, rep: int, clock) -> None:
+def _replication(sc, rep: int, clock) -> int:
     """One replication, each phase run through clock(phase, fn, *args); an
-    estimator that fails (as closed_form does on Gaussian Z) is skipped."""
+    estimator that fails (as closed_form does on Gaussian Z) is skipped.
+    Returns the number of distinct rows of the sample."""
     seed = np.random.SeedSequence(sc.seed, spawn_key=(rep,))
     data = clock("sample", sample_dataset, sc.law, sc.n, seed)
+    rows = clock("collapse", _distinct, data)
     basis = sc.working_basis
-    bmat = clock("design", basis.design, data.x)
-    outcome = clock("outcome_fit", _fit_outcome_mle, data, basis, bmat)
-    ctx = _Context(data, basis, sc.z_families, outcome=outcome, bmat=bmat)
+    bmat = clock("design", basis.design, rows.data.x)
+    outcome = clock("outcome_fit", _fit_outcome_mle, rows, basis, bmat)
+    ctx = _Context(rows, basis, sc.z_families, outcome=outcome, bmat=bmat)
     clock("covariate_fit", ctx.covar, 0)
     for name in MENU:
         if name == "mle":
@@ -78,6 +82,7 @@ def _replication(sc, rep: int, clock) -> None:
             clock(f"{name}.sandwich", _assemble, kernel, res.params)
         except (EstimationError, ValueError, np.linalg.LinAlgError):
             continue
+    return rows.data.n
 
 
 def _counts(sc, reps: int) -> tuple[dict, dict]:
@@ -151,10 +156,10 @@ def main(argv=None) -> None:
                        seed=args.seed + 1009 * i)
         for rep in range(2):  # warm-up: imports
             _replication(sc, rep, lambda phase, fn, *a: fn(*a))
-        per_rep = []
+        per_rep, distinct = [], []
         for rep in range(args.reps):
             clock = _Clock()
-            _replication(sc, rep, clock)
+            distinct.append(_replication(sc, rep, clock))
             per_rep.append(clock.ms)
         phases = list(dict.fromkeys(p for ms in per_rep for p in ms))
         per_phase = {p: round(statistics.median(ms.get(p, 0.0) for ms in per_rep), 4)
@@ -166,6 +171,8 @@ def main(argv=None) -> None:
         for phase, ms in per_phase.items():
             print(f"  {phase:<24}{ms:>10.4f} ms")
         print(f"  {'replication (median)':<24}{total:>10.4f} ms")
+        print(f"  {'distinct rows':<24}{statistics.median(distinct):>10g}  "
+              f"({min(distinct)}-{max(distinct)})")
         for est, c in counts.items():
             print(f"  {est:<24}{c['system_calls_per_solve']:>6g} system calls, "
                   f"{c['weight_evaluations_per_solve']:g} weight evaluations per solve")
@@ -173,6 +180,8 @@ def main(argv=None) -> None:
               f"{linalg_calls['inv']:g} inv per replication")
         print(json.dumps({"scenario": name, "n": sc.n, "reps": args.reps, "seed": sc.seed,
                           "per_phase_ms": per_phase, "replication_ms": total,
+                          "distinct_rows": {"median": statistics.median(distinct),
+                                            "min": min(distinct), "max": max(distinct)},
                           "newton": counts, "linalg_calls_per_replication": linalg_calls},
                          sort_keys=True))
 

@@ -77,15 +77,17 @@ def _load_config(path: str | None, command: str) -> dict:
 
 
 def _number(value, name: str, kind=int, minimum=None):
-    """value converted by kind; a CliError naming it if that fails or gives less than minimum."""
-    try:
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError):
+    """value as a kind; a CliError naming it unless value is an int (or, for a
+    float setting, a float too, bool never) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int,) if kind is int else (int, float)):
         raise CliError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
-                       f"got {value!r}") from None
-    if minimum is not None and out < minimum:
+                       f"got {value!r}")
+    if minimum is not None and value < minimum:
         raise CliError(f"{name} must be at least {minimum}, got {value!r}")
-    return out
+    try:
+        return kind(value)
+    except OverflowError:  # an int beyond the float range
+        raise CliError(f"{name} must be a float, got {value!r}") from None
 
 
 def _setting(args, cfg: dict, key: str, default, kind=int, minimum=None, env=None):
@@ -97,7 +99,12 @@ def _setting(args, cfg: dict, key: str, default, kind=int, minimum=None, env=Non
     if key in cfg:
         return _number(cfg[key], f"config field {key!r}", kind, minimum)
     if env is not None and env in os.environ:
-        return _number(os.environ[env], env, kind, minimum)
+        value = os.environ[env]
+        try:
+            value = kind(value)
+        except ValueError:
+            pass  # _number refuses the string, naming env
+        return _number(value, env, kind, minimum)
     return default
 
 

@@ -24,7 +24,8 @@ import numpy as np
 from ._newton import damped_newton
 from .model import (VARIANTS, Basis, ConvergenceError, Dataset, InstrumentSpec,
                     SingularMatrixError, _instruments, _means_from_design, _negated)
-from .nuisance import CovariateFit, OutcomeFit, _fit_covariate_level, _fit_outcome_mle
+from .nuisance import (CovariateFit, OutcomeFit, _distinct, _fit_covariate_level,
+                       _fit_outcome_mle, _Rows)
 
 __all__ = [
     "DEFAULT_ESTIMATORS",
@@ -94,24 +95,35 @@ class InfluencePieces:
 
 
 class _Context:
-    """What the estimator menu shares on one dataset: b(x) from one design
-    call, the outcome fit, g = alpha'b(x) and, each built lazily and once,
-    the covariate fit per response level, the Y=0 means f, the kernel per
-    instrument and `mirror`: the Y=1 anchor as the Y=0 context of 1 - Y under
-    the negated outcome fit (odds-ratio symmetry), sharing z, x and b(x)."""
+    """What the estimator menu shares on the distinct rows of one dataset:
+    b(x) from one design call, the outcome fit, g = alpha'b(x) and, each built
+    lazily and once, the covariate fit per response level, the Y=0 means f,
+    the kernel per instrument and `mirror`: the Y=1 anchor as the Y=0 context
+    of 1 - Y under the negated outcome fit (odds-ratio symmetry), sharing the
+    rows, their counts and b(x).  Given a Dataset, the context collapses it
+    and takes the per-observation rows of given fits at each distinct row's
+    first occurrence, exact because they are functions of the row's (y, z, x);
+    given its `_distinct` rows, the fits and bmat are on those rows."""
 
-    def __init__(self, data: Dataset, basis: Basis, z_families: Sequence[str] = (), *,
+    def __init__(self, data: Dataset | _Rows, basis: Basis, z_families: Sequence[str] = (), *,
                  outcome: OutcomeFit | None = None, covars: dict | None = None,
                  bmat: np.ndarray | None = None):
-        self.data, self.basis, self.z_families = data, basis, tuple(z_families)
-        self.bmat = basis.design(data.x) if bmat is None else bmat
-        self.outcome = _fit_outcome_mle(data, basis, self.bmat) if outcome is None else outcome
+        if isinstance(data, _Rows):
+            rows = data
+        else:
+            rows = _distinct(data)
+            outcome = None if outcome is None else replace(outcome, s1=rows.pick(outcome.s1))
+            covars = {lv: replace(c, s2=rows.pick(c.s2)) for lv, c in (covars or {}).items()}
+        self.rows, self.data = rows, rows.data
+        self.basis, self.z_families = basis, tuple(z_families)
+        self.bmat = basis.design(self.data.x) if bmat is None else bmat
+        self.outcome = _fit_outcome_mle(rows, basis, self.bmat) if outcome is None else outcome
         self.g = self.bmat @ self.outcome.params.alpha
         self._covars, self._kernels = dict(covars or {}), {}
 
     def covar(self, level: int) -> CovariateFit:
         if level not in self._covars:
-            self._covars[level] = _fit_covariate_level(self.data, self.basis, self.bmat,
+            self._covars[level] = _fit_covariate_level(self.rows, self.basis, self.bmat,
                                                        self.z_families, level)
         return self._covars[level]
 
@@ -126,8 +138,9 @@ class _Context:
 
     @cached_property
     def mirror(self) -> "_Context":
-        d, o = self.data, self.outcome
-        return _Context(Dataset._trusted(1 - d.y, d.z, d.x), self.basis, self.z_families,
+        o, r, d = self.outcome, self.rows, self.data
+        return _Context(_Rows(Dataset._trusted(1 - d.y, d.z, d.x), r.counts, r.first, r.inverse),
+                        self.basis, self.z_families,
                         outcome=replace(o, params=_negated(o.params), s1=-o.s1),
                         covars={0: replace(self.covar(1), response_level=0)}, bmat=self.bmat)
 
@@ -137,8 +150,9 @@ class _Context:
         if name not in KNOWN_ESTIMATORS:
             raise KeyError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
         if name == "mle":
-            s1, n, p = self.outcome.s1, self.data.n, self.data.p
-            return (self.outcome.params.beta, np.sqrt(np.diag(s1.T @ s1 / n**2)[:p]),
+            s1, p = self.outcome.s1, self.data.p
+            return (self.outcome.params.beta,
+                    np.sqrt(np.diag(self.rows.weigh(s1).T @ s1 / self.rows.total**2)[:p]),
                     {"iterations": self.outcome.iterations})
         if name == "closed_form":
             beta = np.array([self.closed_form()])
@@ -175,10 +189,10 @@ class _Context:
         if not (z0 | z1).all():
             raise ValueError("closed-form estimator needs binary Z values")
         kernel = self.kernel(InstrumentSpec("simple"))  # refuses a Y=1 covariate fit
-        e, f, y = kernel.phi[:, 0, 0], kernel.f[:, 0], self.data.y
-        b_sum = float(np.sum((1.0 - e) * (1.0 - f) * ((y == 1) & z1)))
-        a_sum = float(np.sum((1.0 - e) * f * ((y == 1) & z0))
-                      + np.sum(e[y == 0] * (z[y == 0] - f[y == 0])))
+        e, f, y, weigh = kernel.phi[:, 0, 0], kernel.f[:, 0], self.data.y, self.rows.weigh
+        b_sum = float(np.sum(weigh((1.0 - e) * (1.0 - f)) * ((y == 1) & z1)))
+        a_sum = float(np.sum(weigh((1.0 - e) * f) * ((y == 1) & z0))
+                      + np.sum(weigh(e)[y == 0] * (z[y == 0] - f[y == 0])))
         if a_sum <= 0.0 or b_sum <= 0.0:
             raise ConvergenceError(
                 f"closed-form equation has no finite root (A={a_sum:.3g}, B={b_sum:.3g})")
@@ -186,28 +200,31 @@ class _Context:
 
 
 class _Kernel:
-    """The doubly robust estimating equation n^{-1} sum_i r_i u_i = 0 in beta,
-    the one array form of the calibrated equation: residual
-    r = y*exp(-eta) - (1-y) with eta = z beta + g(x), and u = phi(x)(z - f(x)),
-    the instrument held fixed at the plugged-in nuisance estimates of ctx.  A
-    Y=0 row has r = -1, so a beta costs one exp over the Y=1 rows plus
-    c0 = sum_{Y=0} u_i; an overflowing one gives an inf/NaN norm, no
-    improvement to damped_newton."""
+    """The doubly robust estimating equation N^{-1} sum_i c_i r_i u_i = 0 in
+    beta over the distinct rows i with counts c_i, the one array form of the
+    calibrated equation: residual r = y*exp(-eta) - (1-y) with
+    eta = z beta + g(x), and u = phi(x)(z - f(x)), the instrument held fixed
+    at the plugged-in nuisance estimates of ctx.  A Y=0 row has r = -1, so a
+    beta costs one exp over the Y=1 rows, whose u are held times their counts
+    as cu1, plus c0 = sum_{Y=0} c_i u_i; an overflowing one gives an inf/NaN
+    norm, no improvement to damped_newton."""
 
     def __init__(self, ctx: _Context, instrument: InstrumentSpec):
-        self.outcome, self.covar = ctx.outcome, ctx.covar(0)
+        self.rows, self.outcome, self.covar = ctx.rows, ctx.outcome, ctx.covar(0)
         _check_level(self.covar, 0)
         y, z = ctx.data.y, ctx.data.z
         if not (y == 1).any() or not (y == 0).any():
             raise ValueError("need both response classes to estimate beta")
         self.bmat, self.f = ctx.bmat, ctx.f
+        # a refusal names the data row of a distinct row's first occurrence
         self.phi = _instruments(instrument, ctx.g, self.f, self.outcome.params.beta,
-                                self.covar.params)[0]
+                                self.covar.params, self.rows.first)[0]
         u = np.einsum("nij,nj->ni", self.phi, z - self.f)
         # row indices and take(): a boolean-mask gather of a 2-d array costs ~10x more
-        self.n, self.u, self.one = y.shape[0], u, np.flatnonzero(y == 1)
-        self.u1, self.z1 = u.take(self.one, axis=0), z.take(self.one, axis=0)
-        self.c0 = u.take(np.flatnonzero(y != 1), axis=0).sum(axis=0)
+        cu = self.rows.weigh(u)
+        self.n, self.u, self.one = self.rows.total, u, np.flatnonzero(y == 1)
+        self.cu1, self.z1 = cu.take(self.one, axis=0), z.take(self.one, axis=0)
+        self.c0 = cu.take(np.flatnonzero(y != 1), axis=0).sum(axis=0)
         self.g1 = ctx.g.take(self.one)
 
     def weight(self, beta: np.ndarray) -> np.ndarray:
@@ -218,19 +235,19 @@ class _Kernel:
         return np.exp(-(self.z1.dot(beta) + self.g1))
 
     def residual(self, w1: np.ndarray) -> np.ndarray:
-        r = np.full(self.n, -1.0)
+        r = np.full(self.u.shape[0], -1.0)
         r[self.one] = w1
         return r
 
     def system(self, beta: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
             w1 = self.weight(beta)
-            return (self.u1.T @ w1 - self.c0) / self.n, lambda: self.jacobian(beta, w1)
+            return (self.cu1.T @ w1 - self.c0) / self.n, lambda: self.jacobian(beta, w1)
 
     def jacobian(self, beta: np.ndarray, w1: np.ndarray | None = None) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             w1 = self.weight(beta) if w1 is None else w1
-            return -(self.u1 * w1[:, None]).T @ self.z1 / self.n
+            return -(self.cu1 * w1[:, None]).T @ self.z1 / self.n
 
 
 def _check_level(covar: CovariateFit, level: int) -> None:
@@ -319,21 +336,23 @@ def assemble_influence(data: Dataset, beta_hat: np.ndarray, outcome: OutcomeFit,
 
 
 def _assemble(kernel: _Kernel, beta: np.ndarray) -> InfluencePieces:
-    n, p, m = kernel.n, beta.shape[0], kernel.bmat.shape[1]
+    """The pieces over the distinct rows, each mean weighted by the counts, with
+    the influence rows expanded to the n observations."""
+    rows, n, p, m = kernel.rows, kernel.n, beta.shape[0], kernel.bmat.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         w1 = kernel.weight(beta)  # one exp over the Y=1 rows serves resid, h_matrix and b1
     resid, h_matrix = kernel.residual(w1), kernel.jacobian(beta, w1)
-    b1 = -(kernel.u1 * w1[:, None]).T @ kernel.bmat.take(kernel.one, axis=0) / n
+    b1 = -(kernel.cu1 * w1[:, None]).T @ kernel.bmat.take(kernel.one, axis=0) / n
     # d r / d gamma_{jk} = -resid * phi[:, j] * link'(f_j) * b_k: one (n, p*p)' (n, m) product
-    slope = resid[:, None] * np.where([fam == "bernoulli" for fam in kernel.covar.params.families],
-                                      kernel.f * (1.0 - kernel.f), 1.0)
-    b2 = (-(kernel.phi.reshape(n, p * p) * np.tile(slope, p)).T @ kernel.bmat / n
+    bernoulli = [fam == "bernoulli" for fam in kernel.covar.params.families]
+    slope = rows.weigh(resid)[:, None] * np.where(bernoulli, kernel.f * (1.0 - kernel.f), 1.0)
+    b2 = (-(kernel.phi.reshape(-1, p * p) * np.tile(slope, p)).T @ kernel.bmat / n
           ).reshape(p, p * m)
 
     combo = resid[:, None] * kernel.u + kernel.outcome.s1[:, p:] @ b1.T + kernel.covar.s2 @ b2.T
     influence = -combo.dot(_inverse(h_matrix).T)  # @ is a slow loop for p = 1
-    covariance = influence.T @ influence / n**2
-    return InfluencePieces(h_matrix=h_matrix, b1=b1, b2=b2, influence=influence,
+    covariance = rows.weigh(influence).T @ influence / n**2
+    return InfluencePieces(h_matrix=h_matrix, b1=b1, b2=b2, influence=rows.expand(influence),
                            covariance=(covariance + covariance.T) / 2.0)
 
 

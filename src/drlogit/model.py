@@ -377,7 +377,8 @@ def _check_y(y) -> int:
 
 
 def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
-                              covar: CovariateModelParams) -> tuple[np.ndarray, np.ndarray]:
+                              covar: CovariateModelParams,
+                              rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Variance-minimizing phi(x) per row from g = alpha'b(x) and the
     covariate means f(x), with condition numbers.
 
@@ -395,7 +396,8 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
     form for p <= 2 and by LAPACK, after scaling rows and columns by powers
     of two to about a unit diagonal, for p >= 3, where a row with a
     subnormal diagonal entry is refused; a row whose phi comes out
-    non-finite, from a B too close to zero to invert, is refused too.
+    non-finite, from a B too close to zero to invert, is refused too.  The
+    refusal names the worst row, as rows[i] for entry i when rows is given.
     """
     n, p = f.shape
     if beta.shape[0] != p:
@@ -452,9 +454,10 @@ def _optimal_instrument_batch(g: np.ndarray, f: np.ndarray, beta: np.ndarray,
             return phi, conds
         conds[~np.isfinite(phi).all(axis=(1, 2))] = np.inf
     worst = int(np.argmax(conds))
+    row = worst if rows is None else rows[worst]
     raise SingularMatrixError(
         f"optimal instrument: inner moment matrix has condition number "
-        f"{conds[worst]:.3g} > {COND_LIMIT:.0e} at row {worst}")
+        f"{conds[worst]:.3g} > {COND_LIMIT:.0e} at row {row}")
 
 
 def _closed_form_2x2(a_mat: np.ndarray, b_mat: np.ndarray):
@@ -509,12 +512,13 @@ def _component_moments(family: str, f_j: np.ndarray, resid_var: float,
 
 
 def _instruments(spec: InstrumentSpec, g: np.ndarray, f: np.ndarray, beta: np.ndarray,
-                 covar: CovariateModelParams) -> tuple[np.ndarray, np.ndarray]:
+                 covar: CovariateModelParams, rows: np.ndarray | None = None):
     """phi at every row from g = alpha'b(x) and the covariate means f(x), as
-    an (n, p, p) array, with the condition numbers (1 unless optimal)."""
+    an (n, p, p) array, with the condition numbers (1 unless optimal); rows
+    as in _optimal_instrument_batch."""
     n, p = f.shape
     if spec.variant == "optimal":
-        return _optimal_instrument_batch(g, f, beta, covar)
+        return _optimal_instrument_batch(g, f, beta, covar, rows)
     scale = np.ones(n) if spec.variant == "identity" else expit(g)
     return scale[:, None, None] * np.eye(p), np.ones(n)
 

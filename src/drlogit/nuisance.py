@@ -9,11 +9,16 @@ system(theta) whose Jacobian thunk reuses that evaluation, built only for an
 accepted iterate.  Each fit returns per-observation influence values so that
 downstream sandwich variances can account for the estimated nuisances:
 params_hat - params_bar = mean of the influence rows + o_p(n^{-1/2}).
+
+Every sum a fit takes is over per-row terms in (y, z, x), so the fits run on
+the distinct rows of the data, each weighted by its count, with the total
+count N as the divisor (`_Rows`); the public fits expand their influence rows
+back to the n observations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -66,17 +71,83 @@ class CovariateFit:
     response_level: int = 0
 
 
-def _fit_logistic_core(w: np.ndarray, y: np.ndarray, start: np.ndarray):
-    """Newton-Raphson on the mean score w'(y - pi)/n = 0, one expit per trial point, for
-    the outcome MLE and the Bernoulli covariate fits; returns the result and the pi of
-    the last evaluation, which for a converged result is the one at its params."""
+class _Rows:
+    """The distinct (y, z, x) rows of a dataset as `data`, with `counts` and
+    their total N; `first` indexes each distinct row's first occurrence and
+    `inverse` each observation's distinct row, both None when the n rows are
+    all distinct and kept in order with counts of 1."""
+
+    def __init__(self, data: Dataset, counts: np.ndarray, first=None, inverse=None):
+        self.data, self.counts, self.first, self.inverse = data, counts, first, inverse
+        self.total = float(counts.sum())
+
+    def weigh(self, a: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+        """The rows of a, one per distinct row (or per entry of index), times
+        their counts.  Counts of 1 leave a as it is: multiplying by them would
+        change no bit, but cost about 6% of the estimator menu on 2,000
+        continuous rows with p = 2."""
+        if self.first is None:
+            return a
+        c = self.counts if index is None else self.counts.take(index)
+        return a * (c if a.ndim == 1 else c[:, None])
+
+    def pick(self, a: np.ndarray) -> np.ndarray:
+        """The rows of the per-observation array a at each distinct row."""
+        return a if self.first is None else a.take(self.first, axis=0)
+
+    def expand(self, a: np.ndarray) -> np.ndarray:
+        """The per-distinct-row array a at each of the n observations."""
+        return a if self.inverse is None else a.take(self.inverse, axis=0)
+
+
+def _distinct(data: Dataset) -> _Rows:
+    """The distinct rows of data with their counts.  Each column is coded by
+    its sorted distinct values and the codes are combined into one key in
+    mixed radix, re-coded densely whenever the radix passes n so that the
+    key stays below n^2; the rows are known to be distinct, and are kept as
+    they stand, once a column or the key takes n values."""
+    n = data.n
+    key, radix = data.y, 2
+    for col in (*data.z.T, *data.x.T):
+        # np.unique's first call costs 1.4 MB of peak memory, a sort 0.26 MB
+        values = np.sort(col)
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+        if values.size == n:
+            return _Rows(data, np.ones(n))
+        # up to 16 values, one comparison each beats np.searchsorted's binary
+        # search (20,000 rows, 3 values: 27 against 298 us)
+        code = (np.searchsorted(values, col) if values.size > 16
+                else sum(col >= v for v in values[1:]))
+        key, radix = key * values.size + code, radix * values.size
+        if radix > n:
+            keys, key = np.unique(key, return_inverse=True)
+            radix = keys.size
+    counts = np.bincount(key, minlength=radix)
+    present = counts > 0
+    if present.sum() == n:
+        return _Rows(data, np.ones(n))
+    first = np.empty(radix, dtype=np.intp)
+    first[key[::-1]] = np.arange(n - 1, -1, -1)  # the last write, the first occurrence, wins
+    first, inverse = first[present], (np.cumsum(present) - 1).take(key)
+    rows = Dataset._trusted(data.y.take(first), data.z.take(first, axis=0),
+                            data.x.take(first, axis=0))
+    return _Rows(rows, counts[present].astype(float), first, inverse)
+
+
+def _fit_logistic_core(w: np.ndarray, cw: np.ndarray, y: np.ndarray, start: np.ndarray,
+                       total: float):
+    """Newton-Raphson on the mean score cw'(y - pi)/N = 0, cw the rows of w
+    times their counts and N their total, one expit per trial point, for the
+    outcome MLE and the Bernoulli covariate fits; returns the result and the
+    pi of the last evaluation, which for a converged result is the one at its
+    params."""
     y = np.asarray(y, dtype=float)
     last_pi = None
 
     def system(th):
         nonlocal last_pi
         last_pi = pi = expit(w @ th)
-        return w.T @ (y - pi) / w.shape[0], lambda: _neg_info(w, pi)
+        return cw.T @ (y - pi) / total, lambda: _neg_info(w, cw, pi, total)
     return damped_newton(system, start), last_pi
 
 
@@ -87,11 +158,15 @@ def fit_outcome_mle(data: Dataset, basis: Basis) -> OutcomeFit:
     Raises on a constant response, a rank-deficient design, or
     non-convergence (which a separated sample produces).
     """
-    return _fit_outcome_mle(data, basis, basis.design(data.x))
+    rows = _distinct(data)
+    fit = _fit_outcome_mle(rows, basis, basis.design(rows.data.x))
+    return replace(fit, s1=rows.expand(fit.s1))
 
 
-def _fit_outcome_mle(data: Dataset, basis: Basis, bmat: np.ndarray) -> OutcomeFit:
-    """fit_outcome_mle given bmat = b(x) on the rows of data."""
+def _fit_outcome_mle(rows: _Rows, basis: Basis, bmat: np.ndarray) -> OutcomeFit:
+    """fit_outcome_mle on the distinct rows, given bmat = b(x) on them; s1 has
+    one row per distinct row."""
+    data = rows.data
     if data.y.min() == data.y.max():
         raise ValueError("response is constant: need at least one y=0 and one y=1 row")
     # an identically-zero column of the design [z, b(x)] has an equation component
@@ -108,7 +183,8 @@ def _fit_outcome_mle(data: Dataset, basis: Basis, bmat: np.ndarray) -> OutcomeFi
     if np.linalg.matrix_rank(wa) < wa.shape[1]:
         raise ValueError("outcome design matrix [z, b(x)] is rank deficient")
 
-    res, pi = _fit_logistic_core(wa, data.y, np.zeros(wa.shape[1]))
+    cwa = rows.weigh(wa)
+    res, pi = _fit_logistic_core(wa, cwa, data.y, np.zeros(wa.shape[1]), rows.total)
     if not res.converged:
         raise ConvergenceError(
             f"logistic MLE did not converge in {res.iterations} iterations "
@@ -120,7 +196,7 @@ def _fit_outcome_mle(data: Dataset, basis: Basis, bmat: np.ndarray) -> OutcomeFi
         raise ConvergenceError("perfect separation: the likelihood has no finite maximizer")
     # s1 solves info_a s1_i = score_i: one inverse of the small matrix, then
     # one product over all rows
-    info_a = -_neg_info(wa, pi)
+    info_a = -_neg_info(wa, cwa, pi, rows.total)
     s1a = (wa * (data.y - pi)[:, None]) @ np.linalg.inv(info_a).T
     if everywhere:
         theta, s1 = res.params, s1a
@@ -133,8 +209,8 @@ def _fit_outcome_mle(data: Dataset, basis: Basis, bmat: np.ndarray) -> OutcomeFi
                       s1=s1, iterations=res.iterations, basis=basis)
 
 
-def _neg_info(w: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    return -(w * (pi * (1.0 - pi))[:, None]).T @ w / w.shape[0]
+def _neg_info(w: np.ndarray, cw: np.ndarray, pi: np.ndarray, total: float) -> np.ndarray:
+    return -(cw * (pi * (1.0 - pi))[:, None]).T @ w / total
 
 
 def fit_covariate(data: Dataset, basis: Basis,
@@ -145,54 +221,69 @@ def fit_covariate(data: Dataset, basis: Basis,
     residual variance taken as the mean squared residual over the
     subsample.  Bernoulli components: logistic regression of z_j on b(x).
     """
-    return _fit_covariate_level(data, basis, basis.design(data.x), families, level=0)
+    return _covariate_fit(data, basis, families, 0)
 
 
 def fit_covariate_y1(data: Dataset, basis: Basis,
                      families: Sequence[str]) -> CovariateFit:
     """Mirror of fit_covariate on the Y=1 subsample, modelling E(Z | Y=1, X)."""
-    return _fit_covariate_level(data, basis, basis.design(data.x), families, level=1)
+    return _covariate_fit(data, basis, families, 1)
 
 
-def _fit_covariate_level(data: Dataset, basis: Basis, bmat: np.ndarray,
+def _covariate_fit(data: Dataset, basis: Basis, families: Sequence[str],
+                   level: int) -> CovariateFit:
+    """The public covariate fit: made on the distinct rows, s2 expanded to n rows."""
+    rows = _distinct(data)
+    fit = _fit_covariate_level(rows, basis, basis.design(rows.data.x), families, level)
+    return replace(fit, s2=rows.expand(fit.s2))
+
+
+def _fit_covariate_level(rows: _Rows, basis: Basis, bmat: np.ndarray,
                          families: Sequence[str], level: int) -> CovariateFit:
-    """The covariate fit on the y=level subsample given bmat = b(x) on all rows."""
+    """The covariate fit on the y=level subsample of the distinct rows, given
+    bmat = b(x) on them; s2 has one row per distinct row.  The subsample's
+    size counts observations; its rank is that of its distinct rows."""
+    data = rows.data
     families = tuple(families)
     if len(families) != data.p:
         raise ValueError(f"need one family per Z component ({data.p}), got {len(families)}")
     sub = np.flatnonzero(data.y == level)
-    m = basis.m
-    if sub.size < m:
+    size, m = int(rows.counts.take(sub).sum()), basis.m
+    if size < m:
         raise ValueError(
-            f"covariate fit needs at least m={m} rows with y={level}, have {sub.size}")
+            f"covariate fit needs at least m={m} rows with y={level}, have {size}")
     b0 = bmat.take(sub, axis=0)
+    cb0 = rows.weigh(b0, sub)
     if np.linalg.matrix_rank(b0) < m:
         raise ValueError(f"basis design is rank deficient on the y={level} subsample")
 
-    n, p = data.n, data.p
+    p = data.p
     gamma = np.empty((p, m))
     resid_var = np.full(p, np.nan)
-    s2 = np.zeros((n, p * m))
+    s2 = np.zeros((data.n, p * m))
+    if "gaussian" in families:  # b0'C b0 and its inverse, the same for every Gaussian component
+        ne_gauss = cb0.T @ b0
+        inv_gauss = np.linalg.inv(ne_gauss)
     for j, fam in enumerate(families):
         zj = data.z[sub, j]
         if fam == "gaussian":
-            ne = b0.T @ b0
-            gamma[j] = np.linalg.solve(ne, b0.T @ zj)
+            gamma[j] = np.linalg.solve(ne_gauss, cb0.T @ zj)
             resid = zj - b0 @ gamma[j]
-            resid_var[j] = float(resid @ resid) / sub.size
+            resid_var[j] = float(rows.weigh(resid, sub) @ resid) / size
+            ne_inv = inv_gauss
         elif fam == "bernoulli":
             if not ((zj == 0.0) | (zj == 1.0)).all():
                 raise ValueError(
                     f"Bernoulli component {j} has non-binary values on the fitting subsample")
-            res, fj = _fit_logistic_core(b0, zj, np.zeros(m))
+            res, fj = _fit_logistic_core(b0, cb0, zj, np.zeros(m), size)
             if not res.converged:
                 raise ConvergenceError(
                     f"logistic covariate fit for component {j} did not converge")
             gamma[j] = res.params
-            ne = (b0 * (fj * (1.0 - fj))[:, None]).T @ b0
+            ne_inv = np.linalg.inv((cb0 * (fj * (1.0 - fj))[:, None]).T @ b0)
             resid = zj - fj
         else:
             raise ValueError(f"unknown family {fam!r}")
-        s2[sub, j * m:(j + 1) * m] = n * ((b0 * resid[:, None]) @ np.linalg.inv(ne).T)
+        s2[sub, j * m:(j + 1) * m] = rows.total * ((b0 * resid[:, None]) @ ne_inv.T)
     params = CovariateModelParams(gamma=gamma, families=families, resid_var=resid_var)
     return CovariateFit(params=params, s2=s2, basis=basis, response_level=level)

@@ -485,6 +485,15 @@ def _malformed_configs():
         st.tuples(_read_by(["level", "workers", "n", "replications", "seed"]), _NOT_A_NUMBER)
         .map(lambda ck_v: _case(*ck_v[0], ck_v[1])),
         _read_by(["seed"]).map(lambda ck: _case(*ck, -1)),
+        # an integer setting takes a JSON integer only, a float setting any JSON number
+        st.tuples(_read_by(["workers", "n", "replications", "seed"]),
+                  st.one_of(st.booleans(), st.floats(), st.just("7")))
+        .map(lambda ck_v: _case(*ck_v[0], ck_v[1])),
+        st.tuples(index, st.one_of(st.booleans(), st.floats(), st.just("0"))).map(lambda kv: _case(
+            "fit", "basis", [*_GOOD_BASIS, {"kind": "interaction", "j": 0, "k": 0, kv[0]: kv[1]}],
+            f"field '{kv[0]}'")),
+        st.tuples(_read_by(["level"]), st.one_of(st.booleans(), st.just("0.9")))
+        .map(lambda ck_v: _case(*ck_v[0], ck_v[1])),
         st.tuples(_read_by(["n", "replications", "workers"]), st.integers(max_value=0))
         .map(lambda ck_v: _case(*ck_v[0], ck_v[1])),
         st.tuples(st.sampled_from(["simulate", "compare"]),
@@ -550,6 +559,20 @@ def test_malformed_config_exits_2_naming_the_field(case):
     lines = err.splitlines()
     assert rc == 2, err
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], err
+
+
+def test_integer_settings_run_from_json_integers(tmp_path, capsys):
+    """The JSON integers that the malformed-config cases vary run: n, replications,
+    seed and workers on simulate, a basis term's j on fit."""
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"scenarios": ["S1-binary"], "estimators": ["mle"], "n": 200,
+                               "replications": 3, "seed": 1, "workers": 1}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert "finished S1-binary (n=200, R=3)" in capsys.readouterr().out
+    cfg.write_text(json.dumps({"basis": [{"kind": "intercept"}, {"kind": "linear", "j": 0}],
+                               "level": 0.9}))
+    assert main(["fit", "--data", str(EXAMPLE_CSV), "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_config_keys_and_fit_example_match_the_readme(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from drlogit._newton import _newton_step, damped_newton
 from drlogit.estimators import (
+    KNOWN_ESTIMATORS,
     _assemble,
     _Context,
     _inverse,
@@ -35,7 +36,8 @@ from drlogit.model import (
     expit,
     instrument_matrices,
 )
-from drlogit.nuisance import fit_covariate, fit_covariate_y1, fit_outcome_mle
+from drlogit.nuisance import (CovariateFit, OutcomeFit, _distinct, _Rows, fit_covariate,
+                              fit_covariate_y1, fit_outcome_mle)
 from drlogit.simulate import sample_binary, sample_dataset, scenario_catalog
 
 from conftest import bisect_root, exact_counts_dataset
@@ -827,3 +829,117 @@ def test_four_se_containment_under_s1():
                            level=level, workers=2)
     for e in summary.estimators:
         assert e.coverage >= 0.99, e.estimator
+
+
+# ---------------------------------------------------------------------------
+# Distinct rows weighted by their counts
+# ---------------------------------------------------------------------------
+
+
+def _menu(ds, sc) -> dict:
+    """(beta, se) of every estimator that applies, on one context of ds."""
+    ctx = _Context(ds, sc.working_basis, sc.z_families)
+    names = [e for e in KNOWN_ESTIMATORS if e != "closed_form" or sc.z_families == ("bernoulli",)]
+    return {name: ctx.estimate(name)[:2] for name in names}
+
+
+def _s1_binary(n=1000, seed=17):
+    sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
+    return sc, sample_dataset(sc.law, n, seed)
+
+
+def test_shuffled_rows_give_the_same_estimates(rng):
+    """Every estimator's beta and SE on an S1-binary sample, whose rows take
+    at most 12 values, do not depend on the order of the rows."""
+    sc, ds = _s1_binary()
+    assert _distinct(ds).data.n <= 12
+    order = rng.permutation(ds.n)
+    shuffled = _menu(Dataset(ds.y[order], ds.z[order], ds.x[order]), sc)
+    for name, (beta, se) in _menu(ds, sc).items():
+        np.testing.assert_allclose(shuffled[name][0], beta, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(shuffled[name][1], se, rtol=1e-12)
+
+
+def test_stacked_sample_keeps_beta_and_shrinks_se():
+    """The sample stacked three times gives every estimator the same beta and
+    SE / sqrt(3): each mean is the same, and the sandwich divides by 3n."""
+    sc, ds = _s1_binary()
+    stacked = _menu(Dataset(np.tile(ds.y, 3), np.tile(ds.z, (3, 1)), np.tile(ds.x, (3, 1))), sc)
+    for name, (beta, se) in _menu(ds, sc).items():
+        np.testing.assert_allclose(stacked[name][0], beta, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(stacked[name][1], se / math.sqrt(3.0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["identity", "simple", "optimal"])
+def test_expanded_influence_rows_follow_the_data_rows(variant):
+    """solve_dr's n influence rows are equal wherever the data rows are equal,
+    and their scaled Gram matrix is the reported covariance."""
+    sc, ds = _s1_binary()
+    outcome = fit_outcome_mle(ds, sc.working_basis)
+    rep = solve_dr(ds, outcome, fit_covariate(ds, sc.working_basis, sc.z_families),
+                   InstrumentSpec(variant))
+    rows = _distinct(ds)
+    assert rep.influence.shape == (ds.n, 1)
+    assert np.array_equal(rep.influence, rep.influence[rows.first][rows.inverse])
+    np.testing.assert_allclose(rep.influence.T @ rep.influence / ds.n**2, rep.covariance,
+                               rtol=1e-12)
+
+
+def test_refused_optimal_instrument_names_a_data_row():
+    """On collapsed data the optimal instrument's refusal names a data row, as
+    without the collapse: the first x = 1 row, where the covariate mean
+    underflows (gamma'b(x) = -745), not its index among the distinct rows."""
+    y = np.tile([0, 1, 0, 1, 0, 1, 0, 1], 2)
+    z = np.tile([0.0, 1.0, 1.0, 0.0], 4)[:, None]
+    x = np.tile(np.repeat([0.0, 1.0], 4), 2)[:, None]
+    ds, basis = Dataset(y, z, x), Basis.linear_in(1)
+    outcome = OutcomeFit(OutcomeModelParams(np.array([0.3]), np.array([0.1, 0.2])),
+                         np.zeros((16, 3)), 0, basis)
+    covar = CovariateFit(CovariateModelParams(np.array([[0.0, -745.0]]), ("bernoulli",),
+                                              np.full(1, math.nan)), np.zeros((16, 2)), basis)
+    assert _distinct(ds).data.n == 8
+    with pytest.raises(SingularMatrixError, match="at row 4$"):
+        solve_dr(ds, outcome, covar, InstrumentSpec("optimal"))
+
+
+def _all_rows(data):
+    """The collapse forced off: every observation its own row, count 1."""
+    return _Rows(data, np.ones(data.n))
+
+
+@pytest.mark.parametrize("scenario", ["S2-gaussian", "S1-binary"])
+def test_collapse_matches_the_forced_off_run(scenario, monkeypatch):
+    """Against a run with the collapse forced off, through the context and the
+    public entry points: the same bits on continuous data, whose rows are all
+    distinct, and within 1e-12 on binary data, where 2000 rows become 12."""
+    import drlogit.estimators as estimators
+    sc = next(s for s in scenario_catalog() if s.name == scenario)
+    ds, basis = sample_dataset(sc.law, 2000, 23), sc.working_basis
+
+    def run(rows_of):
+        monkeypatch.setattr(estimators, "_distinct", rows_of)
+        ctx = _Context(rows_of(ds), basis, sc.z_families)
+        outcome = replace(ctx.outcome, s1=ctx.rows.expand(ctx.outcome.s1))
+        covar = replace(ctx.covar(0), s2=ctx.rows.expand(ctx.covar(0).s2))
+        covar1 = replace(ctx.covar(1), s2=ctx.rows.expand(ctx.covar(1).s2))
+        out = [ctx.estimate(name) for name in KNOWN_ESTIMATORS if name != "closed_form"]
+        for variant in ("identity", "simple", "optimal"):
+            spec = InstrumentSpec(variant)
+            rep, rep1 = solve_dr(ds, outcome, covar, spec), solve_dr_y1(ds, outcome, covar1, spec)
+            pieces = assemble_influence(ds, rep.beta_hat, outcome, covar, spec)
+            out += [rep.beta_hat, rep.covariance, rep.influence, rep1.beta_hat,
+                    rep1.covariance, rep1.influence, pieces.h_matrix, pieces.b1, pieces.b2,
+                    pieces.influence, pieces.covariance]
+        out += [outcome.s1, covar.s2, covar1.s2]
+        return out
+
+    collapsed, forced_off = run(_distinct), run(_all_rows)
+    for got, want in zip(collapsed, forced_off):
+        if isinstance(got, tuple):  # estimate's (beta, se, diagnostics)
+            if scenario == "S2-gaussian":
+                assert got[2] == want[2]
+            got, want = np.r_[got[0], got[1]], np.r_[want[0], want[1]]
+        if scenario == "S2-gaussian":
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)

@@ -5,10 +5,13 @@ import pytest
 
 from drlogit.model import Basis, BasisTerm, ConvergenceError, Dataset, expit
 from drlogit.nuisance import (
+    _distinct,
     fit_covariate,
     fit_covariate_y1,
     fit_outcome_mle,
 )
+
+from drlogit.simulate import sample_dataset, scenario_catalog
 
 from conftest import exact_counts_dataset, random_binary_finite_law
 
@@ -229,3 +232,69 @@ def test_s1_influence_consistency_monte_carlo(lin_basis):
     # centering check: the Monte Carlo mean is close to the truth
     assert np.max(np.abs(draws.mean(axis=0) - theta_star)) < 0.05
     np.testing.assert_allclose(emp_var, est_var, rtol=0.15)
+
+
+# ---------------------------------------------------------------------------
+# Distinct rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q, values", [(1, 3), (9, 3), (2, 40)])
+def test_distinct_rows_group_equal_rows(q, values, rng):
+    """_distinct gives each distinct (y, z, x) row once with its count, and maps
+    every observation to its own row; with 9 three-valued x columns the key's
+    radix passes n and is re-coded on the way, and 40 values per column are
+    coded by binary search.  All-distinct data stays as it stands with counts
+    of 1."""
+    n = 300
+    pick = rng.integers(0, 200, n)  # 300 draws from 200 rows repeat some
+    ds = Dataset(rng.integers(0, 2, 200)[pick], rng.integers(0, 2, (200, 1))[pick].astype(float),
+                 rng.normal(size=values)[rng.integers(0, values, (200, q))][pick])
+    rows = _distinct(ds)
+    full = np.column_stack([ds.y, ds.z, ds.x])
+    distinct = np.column_stack([rows.data.y, rows.data.z, rows.data.x])
+    assert rows.data.n == np.unique(full, axis=0).shape[0] < n
+    assert np.array_equal(distinct[rows.inverse], full)
+    assert np.array_equal(distinct, full[rows.first])
+    assert rows.counts.tolist() == np.bincount(rows.inverse).tolist() and rows.total == n
+    assert (rows.first == [np.flatnonzero(rows.inverse == i)[0]
+                           for i in range(rows.data.n)]).all()
+
+    continuous = _synthetic(rng, n=50)
+    plain = _distinct(continuous)
+    assert plain.data is continuous and plain.first is None and plain.inverse is None
+    assert plain.counts.tolist() == [1.0] * 50
+
+
+def test_covariate_counts_observations_not_distinct_rows():
+    """A Y=0 subsample of two equal rows, fewer observations than m = 3, is
+    refused with the count of observations, as without the collapse; three
+    equal rows are enough observations but span rank 1."""
+    basis = Basis.linear_in(1).plus(BasisTerm("square", 0))
+    y = np.array([0, 0, 1, 1, 1, 1])
+    ds = Dataset(y, np.ones((6, 1)), np.array([0.5, 0.5, 0.0, 1.0, 2.0, 3.0])[:, None])
+    with pytest.raises(ValueError, match=r"^covariate fit needs at least m=3 rows with y=0, "
+                                         r"have 2$"):
+        fit_covariate(ds, basis, ["gaussian"])
+    ds = Dataset(np.r_[0, y], np.ones((7, 1)), np.r_[0.5, ds.x[:, 0]][:, None])
+    with pytest.raises(ValueError, match="rank deficient on the y=0 subsample"):
+        fit_covariate(ds, basis, ["gaussian"])
+
+
+def test_public_fits_expand_influence_rows_to_observations(rng):
+    """fit_outcome_mle and fit_covariate on data with repeated rows return n
+    influence rows, equal wherever the data rows are equal, with the same
+    parameters as the fits on the rows stacked twice."""
+    sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
+    ds = sample_dataset(sc.law, 400, 3)
+    rows = _distinct(ds)
+    twice = Dataset(np.r_[ds.y, ds.y], np.r_[ds.z, ds.z], np.r_[ds.x, ds.x])
+    outcome, outcome2 = (fit_outcome_mle(d, sc.working_basis) for d in (ds, twice))
+    covar, covar2 = (fit_covariate(d, sc.working_basis, sc.z_families) for d in (ds, twice))
+    for per_obs in (outcome.s1, covar.s2):
+        assert per_obs.shape[0] == ds.n
+        assert np.array_equal(per_obs, per_obs[rows.first][rows.inverse])
+    for a, b in ((outcome.params.beta, outcome2.params.beta),
+                 (outcome.params.alpha, outcome2.params.alpha),
+                 (covar.params.gamma, covar2.params.gamma)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)

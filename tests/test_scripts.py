@@ -24,12 +24,18 @@ def test_time_replication_counts_one_weight_per_system_call():
     """scripts/time_replication.py runs on a small sample and ends with its
     JSON line; each scenario's JSON line reports, for every DR estimator,
     one kernel weight evaluation per Newton `system` call (one exp per
-    trial point, none extra for the Jacobian)."""
+    trial point, none extra for the Jacobian), and the distinct rows per
+    replication: at most 12 for S1-binary (binary Y and Z, X on 3 points),
+    all n for S2-gaussian, and the collapse as a timed phase."""
     lines = _run_script("time_replication.py", "--n", "300", "--reps", "2")
     json.loads(lines[-1])
     reports = [json.loads(line) for line in lines if line.startswith("{")]
     assert [r["scenario"] for r in reports] == ["S1-binary", "S2-gaussian"]
+    assert reports[0]["distinct_rows"]["max"] <= 12
+    assert reports[1]["distinct_rows"] == {"median": 300, "min": 300, "max": 300}
+    assert any(line.split()[:2] == ["distinct", "rows"] for line in lines)
     for report in reports:
+        assert report["per_phase_ms"]["collapse"] > 0
         newton = report["newton"]
         assert sorted(newton) == ["dr_identity", "dr_optimal", "dr_simple"]
         for counts in newton.values():
