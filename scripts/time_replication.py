@@ -19,8 +19,8 @@ one JSON line with the same numbers.
 
 The counts come from a second, untimed pass, so counting adds nothing to the
 times.  The script calls drlogit's private estimator pieces (`_distinct`,
-`_fit_outcome_mle`, `_Context`, `_solve`, `_assemble`); a checkout whose
-pieces have other signatures is timed with its own copy of the script.
+`_fit_outcome_mle`, `Estimation._of_rows`, `_solve`, `_assemble`); a checkout
+whose pieces have other signatures is timed with its own copy of the script.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections import defaultdict
 import numpy as np
 
 import drlogit.estimators as estimators
-from drlogit.estimators import _assemble, _Context, _solve
+from drlogit.estimators import Estimation, _assemble, _solve
 from drlogit.model import EstimationError, InstrumentSpec
 from drlogit.nuisance import _distinct, _fit_outcome_mle
 from drlogit.simulate import sample_dataset, scenario_catalog, with_size
@@ -65,8 +65,8 @@ def _replication(sc, rep: int, clock) -> int:
     rows = clock("collapse", _distinct, data)
     basis = sc.working_basis
     bmat = clock("design", basis.design, rows.data.x)
-    outcome = clock("outcome_fit", _fit_outcome_mle, rows, basis, bmat)
-    ctx = _Context(rows, basis, sc.z_families, outcome=outcome, bmat=bmat)
+    outcome = clock("outcome_fit", _fit_outcome_mle, rows, bmat)
+    ctx = Estimation._of_rows(rows, basis, sc.z_families, outcome=outcome, bmat=bmat)
     clock("covariate_fit", ctx.covar, 0)
     for name in MENU:
         if name == "mle":

@@ -19,21 +19,7 @@ from .model import (
     instrument_matrix,
     instrument_matrices,
 )
-from .nuisance import (
-    CovariateFit,
-    OutcomeFit,
-    fit_covariate,
-    fit_covariate_y1,
-    fit_outcome_mle,
-)
-from .estimators import (
-    EstimateReport,
-    InfluencePieces,
-    SolveDiagnostics,
-    assemble_influence,
-    closed_form_binary,
-    solve_dr,
-    solve_dr_y1,
-)
+from .nuisance import CovariateFit, OutcomeFit
+from .estimators import EstimateReport, Estimation, SolveDiagnostics
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import DEFAULT_ESTIMATORS, KNOWN_ESTIMATORS, _Context, wald_interval
+from .estimators import DEFAULT_ESTIMATORS, KNOWN_ESTIMATORS, Estimation, wald_interval
 from .model import FAMILIES, VARIANTS, Basis, BasisTerm, Dataset, EstimationError
 from .simulate import (
     SUMMARY_COLUMNS,
@@ -342,7 +342,7 @@ def cmd_fit(args, cfg: dict) -> int:
     for name in estimators:
         try:
             if ctx is None:  # the outcome fit's failure is the first estimator's
-                ctx = _Context(data, basis, z_families)
+                ctx = Estimation(data, basis, z_families)
             beta, se, diag = ctx.estimate(name)
         except (EstimationError, ValueError) as exc:
             raise CliError(f"estimator {name!r} failed: {exc}") from exc

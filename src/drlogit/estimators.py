@@ -30,13 +30,9 @@ from .nuisance import (CovariateFit, OutcomeFit, _distinct, _fit_covariate_level
 __all__ = [
     "DEFAULT_ESTIMATORS",
     "KNOWN_ESTIMATORS",
+    "Estimation",
     "SolveDiagnostics",
     "EstimateReport",
-    "InfluencePieces",
-    "solve_dr",
-    "solve_dr_y1",
-    "closed_form_binary",
-    "assemble_influence",
     "wald_interval",
 ]
 
@@ -62,7 +58,6 @@ class EstimateReport:
 
     beta_hat: np.ndarray
     covariance: np.ndarray
-    influence: np.ndarray  # (n, p)
     diagnostics: SolveDiagnostics
 
     @property
@@ -84,47 +79,59 @@ def wald_interval(beta: np.ndarray, se: np.ndarray, level: float) -> np.ndarray:
 @dataclass(frozen=True)
 class InfluencePieces:
     """Expansion pieces of the estimating equation: curvature in beta and
-    the nuisance directions, per-observation influence values, and the
+    the nuisance directions, influence values per distinct row, and the
     resulting covariance of beta_hat."""
 
     h_matrix: np.ndarray  # (p, p) mean d r / d beta
     b1: np.ndarray        # (p, m) mean d r / d alpha
     b2: np.ndarray        # (p, p*m) mean d r / d gamma, component-major
-    influence: np.ndarray  # (n, p)
+    influence: np.ndarray  # (distinct rows, p)
     covariance: np.ndarray  # (p, p)
 
 
-class _Context:
-    """What the estimator menu shares on the distinct rows of one dataset:
-    b(x) from one design call, the outcome fit, g = alpha'b(x) and, each built
-    lazily and once, the covariate fit per response level, the Y=0 means f,
-    the kernel per instrument and `mirror`: the Y=1 anchor as the Y=0 context
-    of 1 - Y under the negated outcome fit (odds-ratio symmetry), sharing the
-    rows, their counts and b(x).  Given a Dataset, the context collapses it
-    and takes the per-observation rows of given fits at each distinct row's
-    first occurrence, exact because they are functions of the row's (y, z, x);
-    given its `_distinct` rows, the fits and bmat are on those rows."""
+class Estimation:
+    """The estimators of beta on one dataset, given the working basis b(x) of
+    both nuisance models and each Z component's covariate family: `estimate`
+    runs any KNOWN_ESTIMATORS entry, `solve` the doubly robust equation for
+    one instrument and `closed_form` its scalar binary root.  What they share
+    is built on the distinct rows of the dataset, each lazily and once: the
+    outcome fit, g = alpha'b(x), the covariate fit per response level, the
+    Y=0 means f, the kernel per instrument and `mirror`: the Y=1 anchor as the
+    Y=0 estimation of 1 - Y under the negated outcome fit (odds-ratio
+    symmetry), sharing the rows, their counts and b(x) from one design call."""
 
-    def __init__(self, data: Dataset | _Rows, basis: Basis, z_families: Sequence[str] = (), *,
+    def __init__(self, data: Dataset, basis: Basis, z_families: Sequence[str] = ()):
+        self._start(_distinct(data), basis, z_families)
+
+    @classmethod
+    def _of_rows(cls, rows: _Rows, basis: Basis, z_families: Sequence[str] = (), *,
                  outcome: OutcomeFit | None = None, covars: dict | None = None,
-                 bmat: np.ndarray | None = None):
-        if isinstance(data, _Rows):
-            rows = data
-        else:
-            rows = _distinct(data)
-            outcome = None if outcome is None else replace(outcome, s1=rows.pick(outcome.s1))
-            covars = {lv: replace(c, s2=rows.pick(c.s2)) for lv, c in (covars or {}).items()}
-        self.rows, self.data = rows, rows.data
-        self.basis, self.z_families = basis, tuple(z_families)
+                 bmat: np.ndarray | None = None) -> Estimation:
+        """The estimation on given distinct rows, with any of its outcome fit,
+        covariate fits by response level and bmat = b(x) given on them."""
+        est = cls.__new__(cls)
+        est._start(rows, basis, z_families, bmat, covars)
+        if outcome is not None:
+            est.outcome = outcome  # shadows the lazy fit
+        return est
+
+    def _start(self, rows: _Rows, basis: Basis, z_families, bmat=None, covars=None):
+        self.rows, self.data, self.basis = rows, rows.data, basis
+        self.z_families, self._covars, self._kernels = tuple(z_families), dict(covars or {}), {}
         self.bmat = basis.design(self.data.x) if bmat is None else bmat
-        self.outcome = _fit_outcome_mle(rows, basis, self.bmat) if outcome is None else outcome
-        self.g = self.bmat @ self.outcome.params.alpha
-        self._covars, self._kernels = dict(covars or {}), {}
+
+    @cached_property
+    def outcome(self) -> OutcomeFit:
+        return _fit_outcome_mle(self.rows, self.bmat)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return self.bmat @ self.outcome.params.alpha
 
     def covar(self, level: int) -> CovariateFit:
         if level not in self._covars:
-            self._covars[level] = _fit_covariate_level(self.rows, self.basis, self.bmat,
-                                                       self.z_families, level)
+            self._covars[level] = _fit_covariate_level(self.rows, self.bmat, self.z_families,
+                                                       level)
         return self._covars[level]
 
     @cached_property
@@ -137,12 +144,12 @@ class _Context:
         return self._kernels[instrument]
 
     @cached_property
-    def mirror(self) -> "_Context":
+    def mirror(self) -> Estimation:
         o, r, d = self.outcome, self.rows, self.data
-        return _Context(_Rows(Dataset._trusted(1 - d.y, d.z, d.x), r.counts, r.first, r.inverse),
-                        self.basis, self.z_families,
-                        outcome=replace(o, params=_negated(o.params), s1=-o.s1),
-                        covars={0: replace(self.covar(1), response_level=0)}, bmat=self.bmat)
+        return Estimation._of_rows(_Rows(Dataset._trusted(1 - d.y, d.z, d.x), r.counts, r.first),
+                                   self.basis, self.z_families,
+                                   outcome=replace(o, params=_negated(o.params), s1=-o.s1),
+                                   covars={0: self.covar(1)}, bmat=self.bmat)
 
     def estimate(self, name: str) -> tuple[np.ndarray, np.ndarray, dict]:
         """(beta, se, diagnostics) of the KNOWN_ESTIMATORS entry `name` on this
@@ -158,13 +165,15 @@ class _Context:
             beta = np.array([self.closed_form()])
             pieces = _assemble(self.kernel(InstrumentSpec("simple")), beta)
             return beta, np.sqrt(np.diag(pieces.covariance)), {}
-        ctx = self.mirror if name.startswith("dr_y1_") else self
-        rep = ctx.solve(InstrumentSpec(name.rpartition("_")[2]))
-        beta = rep.beta_hat if ctx is self else -rep.beta_hat
+        est = self.mirror if name.startswith("dr_y1_") else self
+        rep = est.solve(InstrumentSpec(name.rpartition("_")[2]))
+        beta = rep.beta_hat if est is self else -rep.beta_hat
         return beta, rep.std_errors, asdict(rep.diagnostics)
 
     def solve(self, instrument: InstrumentSpec) -> EstimateReport:
-        """solve_dr on this context."""
+        """Solve the doubly robust estimating equation for beta by Newton's
+        method, started at the outcome fit's beta and restarted from zero on
+        non-convergence; the covariance is the sandwich of `_assemble`."""
         kernel = self.kernel(instrument)
         res = _solve(kernel, self.outcome.params.beta)
         pieces = _assemble(kernel, res.params)
@@ -174,21 +183,25 @@ class _Context:
                      else float(np.linalg.cond(h)))
         return EstimateReport(
             beta_hat=res.params.copy(), covariance=pieces.covariance,
-            influence=pieces.influence,
             diagnostics=SolveDiagnostics(iterations=res.iterations, final_eq_norm=res.final_norm,
                                          jacobian_condition=condition,
                                          step_halvings=res.step_halvings))
 
     def closed_form(self) -> float:
-        """closed_form_binary on this context, from the simple-instrument
-        kernel's arrays: e = expit(g) is its phi and f its covariate means."""
+        """Closed-form root of the simple-instrument equation for scalar binary Z.
+        With e_i = expit(alpha'b(x_i)), the simple kernel's phi, and its f_i, the
+        fitted P(Z=1 | Y=0, x_i), the sample equation factorizes so that
+        exp(-beta) = A / B with
+            B = sum over y=1, z=1 rows of (1-e_i)(1-f_i)
+            A = sum over y=1, z=0 rows of (1-e_i) f_i + sum over y=0 rows of e_i (z_i - f_i).
+        """
         if self.data.p != 1:
             raise ValueError("closed-form estimator needs scalar Z")
         z = self.data.z[:, 0]
         z0, z1 = z == 0.0, z == 1.0
         if not (z0 | z1).all():
             raise ValueError("closed-form estimator needs binary Z values")
-        kernel = self.kernel(InstrumentSpec("simple"))  # refuses a Y=1 covariate fit
+        kernel = self.kernel(InstrumentSpec("simple"))
         e, f, y, weigh = kernel.phi[:, 0, 0], kernel.f[:, 0], self.data.y, self.rows.weigh
         b_sum = float(np.sum(weigh((1.0 - e) * (1.0 - f)) * ((y == 1) & z1)))
         a_sum = float(np.sum(weigh((1.0 - e) * f) * ((y == 1) & z0))
@@ -204,20 +217,17 @@ class _Kernel:
     beta over the distinct rows i with counts c_i, the one array form of the
     calibrated equation: residual r = y*exp(-eta) - (1-y) with
     eta = z beta + g(x), and u = phi(x)(z - f(x)), the instrument held fixed
-    at the plugged-in nuisance estimates of ctx.  A Y=0 row has r = -1, so a
+    at the plugged-in nuisance estimates of est.  A Y=0 row has r = -1, so a
     beta costs one exp over the Y=1 rows, whose u are held times their counts
     as cu1, plus c0 = sum_{Y=0} c_i u_i; an overflowing one gives an inf/NaN
     norm, no improvement to damped_newton."""
 
-    def __init__(self, ctx: _Context, instrument: InstrumentSpec):
-        self.rows, self.outcome, self.covar = ctx.rows, ctx.outcome, ctx.covar(0)
-        _check_level(self.covar, 0)
-        y, z = ctx.data.y, ctx.data.z
-        if not (y == 1).any() or not (y == 0).any():
-            raise ValueError("need both response classes to estimate beta")
-        self.bmat, self.f = ctx.bmat, ctx.f
+    def __init__(self, est: Estimation, instrument: InstrumentSpec):
+        self.rows, self.outcome, self.covar = est.rows, est.outcome, est.covar(0)
+        y, z = est.data.y, est.data.z
+        self.bmat, self.f = est.bmat, est.f
         # a refusal names the data row of a distinct row's first occurrence
-        self.phi = _instruments(instrument, ctx.g, self.f, self.outcome.params.beta,
+        self.phi = _instruments(instrument, est.g, self.f, self.outcome.params.beta,
                                 self.covar.params, self.rows.first)[0]
         u = np.einsum("nij,nj->ni", self.phi, z - self.f)
         # row indices and take(): a boolean-mask gather of a 2-d array costs ~10x more
@@ -225,7 +235,7 @@ class _Kernel:
         self.n, self.u, self.one = self.rows.total, u, np.flatnonzero(y == 1)
         self.cu1, self.z1 = cu.take(self.one, axis=0), z.take(self.one, axis=0)
         self.c0 = cu.take(np.flatnonzero(y != 1), axis=0).sum(axis=0)
-        self.g1 = ctx.g.take(self.one)
+        self.g1 = est.g.take(self.one)
 
     def weight(self, beta: np.ndarray) -> np.ndarray:
         """exp(-eta) on the Y=1 rows, the negated derivative of their residual
@@ -250,22 +260,6 @@ class _Kernel:
             return -(self.cu1 * w1[:, None]).T @ self.z1 / self.n
 
 
-def _check_level(covar: CovariateFit, level: int) -> None:
-    if covar.response_level != level:
-        raise ValueError(f"covariate fit conditions on Y={covar.response_level}, "
-                         f"but this estimator needs Y={level}")
-
-
-def _fits_context(data: Dataset, outcome: OutcomeFit, covar: CovariateFit,
-                  level: int) -> _Context:
-    """The one-off context of a public entry point on the outcome fit's
-    basis, covar conditioning on Y=level; refuses a covariate fit made on
-    another basis, which would pair its coefficients with the wrong features."""
-    if covar.basis != outcome.basis:
-        raise ValueError("the covariate fit was made on another basis than the outcome fit's")
-    return _Context(data, outcome.basis, outcome=outcome, covars={level: covar})
-
-
 def _solve(kernel: _Kernel, start: np.ndarray):
     res = damped_newton(kernel.system, start)
     if not res.converged and not np.allclose(start, 0.0):
@@ -281,63 +275,13 @@ def _solve(kernel: _Kernel, start: np.ndarray):
     return res
 
 
-def solve_dr(data: Dataset, outcome: OutcomeFit, covar: CovariateFit,
-             instrument: InstrumentSpec) -> EstimateReport:
-    """Solve the doubly robust estimating equation for beta.
-
-    Newton iteration with the analytic Jacobian, started at the outcome
-    fit's beta and restarted from zero on non-convergence.  The returned
-    covariance is the sandwich built from the estimated influence values.
-    """
-    return _fits_context(data, outcome, covar, 0).solve(instrument)
-
-
-def solve_dr_y1(data: Dataset, outcome: OutcomeFit, covar1: CovariateFit,
-                instrument: InstrumentSpec) -> EstimateReport:
-    """Symmetric variant of solve_dr anchored at Y=1: uses the Y=1
-    calibrated residual and a covariate model for E(Z | Y=1, X).
-
-    By the odds-ratio symmetry it is solve_dr on the relabeled data
-    (Y -> 1 - Y) under the negated outcome fit, with beta_hat and the
-    influence rows negated back; the rest carries over.
-    """
-    _check_level(covar1, 1)
-    rep = _fits_context(data, outcome, covar1, 1).mirror.solve(instrument)
-    return replace(rep, beta_hat=-rep.beta_hat, influence=-rep.influence)
-
-
-def closed_form_binary(data: Dataset, outcome: OutcomeFit,
-                       covar: CovariateFit) -> float:
-    """Closed-form root of the simple-instrument equation for scalar binary Z.
-
-    Writing e_i = expit(alpha'b(x_i)) and f_i for the fitted
-    P(Z=1 | Y=0, x_i), the sample equation factorizes so that
-    exp(-beta) = A / B with
-        B = sum over y=1, z=1 rows of (1-e_i)(1-f_i)
-        A = sum over y=1, z=0 rows of (1-e_i) f_i
-            + sum over y=0 rows of e_i (z_i - f_i).
-    """
-    return _fits_context(data, outcome, covar, 0).closed_form()
-
-
-def assemble_influence(data: Dataset, beta_hat: np.ndarray, outcome: OutcomeFit,
-                       covar: CovariateFit, instrument: InstrumentSpec) -> InfluencePieces:
-    """Expansion pieces of the estimating equation at beta_hat.
-
-    h_matrix, b1 and b2 are sample means of the analytic derivatives of
-    the per-observation estimating function in beta, alpha and gamma,
-    with the instrument held fixed.  The influence rows combine the
-    estimating-function values with the nuisance influence rows so that
-    beta_hat - beta_bar is their sample mean to first order; the
-    covariance is their scaled Gram matrix, symmetric PSD by construction.
-    """
-    kernel = _fits_context(data, outcome, covar, 0).kernel(instrument)
-    return _assemble(kernel, np.atleast_1d(np.asarray(beta_hat, float)))
-
-
 def _assemble(kernel: _Kernel, beta: np.ndarray) -> InfluencePieces:
-    """The pieces over the distinct rows, each mean weighted by the counts, with
-    the influence rows expanded to the n observations."""
+    """Expansion pieces of the estimating equation at beta: h_matrix, b1 and
+    b2 are the mean analytic derivatives in beta, alpha and gamma with the
+    instrument held fixed; the influence rows, one per distinct row, combine
+    the estimating-function values with the nuisance influence rows so that
+    beta_hat - beta_bar is their mean to first order; the covariance is their
+    scaled Gram matrix.  Each mean is weighted by the counts."""
     rows, n, p, m = kernel.rows, kernel.n, beta.shape[0], kernel.bmat.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         w1 = kernel.weight(beta)  # one exp over the Y=1 rows serves resid, h_matrix and b1
@@ -352,7 +296,7 @@ def _assemble(kernel: _Kernel, beta: np.ndarray) -> InfluencePieces:
     combo = resid[:, None] * kernel.u + kernel.outcome.s1[:, p:] @ b1.T + kernel.covar.s2 @ b2.T
     influence = -combo.dot(_inverse(h_matrix).T)  # @ is a slow loop for p = 1
     covariance = rows.weigh(influence).T @ influence / n**2
-    return InfluencePieces(h_matrix=h_matrix, b1=b1, b2=b2, influence=rows.expand(influence),
+    return InfluencePieces(h_matrix=h_matrix, b1=b1, b2=b2, influence=influence,
                            covariance=(covariance + covariance.T) / 2.0)
 
 

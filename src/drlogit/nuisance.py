@@ -2,30 +2,30 @@
 
 Two working models feed the doubly robust estimating equation: a
 logistic outcome model in (beta, alpha) fitted on the whole sample, and
-a covariate-mean model in gamma fitted on the Y=0 (or, for solve_dr_y1,
-the Y=1) subsample.  The outcome MLE and the Bernoulli covariate
+a covariate-mean model in gamma fitted on the Y=0 (or, for the Y=1
+mirror, the Y=1) subsample.  The outcome MLE and the Bernoulli covariate
 components share one logistic Newton fit, which hands `damped_newton` one
 system(theta) whose Jacobian thunk reuses that evaluation, built only for an
-accepted iterate.  Each fit returns per-observation influence values so that
-downstream sandwich variances can account for the estimated nuisances:
+accepted iterate.  Each fit returns influence rows so that downstream
+sandwich variances can account for the estimated nuisances:
 params_hat - params_bar = mean of the influence rows + o_p(n^{-1/2}).
 
 Every sum a fit takes is over per-row terms in (y, z, x), so the fits run on
 the distinct rows of the data, each weighted by its count, with the total
-count N as the divisor (`_Rows`); the public fits expand their influence rows
-back to the n observations.
+count N as the divisor (`_Rows`), and return one influence row per distinct
+row, whose count-weighted mean is the mean above.  `estimators.Estimation`
+makes the fits of one dataset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._newton import damped_newton
 from .model import (
-    Basis,
     ConvergenceError,
     CovariateModelParams,
     Dataset,
@@ -36,9 +36,6 @@ from .model import (
 __all__ = [
     "OutcomeFit",
     "CovariateFit",
-    "fit_outcome_mle",
-    "fit_covariate",
-    "fit_covariate_y1",
 ]
 
 
@@ -46,39 +43,36 @@ __all__ = [
 class OutcomeFit:
     """Fitted logistic outcome model.
 
-    `s1` holds the per-observation influence rows (n, p+m), the first p
-    columns for beta and the rest for alpha.
+    `s1` holds the influence rows (one per distinct row, p+m columns), the
+    first p columns for beta and the rest for alpha.
     """
 
     params: OutcomeModelParams
     s1: np.ndarray
     iterations: int
-    basis: Basis
 
 
 @dataclass(frozen=True)
 class CovariateFit:
     """Fitted covariate-mean model on one response level.
 
-    `s2` holds per-observation influence rows (n, p*m) stacked
-    component-major; rows outside the conditioning subsample are zero, so
-    gamma_hat - gamma_bar = mean of all n rows + o_p(n^{-1/2}).
+    `s2` holds the influence rows (one per distinct row, p*m columns)
+    stacked component-major; rows outside the conditioning subsample are
+    zero, so gamma_hat - gamma_bar = the count-weighted mean of the rows
+    + o_p(n^{-1/2}).
     """
 
     params: CovariateModelParams
     s2: np.ndarray
-    basis: Basis
-    response_level: int = 0
 
 
 class _Rows:
     """The distinct (y, z, x) rows of a dataset as `data`, with `counts` and
-    their total N; `first` indexes each distinct row's first occurrence and
-    `inverse` each observation's distinct row, both None when the n rows are
-    all distinct and kept in order with counts of 1."""
+    their total N; `first` indexes each distinct row's first occurrence, None
+    when the n rows are all distinct and kept in order with counts of 1."""
 
-    def __init__(self, data: Dataset, counts: np.ndarray, first=None, inverse=None):
-        self.data, self.counts, self.first, self.inverse = data, counts, first, inverse
+    def __init__(self, data: Dataset, counts: np.ndarray, first=None):
+        self.data, self.counts, self.first = data, counts, first
         self.total = float(counts.sum())
 
     def weigh(self, a: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
@@ -90,14 +84,6 @@ class _Rows:
             return a
         c = self.counts if index is None else self.counts.take(index)
         return a * (c if a.ndim == 1 else c[:, None])
-
-    def pick(self, a: np.ndarray) -> np.ndarray:
-        """The rows of the per-observation array a at each distinct row."""
-        return a if self.first is None else a.take(self.first, axis=0)
-
-    def expand(self, a: np.ndarray) -> np.ndarray:
-        """The per-distinct-row array a at each of the n observations."""
-        return a if self.inverse is None else a.take(self.inverse, axis=0)
 
 
 def _distinct(data: Dataset) -> _Rows:
@@ -128,10 +114,10 @@ def _distinct(data: Dataset) -> _Rows:
         return _Rows(data, np.ones(n))
     first = np.empty(radix, dtype=np.intp)
     first[key[::-1]] = np.arange(n - 1, -1, -1)  # the last write, the first occurrence, wins
-    first, inverse = first[present], (np.cumsum(present) - 1).take(key)
+    first = first[present]
     rows = Dataset._trusted(data.y.take(first), data.z.take(first, axis=0),
                             data.x.take(first, axis=0))
-    return _Rows(rows, counts[present].astype(float), first, inverse)
+    return _Rows(rows, counts[present].astype(float), first)
 
 
 def _fit_logistic_core(w: np.ndarray, cw: np.ndarray, y: np.ndarray, start: np.ndarray,
@@ -151,21 +137,14 @@ def _fit_logistic_core(w: np.ndarray, cw: np.ndarray, y: np.ndarray, start: np.n
     return damped_newton(system, start), last_pi
 
 
-def fit_outcome_mle(data: Dataset, basis: Basis) -> OutcomeFit:
+def _fit_outcome_mle(rows: _Rows, bmat: np.ndarray) -> OutcomeFit:
     """Maximum likelihood fit of expit(beta'z + alpha'b(x)) by
-    Newton-Raphson on the score equation n^{-1} sum (y - pi) (z', b(x)')' = 0.
+    Newton-Raphson on the score equation n^{-1} sum (y - pi) (z', b(x)')' = 0,
+    over the distinct rows given bmat = b(x) on them.
 
     Raises on a constant response, a rank-deficient design, or
     non-convergence (which a separated sample produces).
     """
-    rows = _distinct(data)
-    fit = _fit_outcome_mle(rows, basis, basis.design(rows.data.x))
-    return replace(fit, s1=rows.expand(fit.s1))
-
-
-def _fit_outcome_mle(rows: _Rows, basis: Basis, bmat: np.ndarray) -> OutcomeFit:
-    """fit_outcome_mle on the distinct rows, given bmat = b(x) on them; s1 has
-    one row per distinct row."""
     data = rows.data
     if data.y.min() == data.y.max():
         raise ValueError("response is constant: need at least one y=0 and one y=1 row")
@@ -206,49 +185,30 @@ def _fit_outcome_mle(rows: _Rows, basis: Basis, bmat: np.ndarray) -> OutcomeFit:
         s1 = np.zeros((data.n, k))
         s1[:, active] = s1a
     return OutcomeFit(params=OutcomeModelParams(theta[:data.p], theta[data.p:]),
-                      s1=s1, iterations=res.iterations, basis=basis)
+                      s1=s1, iterations=res.iterations)
 
 
 def _neg_info(w: np.ndarray, cw: np.ndarray, pi: np.ndarray, total: float) -> np.ndarray:
     return -(cw * (pi * (1.0 - pi))[:, None]).T @ w / total
 
 
-def fit_covariate(data: Dataset, basis: Basis,
-                  families: Sequence[str]) -> CovariateFit:
-    """Fit the working model for E(Z | Y=0, X) on the Y=0 subsample.
+def _fit_covariate_level(rows: _Rows, bmat: np.ndarray, families: Sequence[str],
+                         level: int) -> CovariateFit:
+    """Fit the working model for E(Z | Y=level, X) on the Y=level subsample
+    of the distinct rows, given bmat = b(x) on them.
 
     Gaussian components: ordinary least squares of z_j on b(x), with the
     residual variance taken as the mean squared residual over the
     subsample.  Bernoulli components: logistic regression of z_j on b(x).
+    The subsample's size counts observations; its rank is that of its
+    distinct rows.
     """
-    return _covariate_fit(data, basis, families, 0)
-
-
-def fit_covariate_y1(data: Dataset, basis: Basis,
-                     families: Sequence[str]) -> CovariateFit:
-    """Mirror of fit_covariate on the Y=1 subsample, modelling E(Z | Y=1, X)."""
-    return _covariate_fit(data, basis, families, 1)
-
-
-def _covariate_fit(data: Dataset, basis: Basis, families: Sequence[str],
-                   level: int) -> CovariateFit:
-    """The public covariate fit: made on the distinct rows, s2 expanded to n rows."""
-    rows = _distinct(data)
-    fit = _fit_covariate_level(rows, basis, basis.design(rows.data.x), families, level)
-    return replace(fit, s2=rows.expand(fit.s2))
-
-
-def _fit_covariate_level(rows: _Rows, basis: Basis, bmat: np.ndarray,
-                         families: Sequence[str], level: int) -> CovariateFit:
-    """The covariate fit on the y=level subsample of the distinct rows, given
-    bmat = b(x) on them; s2 has one row per distinct row.  The subsample's
-    size counts observations; its rank is that of its distinct rows."""
     data = rows.data
     families = tuple(families)
     if len(families) != data.p:
         raise ValueError(f"need one family per Z component ({data.p}), got {len(families)}")
     sub = np.flatnonzero(data.y == level)
-    size, m = int(rows.counts.take(sub).sum()), basis.m
+    size, m = int(rows.counts.take(sub).sum()), bmat.shape[1]
     if size < m:
         raise ValueError(
             f"covariate fit needs at least m={m} rows with y={level}, have {size}")
@@ -286,4 +246,4 @@ def _fit_covariate_level(rows: _Rows, basis: Basis, bmat: np.ndarray,
             raise ValueError(f"unknown family {fam!r}")
         s2[sub, j * m:(j + 1) * m] = rows.total * ((b0 * resid[:, None]) @ ne_inv.T)
     params = CovariateModelParams(gamma=gamma, families=families, resid_var=resid_var)
-    return CovariateFit(params=params, s2=s2, basis=basis, response_level=level)
+    return CovariateFit(params=params, s2=s2)

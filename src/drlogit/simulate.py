@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .estimators import DEFAULT_ESTIMATORS, KNOWN_ESTIMATORS, _Context, _wald_quantile
+from .estimators import DEFAULT_ESTIMATORS, KNOWN_ESTIMATORS, Estimation, _wald_quantile
 from .model import Basis, BasisTerm, Dataset, EstimationError, expit
 
 __all__ = [
@@ -347,7 +347,8 @@ def _run_replication(sc: Scenario, rep: int, estimators: Sequence[str]) -> dict:
     seed = np.random.SeedSequence(sc.seed, spawn_key=(rep,))
     out: dict = {}
     try:
-        ctx = _Context(sample_dataset(sc.law, sc.n, seed), sc.working_basis, sc.z_families)
+        ctx = Estimation(sample_dataset(sc.law, sc.n, seed), sc.working_basis, sc.z_families)
+        ctx.outcome  # a failed outcome fit fails every estimator, and is tried once
     except (EstimationError, ValueError):
         return {name: None for name in estimators}
     for name in estimators:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from drlogit.estimators import assemble_influence, closed_form_binary, solve_dr
+from drlogit.estimators import Estimation, _assemble
 from drlogit.model import (
     Basis,
     BasisTerm,
@@ -29,7 +29,6 @@ from drlogit.model import (
     instrument_matrices,
     instrument_matrix,
 )
-from drlogit.nuisance import fit_covariate, fit_outcome_mle
 from drlogit.simulate import (
     run_scenario,
     sample_binary,
@@ -322,12 +321,12 @@ def test_c06_derivative_matrices_match_finite_differences():
             from drlogit.simulate import sample_dataset
             ds = sample_dataset(sc.law, 150, 60_000 + seed)
             basis = sc.working_basis
-            outcome = fit_outcome_mle(ds, basis)
-            covar = fit_covariate(ds, basis, (fam,))
+            est = Estimation(ds, basis, (fam,))
+            outcome, covar = est.outcome, est.covar(0)
             variant = ("identity", "simple", "optimal")[seed % 3]
             spec = InstrumentSpec(variant)
             beta_hat = outcome.params.beta + 0.05
-            pieces = assemble_influence(ds, beta_hat, outcome, covar, spec)
+            pieces = _assemble(est.kernel(spec), beta_hat)
             phi = instrument_matrices(spec, ds.x, outcome.params, covar.params, basis)
             alpha = outcome.params.alpha
             gamma = covar.params.gamma
@@ -450,10 +449,9 @@ def test_c10_closed_form_agreement():
     worst = 0.0
     for seed in range(50):
         ds = sample_binary(sc.law, 300, 90_000 + seed)
-        outcome = fit_outcome_mle(ds, sc.working_basis)
-        covar = fit_covariate(ds, sc.working_basis, ("bernoulli",))
-        cf = closed_form_binary(ds, outcome, covar)
-        rep = solve_dr(ds, outcome, covar, InstrumentSpec("simple"))
+        est = Estimation(ds, sc.working_basis, ("bernoulli",))
+        cf = est.closed_form()
+        rep = est.solve(InstrumentSpec("simple"))
         worst = max(worst, abs(cf - rep.beta_hat[0]))
     _report(10, "closed-form binary estimator equals the Newton root",
             worst <= 1e-8, f"max |difference| = {worst:.2e} over 50 datasets")

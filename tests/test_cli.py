@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from drlogit import cli, simulate
 from drlogit.cli import CliError, main, read_dataset_csv
 from drlogit.model import Basis, Dataset, InstrumentSpec
-from drlogit.nuisance import fit_covariate, fit_outcome_mle
-from drlogit.estimators import solve_dr
+from drlogit.estimators import Estimation
 from drlogit.simulate import (
     KNOWN_ESTIMATORS,
     _run_replication,
@@ -57,6 +56,26 @@ def test_fit_reproducible_bytes(tmp_path):
     assert (out_a / "estimates.json").read_bytes() == (out_b / "estimates.json").read_bytes()
 
 
+def test_quick_tour_estimates_equal_the_fit_command(tmp_path, capsys):
+    """The README quick tour, Estimation(ds, basis, families).estimate(name),
+    on the bundled example with its config's basis and families gives for
+    every estimator of the config the beta and se that `drlogit fit` writes
+    to estimates.json, bit for bit."""
+    assert main(["fit", "--data", str(EXAMPLE_CSV), "--config", str(EXAMPLE_CFG),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = json.loads((tmp_path / "estimates.json").read_text())["estimators"]
+    cfg = json.loads(EXAMPLE_CFG.read_text())
+    est = Estimation(read_dataset_csv(EXAMPLE_CSV), basis_from_terms(cfg["basis"]),
+                     cfg["z_families"])
+    assert sorted(written) == sorted(cfg["estimators"])
+    for name in cfg["estimators"]:
+        beta, se, _ = est.estimate(name)
+        # a float's JSON repr reads back as the same double
+        assert beta.tolist() == written[name]["beta"], name
+        assert se.tolist() == written[name]["se"], name
+
+
 def test_fit_round_trip_matches_in_process(tmp_path):
     """A dataset written to CSV and refit through the CLI reproduces the
     in-process estimate to the last bit (repr round-trip)."""
@@ -70,9 +89,7 @@ def test_fit_round_trip_matches_in_process(tmp_path):
     assert ds2.x.tobytes() == ds.x.tobytes()
 
     basis = basis_from_terms([{"kind": "intercept"}, {"kind": "linear", "j": 0}])
-    outcome = fit_outcome_mle(ds, basis)
-    covar = fit_covariate(ds, basis, ("bernoulli",))
-    want = solve_dr(ds, outcome, covar, InstrumentSpec("simple")).beta_hat[0]
+    want = Estimation(ds, basis, ("bernoulli",)).solve(InstrumentSpec("simple")).beta_hat[0]
 
     cfg = {"basis": [{"kind": "intercept"}, {"kind": "linear", "j": 0}],
            "z_families": ["bernoulli"], "estimators": ["dr_simple"]}

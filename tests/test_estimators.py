@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,14 +7,10 @@ import pytest
 from drlogit._newton import _newton_step, damped_newton
 from drlogit.estimators import (
     KNOWN_ESTIMATORS,
+    Estimation,
     _assemble,
-    _Context,
     _inverse,
     _solve,
-    assemble_influence,
-    closed_form_binary,
-    solve_dr,
-    solve_dr_y1,
     wald_interval,
 )
 from drlogit.model import (
@@ -29,15 +24,13 @@ from drlogit.model import (
     LinearInstrument,
     OutcomeModelParams,
     SingularMatrixError,
-    _negated,
     covariate_means,
     ee_dr,
     ee_instrument,
     expit,
     instrument_matrices,
 )
-from drlogit.nuisance import (CovariateFit, OutcomeFit, _distinct, _Rows, fit_covariate,
-                              fit_covariate_y1, fit_outcome_mle)
+from drlogit.nuisance import CovariateFit, OutcomeFit, _distinct, _Rows
 from drlogit.simulate import sample_binary, sample_dataset, scenario_catalog
 
 from conftest import bisect_root, exact_counts_dataset
@@ -57,14 +50,11 @@ def _dyadic_beta0_law():
     )
 
 
-def _binary_fixture(rng, n=400, beta=0.6):
+def _binary_fixture(rng, n=400):
+    """An S1-binary sample and its estimation on the working basis."""
     sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
-    law = sc.law
-    ds = sample_binary(law, n, rng)
-    basis = sc.working_basis
-    outcome = fit_outcome_mle(ds, basis)
-    covar = fit_covariate(ds, basis, ("bernoulli",))
-    return ds, basis, outcome, covar
+    ds = sample_binary(sc.law, n, rng)
+    return ds, Estimation(ds, sc.working_basis, ("bernoulli",))
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +68,9 @@ def test_saturated_beta0_exact_root(variant):
     the sample equation vanishes at beta = 0."""
     law = _dyadic_beta0_law()
     ds = exact_counts_dataset(law, multiple=2)
-    basis = Basis((BasisTerm("intercept"),))
-    outcome = fit_outcome_mle(ds, basis)
-    covar = fit_covariate(ds, basis, ("bernoulli",))
-    rep = solve_dr(ds, outcome, covar, InstrumentSpec(variant))
-    assert abs(rep.beta_hat[0]) <= 1e-8
-    covar1 = fit_covariate_y1(ds, basis, ("bernoulli",))
-    rep1 = solve_dr_y1(ds, outcome, covar1, InstrumentSpec(variant))
-    assert abs(rep1.beta_hat[0]) <= 1e-8
+    est = Estimation(ds, Basis((BasisTerm("intercept"),)), ("bernoulli",))
+    assert abs(est.solve(InstrumentSpec(variant)).beta_hat[0]) <= 1e-8
+    assert abs(est.estimate(f"dr_y1_{variant}")[0][0]) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +79,10 @@ def test_saturated_beta0_exact_root(variant):
 
 
 def test_plug_back_equation_norm(rng):
-    ds, basis, outcome, covar = _binary_fixture(rng)
+    ds, est = _binary_fixture(rng)
+    basis, outcome, covar = est.basis, est.outcome, est.covar(0)
     for variant in ("identity", "simple", "optimal"):
-        rep = solve_dr(ds, outcome, covar, InstrumentSpec(variant))
+        rep = est.solve(InstrumentSpec(variant))
         # re-evaluate the mean estimating function independently
         phi = instrument_matrices(InstrumentSpec(variant), ds.x, outcome.params,
                                   covar.params, basis)
@@ -110,8 +96,8 @@ def test_plug_back_equation_norm(rng):
 
 
 def test_report_covariance_psd_and_cis(rng):
-    ds, basis, outcome, covar = _binary_fixture(rng)
-    rep = solve_dr(ds, outcome, covar, InstrumentSpec("simple"))
+    _, est = _binary_fixture(rng)
+    rep = est.solve(InstrumentSpec("simple"))
     np.testing.assert_allclose(rep.covariance, rep.covariance.T)
     assert np.linalg.eigvalsh(rep.covariance).min() >= -1e-15
     np.testing.assert_allclose(rep.std_errors, np.sqrt(np.diag(rep.covariance)))
@@ -120,37 +106,26 @@ def test_report_covariance_psd_and_cis(rng):
     np.testing.assert_allclose(wald_interval(rep.beta_hat, rep.std_errors, 0.9)[:, 1]
                                - rep.beta_hat, zq * rep.std_errors)
     # influence rows average to ~0 at the solution
-    assert np.max(np.abs(rep.influence.mean(axis=0))) <= 1e-8
+    influence = _assemble(est.kernel(InstrumentSpec("simple")), rep.beta_hat).influence
+    assert np.max(np.abs(est.rows.weigh(influence).sum(axis=0) / est.rows.total)) <= 1e-8
 
 
 def test_jacobian_condition_equals_svd_condition(rng):
     """The reported condition number is np.linalg.cond of the Jacobian at
     beta_hat, for p=1 (where no SVD is run) and p=2 alike."""
-    ds1, basis1, outcome1, covar1 = _binary_fixture(rng)
-    covar1_y1 = fit_covariate_y1(ds1, basis1, ("bernoulli",))
+    _, est1 = _binary_fixture(rng)
     n = 800
     x = rng.uniform(-1.0, 1.0, (n, 1))
     z = rng.standard_normal((n, 2)) + 0.3 * x
     y = (rng.random(n) < expit(0.2 + z @ np.array([0.5, -0.4]) + 0.5 * x[:, 0])).astype(int)
-    ds2, basis2 = Dataset(y, z, x), Basis.linear_in(1)
-    outcome2 = fit_outcome_mle(ds2, basis2)
-    covar2 = fit_covariate(ds2, basis2, ("gaussian", "gaussian"))
-    cases = [(solve_dr, ds1, basis1, outcome1, covar1, False),
-             (solve_dr_y1, ds1, basis1, outcome1, covar1_y1, True),
-             (solve_dr, ds2, basis2, outcome2, covar2, False)]
-    for solve, ds, basis, outcome, covar, y1 in cases:
+    est2 = Estimation(Dataset(y, z, x), Basis.linear_in(1), ("gaussian", "gaussian"))
+    # the Y=1 solve is the mirror's: the relabeled Y=0 kernel's at -beta_hat
+    for est in (est1, est1.mirror, est2):
         for variant in ("identity", "simple", "optimal"):
             spec = InstrumentSpec(variant)
-            rep = solve(ds, outcome, covar, spec)
-            if y1:  # the Y=1 Jacobian is the relabeled Y=0 kernel's at -beta_hat
-                jac = _Context(Dataset(1 - ds.y, ds.z, ds.x), basis,
-                               outcome=replace(outcome, params=_negated(outcome.params)),
-                               covars={0: replace(covar, response_level=0)}
-                               ).kernel(spec).jacobian(-rep.beta_hat)
-            else:
-                jac = _Context(ds, basis, outcome=outcome, covars={0: covar}
-                               ).kernel(spec).jacobian(rep.beta_hat)
-            assert jac.shape == (ds.p, ds.p)
+            rep = est.solve(spec)
+            jac = est.kernel(spec).jacobian(rep.beta_hat)
+            assert jac.shape == (est.data.p, est.data.p)
             assert rep.diagnostics.jacobian_condition == float(np.linalg.cond(jac))
 
 
@@ -162,10 +137,7 @@ def test_solve_restarts_from_zero(start, singular):
     counts the iterations and halvings of both runs."""
     sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
     ds = sample_dataset(sc.law, 500, 11)
-    basis = sc.working_basis
-    kernel = _Context(ds, basis, outcome=fit_outcome_mle(ds, basis),
-                      covars={0: fit_covariate(ds, basis, sc.z_families)}
-                      ).kernel(InstrumentSpec("simple"))
+    kernel = Estimation(ds, sc.working_basis, sc.z_families).kernel(InstrumentSpec("simple"))
     first = damped_newton(kernel.system, np.array([start]))
     assert not first.converged and first.singular == singular
     if not singular:
@@ -251,8 +223,8 @@ def test_newton_evaluates_once_per_trial_point(scenario, monkeypatch):
         return res
     monkeypatch.setattr(nuisance, "expit", counted_expit)
     monkeypatch.setattr(nuisance, "damped_newton", counted_newton)
-    ctx = _Context(ds, sc.working_basis, sc.z_families)
-    ctx.covar(0)
+    ctx = Estimation(ds, sc.working_basis, sc.z_families)
+    ctx.outcome, ctx.covar(0)  # both nuisance fits, each built on first use
     # the outcome MLE, plus one fit per Bernoulli covariate component
     assert len(fits) == 1 + sc.z_families.count("bernoulli")
     for counts, res in fits:
@@ -274,10 +246,7 @@ def test_restart_counts_evaluations_of_both_attempts(start, singular):
     its one evaluation and one Jacobian beyond its zero iterations."""
     sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
     ds = sample_dataset(sc.law, 500, 11)
-    basis = sc.working_basis
-    kernel = _Context(ds, basis, outcome=fit_outcome_mle(ds, basis),
-                      covars={0: fit_covariate(ds, basis, sc.z_families)}
-                      ).kernel(InstrumentSpec("simple"))
+    kernel = Estimation(ds, sc.working_basis, sc.z_families).kernel(InstrumentSpec("simple"))
     counts = _counted_kernel(kernel)
     res = _solve(kernel, np.array([start]))
     assert res.converged
@@ -379,8 +348,8 @@ def test_scalar_solve_and_sandwich_equal_their_lapack_forms(scenario, monkeypatc
     def run():
         out = []
         for seed in range(4):
-            ctx = _Context(sample_dataset(sc.law, 500, 300 + seed), sc.working_basis,
-                           sc.z_families)
+            ctx = Estimation(sample_dataset(sc.law, 500, 300 + seed), sc.working_basis,
+                             sc.z_families)
             for variant in ("identity", "simple", "optimal"):
                 kernel = ctx.kernel(InstrumentSpec(variant))
                 res = _solve(kernel, ctx.outcome.params.beta)
@@ -394,34 +363,6 @@ def test_scalar_solve_and_sandwich_equal_their_lapack_forms(scenario, monkeypatc
     assert run() == fast
 
 
-def test_solve_rejects_mismatched_fits(rng):
-    ds, basis, outcome, covar = _binary_fixture(rng)
-    covar1 = fit_covariate_y1(ds, basis, ("bernoulli",))
-    with pytest.raises(ValueError, match="Y=1"):
-        solve_dr(ds, outcome, covar1, InstrumentSpec("simple"))
-    with pytest.raises(ValueError, match="Y=0"):
-        solve_dr_y1(ds, outcome, covar, InstrumentSpec("simple"))
-
-
-def test_entry_points_refuse_a_basis_not_the_fits(rng):
-    """Each public entry point works on the outcome fit's basis, and a
-    covariate fit made on another basis would pair its coefficients with the
-    wrong features (on S1-gaussian, n=2000, seed 7, the simple solve read
-    0.4771 against 0.4807 on one basis): all four refuse it."""
-    ds, basis, outcome, _ = _binary_fixture(rng)
-    other = Basis((BasisTerm("intercept"), BasisTerm("square", 0)))
-    assert other.m == basis.m
-    covar_other = fit_covariate(ds, other, ("bernoulli",))
-    covar1_other = fit_covariate_y1(ds, other, ("bernoulli",))
-    spec = InstrumentSpec("simple")
-    for call in [lambda: solve_dr(ds, outcome, covar_other, spec),
-                 lambda: solve_dr_y1(ds, outcome, covar1_other, spec),
-                 lambda: assemble_influence(ds, outcome.params.beta, outcome, covar_other, spec),
-                 lambda: closed_form_binary(ds, outcome, covar_other)]:
-        with pytest.raises(ValueError, match="the covariate fit was made on another basis"):
-            call()
-
-
 # ---------------------------------------------------------------------------
 # Closed form
 # ---------------------------------------------------------------------------
@@ -432,18 +373,16 @@ def test_closed_form_balanced_stratum():
     factor sums equal, so beta_hat = 0."""
     y = np.array([1, 1, 0, 0] * 5)
     z = np.array([1.0, 0.0, 1.0, 0.0] * 5)[:, None]
-    ds = Dataset(y, z, np.zeros((20, 1)))
-    basis = Basis((BasisTerm("intercept"),))
-    outcome = fit_outcome_mle(ds, basis)
-    covar = fit_covariate(ds, basis, ("bernoulli",))
-    assert closed_form_binary(ds, outcome, covar) == pytest.approx(0.0, abs=1e-12)
+    est = Estimation(Dataset(y, z, np.zeros((20, 1))), Basis((BasisTerm("intercept"),)),
+                     ("bernoulli",))
+    assert est.closed_form() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_closed_form_plug_back_kernel(rng):
-    ds, basis, outcome, covar = _binary_fixture(rng)
-    beta = closed_form_binary(ds, outcome, covar)
-    e = expit(basis.design(ds.x) @ outcome.params.alpha)
-    f = covariate_means(covar.params, ds.x, basis)[:, 0]
+    ds, est = _binary_fixture(rng)
+    beta = est.closed_form()
+    e = expit(est.basis.design(ds.x) @ est.outcome.params.alpha)
+    f = covariate_means(est.covar(0).params, ds.x, est.basis)[:, 0]
     kernel = np.exp(-beta * ds.z[:, 0] * ds.y) * (ds.y - e) * (ds.z[:, 0] - f)
     assert abs(kernel.mean()) <= 1e-12
 
@@ -451,24 +390,20 @@ def test_closed_form_plug_back_kernel(rng):
 def test_closed_form_matches_newton_on_random_datasets():
     sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
     for seed in range(50):
-        ds = sample_binary(sc.law, 300, 50_000 + seed)
-        outcome = fit_outcome_mle(ds, sc.working_basis)
-        covar = fit_covariate(ds, sc.working_basis, ("bernoulli",))
-        cf = closed_form_binary(ds, outcome, covar)
-        rep = solve_dr(ds, outcome, covar, InstrumentSpec("simple"))
-        assert cf == pytest.approx(rep.beta_hat[0], abs=1e-8)
+        est = Estimation(sample_binary(sc.law, 300, 50_000 + seed), sc.working_basis,
+                         ("bernoulli",))
+        cf = est.closed_form()
+        assert cf == pytest.approx(est.solve(InstrumentSpec("simple")).beta_hat[0], abs=1e-8)
 
 
 def test_closed_form_no_finite_root():
     # no (y=1, z=1) rows: B = 0
     y = np.array([1, 1, 0, 0, 0, 0])
     z = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 0.0])[:, None]
-    ds = Dataset(y, z, np.zeros((6, 1)))
-    basis = Basis((BasisTerm("intercept"),))
-    outcome = fit_outcome_mle(ds, basis)
-    covar = fit_covariate(ds, basis, ("bernoulli",))
+    est = Estimation(Dataset(y, z, np.zeros((6, 1))), Basis((BasisTerm("intercept"),)),
+                     ("bernoulli",))
     with pytest.raises(ConvergenceError, match="finite root"):
-        closed_form_binary(ds, outcome, covar)
+        est.closed_form()
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +427,18 @@ def _mean_r_frozen_phi(ds, basis, beta, alpha, covar_params, phi):
 ])
 def test_influence_pieces_match_finite_differences(variant, family, rng):
     if family == "bernoulli":
-        ds, basis, outcome, covar = _binary_fixture(rng, n=150)
+        ds, est = _binary_fixture(rng, n=150)
     else:
         n = 150
         x = rng.uniform(-1.5, 1.5, (n, 1))
         z = (0.1 + 0.7 * x[:, 0] + rng.normal(0, 0.9, n))[:, None]
         y = (rng.random(n) < expit(0.5 * z[:, 0] + 0.2 + 0.6 * x[:, 0])).astype(int)
         ds = Dataset(y, z, x)
-        basis = Basis.linear_in(1)
-        outcome = fit_outcome_mle(ds, basis)
-        covar = fit_covariate(ds, basis, ("gaussian",))
+        est = Estimation(ds, Basis.linear_in(1), ("gaussian",))
+    basis, outcome, covar = est.basis, est.outcome, est.covar(0)
     beta_hat = outcome.params.beta + 0.07  # a generic point, off the root
     spec = InstrumentSpec(variant)
-    pieces = assemble_influence(ds, beta_hat, outcome, covar, spec)
+    pieces = _assemble(est.kernel(spec), beta_hat)
 
     phi = instrument_matrices(spec, ds.x, outcome.params, covar.params, basis)
     h = 1e-5
@@ -551,11 +485,9 @@ def test_nuisance_curvature_vanishes_when_both_correct():
     law = sc.law
     # working basis saturates the 3-point grid
     basis = Basis.linear_in(1).plus(BasisTerm("square", 0))
-    ds = sample_binary(law, 100_000, 88)
-    outcome = fit_outcome_mle(ds, basis)
-    covar = fit_covariate(ds, basis, ("bernoulli",))
-    rep = solve_dr(ds, outcome, covar, InstrumentSpec("simple"))
-    pieces = assemble_influence(ds, rep.beta_hat, outcome, covar, InstrumentSpec("simple"))
+    est = Estimation(sample_binary(law, 100_000, 88), basis, ("bernoulli",))
+    rep = est.solve(InstrumentSpec("simple"))
+    pieces = _assemble(est.kernel(InstrumentSpec("simple")), rep.beta_hat)
     assert np.max(np.abs(pieces.b1)) <= 0.02
     assert np.max(np.abs(pieces.b2)) <= 0.02
 
@@ -640,10 +572,11 @@ def test_exact_unbiasedness_tau_instrument(rng):
 
 def test_root_invariant_to_instrument_rescaling(rng):
     """Multiplying phi by a positive constant cannot move the root: the
-    bisection root of the scaled sample equation equals solve_dr's."""
-    ds, basis, outcome, covar = _binary_fixture(rng, n=250)
+    bisection root of the scaled sample equation equals the doubly robust solve's."""
+    ds, est = _binary_fixture(rng, n=250)
+    basis, outcome, covar = est.basis, est.outcome, est.covar(0)
     spec = InstrumentSpec("simple")
-    rep = solve_dr(ds, outcome, covar, spec)
+    rep = est.solve(spec)
     phi = instrument_matrices(spec, ds.x, outcome.params, covar.params, basis)
     f = covariate_means(covar.params, ds.x, basis)
     g = basis.design(ds.x) @ outcome.params.alpha
@@ -663,10 +596,11 @@ def test_root_invariant_to_instrument_rescaling(rng):
 
 def test_binary_class_equivalence_tau_vs_phi(rng):
     """For binary Z, solving the general-instrument equation with
-    u(z, x) = c(x) z reproduces the solve_dr root for the matched phi."""
-    ds, basis, outcome, covar = _binary_fixture(rng, n=250)
-    rep = solve_dr(ds, outcome, covar, InstrumentSpec("simple"))
-    alpha = outcome.params.alpha
+    u(z, x) = c(x) z reproduces the doubly robust root for the matched phi."""
+    ds, est = _binary_fixture(rng, n=250)
+    basis, covar = est.basis, est.covar(0)
+    rep = est.solve(InstrumentSpec("simple"))
+    alpha = est.outcome.params.alpha
 
     def c_of_x(x):
         return expit(float(basis.row(x) @ alpha))
@@ -687,52 +621,53 @@ def test_binary_class_equivalence_tau_vs_phi(rng):
 def test_y1_estimator_matches_relabeled_y0_estimator(rng):
     """Relabeling y -> 1-y maps the Y=1 estimator onto the Y=0 estimator
     with negated coefficients."""
-    ds, basis, outcome, covar = _binary_fixture(rng, n=300)
-    covar1 = fit_covariate_y1(ds, basis, ("bernoulli",))
-    rep_y1 = solve_dr_y1(ds, outcome, covar1, InstrumentSpec("simple"))
-
-    flipped = Dataset(1 - ds.y, ds.z, ds.x)
-    outcome_f = fit_outcome_mle(flipped, basis)
-    covar_f = fit_covariate(flipped, basis, ("bernoulli",))
-    rep_f = solve_dr(flipped, outcome_f, covar_f, InstrumentSpec("simple"))
-    assert -rep_f.beta_hat[0] == pytest.approx(rep_y1.beta_hat[0], abs=1e-8)
-    # identity-instrument version of the same symmetry
-    rep_y1i = solve_dr_y1(ds, outcome, covar1, InstrumentSpec("identity"))
-    rep_fi = solve_dr(flipped, outcome_f, covar_f, InstrumentSpec("identity"))
-    assert -rep_fi.beta_hat[0] == pytest.approx(rep_y1i.beta_hat[0], abs=1e-8)
+    ds, est = _binary_fixture(rng, n=300)
+    flipped = Estimation(Dataset(1 - ds.y, ds.z, ds.x), est.basis, ("bernoulli",))
+    # the simple and the identity instrument
+    for variant in ("simple", "identity"):
+        beta_y1 = est.estimate(f"dr_y1_{variant}")[0][0]
+        assert -flipped.solve(InstrumentSpec(variant)).beta_hat[0] == pytest.approx(beta_y1,
+                                                                                   abs=1e-8)
 
 
 @pytest.mark.parametrize("variant", ["identity", "simple", "optimal"])
 @pytest.mark.parametrize("p", [1, 2])
 def test_y1_report_matches_refit_relabeled_report(p, variant, rng):
-    """Every field of the Y=1 report mirrors solve_dr on the relabeled data
-    with both nuisance models refit there: the SE and covariance agree, the
-    influence rows and the interval flip sign (p=1 binary, p=2 Gaussian Z)."""
+    """Every field of the Y=1 estimate mirrors the doubly robust solve on the
+    relabeled data with both nuisance models refit there: the SE, the
+    covariance and the influence rows agree, the beta and the interval flip
+    sign (p=1 binary, p=2 Gaussian Z)."""
     if p == 1:
-        ds, basis, outcome, covar = _binary_fixture(rng, n=600)
-        families = ("bernoulli",)
+        ds, est = _binary_fixture(rng, n=600)
     else:
         n = 800
         x = rng.uniform(-1.0, 1.0, (n, 1))
         z = rng.standard_normal((n, 2)) + 0.3 * x
         y = (rng.random(n) < expit(0.2 + z @ np.array([0.5, -0.4]) + 0.5 * x[:, 0]))
-        ds, basis = Dataset(y.astype(int), z, x), Basis.linear_in(1)
-        outcome = fit_outcome_mle(ds, basis)
-        families = ("gaussian", "gaussian")
+        ds = Dataset(y.astype(int), z, x)
+        est = Estimation(ds, Basis.linear_in(1), ("gaussian", "gaussian"))
     spec = InstrumentSpec(variant)
-    rep = solve_dr_y1(ds, outcome, fit_covariate_y1(ds, basis, families), spec)
-    flipped = Dataset(1 - ds.y, ds.z, ds.x)
-    ref = solve_dr(flipped, fit_outcome_mle(flipped, basis),
-                   fit_covariate(flipped, basis, families), spec)
+    beta, se, _ = est.estimate(f"dr_y1_{variant}")
+    mirror, flipped = est.mirror, Estimation(Dataset(1 - ds.y, ds.z, ds.x), est.basis,
+                                             est.z_families)
+    ref = flipped.solve(spec)
     tol = dict(rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(rep.beta_hat, -ref.beta_hat, **tol)
-    np.testing.assert_allclose(rep.std_errors, ref.std_errors, **tol)
-    np.testing.assert_allclose(rep.covariance, ref.covariance, **tol)
-    np.testing.assert_allclose(rep.influence, -ref.influence, **tol)
-    ci = wald_interval(rep.beta_hat, rep.std_errors, 0.95)
+    np.testing.assert_allclose(beta, -ref.beta_hat, **tol)
+    np.testing.assert_allclose(se, ref.std_errors, **tol)
+    np.testing.assert_allclose(mirror.solve(spec).covariance, ref.covariance, **tol)
+    # the mirror's rows are the data's; the refit's are those of the relabeled data
+    np.testing.assert_allclose(
+        _in_data_order(mirror, _assemble(mirror.kernel(spec), -beta).influence),
+        _in_data_order(flipped, _assemble(flipped.kernel(spec), ref.beta_hat).influence), **tol)
+    ci = wald_interval(beta, se, 0.95)
     np.testing.assert_allclose(ci, -wald_interval(ref.beta_hat, ref.std_errors, 0.95)[:, ::-1],
                                **tol)
     assert (ci[:, 0] < ci[:, 1]).all()
+
+
+def _in_data_order(est, a):
+    """The per-distinct-row array a in the data order of the rows' first occurrences."""
+    return a if est.rows.first is None else a[np.argsort(est.rows.first)]
 
 
 def test_y1_estimator_centered_small_study():
@@ -742,10 +677,8 @@ def test_y1_estimator_centered_small_study():
     betas = []
     for r in range(80):
         ds = sample_binary(sc.law, 1200, np.random.SeedSequence(777, spawn_key=(r,)))
-        outcome = fit_outcome_mle(ds, sc.working_basis)
-        covar1 = fit_covariate_y1(ds, sc.working_basis, ("bernoulli",))
-        rep = solve_dr_y1(ds, outcome, covar1, InstrumentSpec("simple"))
-        betas.append(rep.beta_hat[0])
+        est = Estimation(ds, sc.working_basis, ("bernoulli",))
+        betas.append(est.estimate("dr_y1_simple")[0][0])
     betas = np.array(betas)
     bias = betas.mean() - sc.law.beta_star[0]
     mcse = betas.std(ddof=1) / math.sqrt(len(betas))
@@ -771,12 +704,9 @@ def test_vector_z_end_to_end(rng):
     y = (rng.random(n) < p1).astype(int)
     z = m + y[:, None] * (s2 * beta_star)[None, :] \
         + rng.standard_normal((n, 2)) * np.sqrt(s2)[None, :]
-    ds = Dataset(y, z, x)
-    basis = Basis.linear_in(1)
-    outcome = fit_outcome_mle(ds, basis)
-    covar = fit_covariate(ds, basis, ("gaussian", "gaussian"))
+    est = Estimation(Dataset(y, z, x), Basis.linear_in(1), ("gaussian", "gaussian"))
     for variant in ("identity", "simple", "optimal"):
-        rep = solve_dr(ds, outcome, covar, InstrumentSpec(variant))
+        rep = est.solve(InstrumentSpec(variant))
         assert rep.beta_hat.shape == (2,)
         assert rep.diagnostics.final_eq_norm <= 1e-10
         assert np.all(np.abs(rep.beta_hat - beta_star) <= 5 * rep.std_errors)
@@ -838,7 +768,7 @@ def test_four_se_containment_under_s1():
 
 def _menu(ds, sc) -> dict:
     """(beta, se) of every estimator that applies, on one context of ds."""
-    ctx = _Context(ds, sc.working_basis, sc.z_families)
+    ctx = Estimation(ds, sc.working_basis, sc.z_families)
     names = [e for e in KNOWN_ESTIMATORS if e != "closed_form" or sc.z_families == ("bernoulli",)]
     return {name: ctx.estimate(name)[:2] for name in names}
 
@@ -870,21 +800,6 @@ def test_stacked_sample_keeps_beta_and_shrinks_se():
         np.testing.assert_allclose(stacked[name][1], se / math.sqrt(3.0), rtol=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["identity", "simple", "optimal"])
-def test_expanded_influence_rows_follow_the_data_rows(variant):
-    """solve_dr's n influence rows are equal wherever the data rows are equal,
-    and their scaled Gram matrix is the reported covariance."""
-    sc, ds = _s1_binary()
-    outcome = fit_outcome_mle(ds, sc.working_basis)
-    rep = solve_dr(ds, outcome, fit_covariate(ds, sc.working_basis, sc.z_families),
-                   InstrumentSpec(variant))
-    rows = _distinct(ds)
-    assert rep.influence.shape == (ds.n, 1)
-    assert np.array_equal(rep.influence, rep.influence[rows.first][rows.inverse])
-    np.testing.assert_allclose(rep.influence.T @ rep.influence / ds.n**2, rep.covariance,
-                               rtol=1e-12)
-
-
 def test_refused_optimal_instrument_names_a_data_row():
     """On collapsed data the optimal instrument's refusal names a data row, as
     without the collapse: the first x = 1 row, where the covariate mean
@@ -892,14 +807,16 @@ def test_refused_optimal_instrument_names_a_data_row():
     y = np.tile([0, 1, 0, 1, 0, 1, 0, 1], 2)
     z = np.tile([0.0, 1.0, 1.0, 0.0], 4)[:, None]
     x = np.tile(np.repeat([0.0, 1.0], 4), 2)[:, None]
-    ds, basis = Dataset(y, z, x), Basis.linear_in(1)
+    rows = _distinct(Dataset(y, z, x))
+    assert rows.data.n == 8
     outcome = OutcomeFit(OutcomeModelParams(np.array([0.3]), np.array([0.1, 0.2])),
-                         np.zeros((16, 3)), 0, basis)
+                         np.zeros((8, 3)), 0)
     covar = CovariateFit(CovariateModelParams(np.array([[0.0, -745.0]]), ("bernoulli",),
-                                              np.full(1, math.nan)), np.zeros((16, 2)), basis)
-    assert _distinct(ds).data.n == 8
+                                              np.full(1, math.nan)), np.zeros((8, 2)))
+    est = Estimation._of_rows(rows, Basis.linear_in(1), ("bernoulli",), outcome=outcome,
+                              covars={0: covar})
     with pytest.raises(SingularMatrixError, match="at row 4$"):
-        solve_dr(ds, outcome, covar, InstrumentSpec("optimal"))
+        est.solve(InstrumentSpec("optimal"))
 
 
 def _all_rows(data):
@@ -909,32 +826,36 @@ def _all_rows(data):
 
 @pytest.mark.parametrize("scenario", ["S2-gaussian", "S1-binary"])
 def test_collapse_matches_the_forced_off_run(scenario, monkeypatch):
-    """Against a run with the collapse forced off, through the context and the
-    public entry points: the same bits on continuous data, whose rows are all
-    distinct, and within 1e-12 on binary data, where 2000 rows become 12."""
+    """Against a run with the collapse forced off, every estimate, report and
+    expansion piece, and per distinct row every influence row against the
+    forced-off row of its first occurrence: the same bits on continuous data,
+    whose rows are all distinct, and within 1e-12 on binary data, where 2000
+    rows become 12."""
     import drlogit.estimators as estimators
     sc = next(s for s in scenario_catalog() if s.name == scenario)
     ds, basis = sample_dataset(sc.law, 2000, 23), sc.working_basis
 
     def run(rows_of):
         monkeypatch.setattr(estimators, "_distinct", rows_of)
-        ctx = _Context(rows_of(ds), basis, sc.z_families)
-        outcome = replace(ctx.outcome, s1=ctx.rows.expand(ctx.outcome.s1))
-        covar = replace(ctx.covar(0), s2=ctx.rows.expand(ctx.covar(0).s2))
-        covar1 = replace(ctx.covar(1), s2=ctx.rows.expand(ctx.covar(1).s2))
-        out = [ctx.estimate(name) for name in KNOWN_ESTIMATORS if name != "closed_form"]
+        est = Estimation(ds, basis, sc.z_families)
+        out = [est.estimate(name) for name in KNOWN_ESTIMATORS if name != "closed_form"]
+        per_row = [est.outcome.s1, est.covar(0).s2, est.covar(1).s2]
         for variant in ("identity", "simple", "optimal"):
             spec = InstrumentSpec(variant)
-            rep, rep1 = solve_dr(ds, outcome, covar, spec), solve_dr_y1(ds, outcome, covar1, spec)
-            pieces = assemble_influence(ds, rep.beta_hat, outcome, covar, spec)
-            out += [rep.beta_hat, rep.covariance, rep.influence, rep1.beta_hat,
-                    rep1.covariance, rep1.influence, pieces.h_matrix, pieces.b1, pieces.b2,
-                    pieces.influence, pieces.covariance]
-        out += [outcome.s1, covar.s2, covar1.s2]
-        return out
+            rep, rep1 = est.solve(spec), est.mirror.solve(spec)
+            pieces, pieces1 = (_assemble(e.kernel(spec), r.beta_hat)
+                               for e, r in ((est, rep), (est.mirror, rep1)))
+            out += [rep.beta_hat, rep.covariance, rep1.beta_hat, rep1.covariance,
+                    pieces.h_matrix, pieces.b1, pieces.b2, pieces.covariance]
+            per_row += [pieces.influence, pieces1.influence]
+        return est.rows, out, per_row
 
-    collapsed, forced_off = run(_distinct), run(_all_rows)
-    for got, want in zip(collapsed, forced_off):
+    rows, collapsed, collapsed_rows = run(_distinct)
+    _, forced_off, forced_off_rows = run(_all_rows)
+    first = slice(None) if rows.first is None else rows.first
+    assert len(collapsed_rows[0]) == rows.data.n
+    for got, want in zip(collapsed + collapsed_rows,
+                         forced_off + [a[first] for a in forced_off_rows]):
         if isinstance(got, tuple):  # estimate's (beta, se, diagnostics)
             if scenario == "S2-gaussian":
                 assert got[2] == want[2]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drlogit.estimators import _Context
+from drlogit.estimators import Estimation
 from drlogit.model import (
     COND_LIMIT,
     Basis,
@@ -31,7 +31,7 @@ from drlogit.model import (
     instrument_matrix,
     instrument_matrices,
 )
-from drlogit.nuisance import CovariateFit, OutcomeFit
+from drlogit.nuisance import CovariateFit, OutcomeFit, _Rows
 
 from conftest import random_binary_finite_law
 from oracles import FiniteLaw, ortho_complement_identity_gap
@@ -236,11 +236,12 @@ def test_calibrated_equation_on_y1_rows_matches_full_rows(case):
     n, p = z.shape
     basis = Basis.linear_in(1)
     outcome = OutcomeFit(params=OutcomeModelParams(np.zeros(p), alpha),
-                         s1=np.zeros((n, p + 2)), iterations=0, basis=basis)
+                         s1=np.zeros((n, p + 2)), iterations=0)
     covar = CovariateFit(params=CovariateModelParams(gamma, ("gaussian",) * p, np.ones(p)),
-                         s2=np.zeros((n, 2 * p)), basis=basis)
-    kernel = _Context(Dataset(y, z, x), basis, outcome=outcome,
-                      covars={0: covar}).kernel(InstrumentSpec("identity"))
+                         s2=np.zeros((n, 2 * p)))
+    # every observation its own row, count 1
+    kernel = Estimation._of_rows(_Rows(Dataset(y, z, x), np.ones(n)), basis, outcome=outcome,
+                                 covars={0: covar}).kernel(InstrumentSpec("identity"))
     bx = np.column_stack([np.ones(n), x[:, 0]])
     u, g = z - bx @ gamma.T, bx @ alpha
     with np.errstate(over="ignore", invalid="ignore"):

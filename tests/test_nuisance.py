@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from drlogit.estimators import Estimation
 from drlogit.model import Basis, BasisTerm, ConvergenceError, Dataset, expit
-from drlogit.nuisance import (
-    _distinct,
-    fit_covariate,
-    fit_covariate_y1,
-    fit_outcome_mle,
-)
-
+from drlogit.nuisance import _distinct
 from drlogit.simulate import sample_dataset, scenario_catalog
 
 from conftest import exact_counts_dataset, random_binary_finite_law
@@ -38,7 +33,7 @@ def test_mle_intercept_only_with_zero_z_column():
     beta, so the fit pins beta at 0 and the intercept matches logit(mean y)."""
     y = np.array([1, 0, 0, 0] * 10)
     ds = Dataset(y, np.zeros((40, 1)), np.zeros((40, 1)))
-    fit = fit_outcome_mle(ds, _intercept_basis())
+    fit = Estimation(ds, _intercept_basis()).outcome
     assert fit.params.beta[0] == 0.0
     assert fit.params.alpha[0] == pytest.approx(-math.log(3.0), rel=1e-10)
 
@@ -48,21 +43,21 @@ def test_mle_separation_raises():
     y = (z[:, 0] > 0).astype(int)
     ds = Dataset(y, z, np.zeros((30, 1)))
     with pytest.raises(ConvergenceError):
-        fit_outcome_mle(ds, _intercept_basis())
+        Estimation(ds, _intercept_basis()).outcome
 
 
 def test_mle_constant_response_raises():
     ds = Dataset(np.ones(10, dtype=int), np.random.default_rng(0).normal(size=(10, 1)),
                  np.zeros((10, 1)))
     with pytest.raises(ValueError, match="constant"):
-        fit_outcome_mle(ds, _intercept_basis())
+        Estimation(ds, _intercept_basis()).outcome
 
 
 def test_mle_rank_deficient_raises(rng):
     ds = _synthetic(rng)
     dup = Basis((BasisTerm("intercept"), BasisTerm("linear", 0), BasisTerm("linear", 0)))
     with pytest.raises(ValueError, match="rank"):
-        fit_outcome_mle(ds, dup)
+        Estimation(ds, dup).outcome
 
 
 def test_mle_score_reevaluated_independently(rng, lin_basis):
@@ -71,7 +66,7 @@ def test_mle_score_reevaluated_independently(rng, lin_basis):
     info s1_i = score_i with the information matrix, symmetric positive
     definite, re-evaluated at those parameters."""
     ds = _synthetic(rng, n=200)
-    fit = fit_outcome_mle(ds, lin_basis)
+    fit = Estimation(ds, lin_basis).outcome
     w = np.column_stack([ds.z, lin_basis.design(ds.x)])
     theta = np.concatenate([fit.params.beta, fit.params.alpha])
     pi = expit(w @ theta)
@@ -94,7 +89,7 @@ def test_mle_saturated_binary_z_closed_form_root(rng):
     n = 400
     z = (rng.random(n) < 0.4).astype(float)[:, None]
     y = (rng.random(n) < np.where(z[:, 0] == 1, 0.7, 0.35)).astype(int)
-    fit = fit_outcome_mle(Dataset(y, z, np.zeros((n, 1))), _intercept_basis())
+    fit = Estimation(Dataset(y, z, np.zeros((n, 1))), _intercept_basis()).outcome
     alpha = _logit(y[z[:, 0] == 0].mean())
     assert abs(fit.params.alpha[0] - alpha) <= 1e-10
     assert abs(fit.params.beta[0] - (_logit(y[z[:, 0] == 1].mean()) - alpha)) <= 1e-10
@@ -107,7 +102,7 @@ def test_mle_saturated_binary_x_zero_z_closed_form_root(rng):
     n = 600
     x = (rng.random(n) < 0.5).astype(float)[:, None]
     y = (rng.random(n) < np.where(x[:, 0] == 1, 0.8, 0.3)).astype(int)
-    fit = fit_outcome_mle(Dataset(y, np.zeros((n, 1)), x), Basis.linear_in(1))
+    fit = Estimation(Dataset(y, np.zeros((n, 1)), x), Basis.linear_in(1)).outcome
     alpha0 = _logit(y[x[:, 0] == 0].mean())
     assert fit.params.beta[0] == 0.0
     assert abs(fit.params.alpha[0] - alpha0) <= 1e-10
@@ -123,11 +118,10 @@ def test_covariate_intercept_only_moments():
     y = np.array([0, 0, 0, 1, 1])
     z = np.array([1.0, 2.0, 3.0, 50.0, -4.0])[:, None]
     ds = Dataset(y, z, np.zeros((5, 1)))
-    fit = fit_covariate(ds, _intercept_basis(), ["gaussian"])
+    fit = Estimation(ds, _intercept_basis(), ["gaussian"]).covar(0)
     assert fit.params.gamma[0, 0] == pytest.approx(2.0, rel=1e-12)
     assert fit.params.resid_var[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert not fit.s2[3:].any()  # the y=1 rows sit outside the subsample
-    assert fit.response_level == 0
 
 
 def test_covariate_ignores_y1_rows():
@@ -137,10 +131,10 @@ def test_covariate_ignores_y1_rows():
     x = rng.normal(size=(60, 1))
     ds = Dataset(y, z, x)
     basis = Basis.linear_in(1)
-    fit = fit_covariate(ds, basis, ["gaussian"])
+    fit = Estimation(ds, basis, ["gaussian"]).covar(0)
     z2 = z.copy()
     z2[y == 1] = 9999.0
-    fit2 = fit_covariate(Dataset(y, z2, x), basis, ["gaussian"])
+    fit2 = Estimation(Dataset(y, z2, x), basis, ["gaussian"]).covar(0)
     np.testing.assert_array_equal(fit.params.gamma, fit2.params.gamma)
     np.testing.assert_array_equal(fit.params.resid_var, fit2.params.resid_var)
 
@@ -149,13 +143,12 @@ def test_covariate_y1_mirror():
     y = np.array([1, 1, 1, 1, 0, 0])
     z = np.array([0.0, 1.0, 1.0, 0.0, 7.0, -7.0])[:, None]
     ds = Dataset(y, z, np.zeros((6, 1)))
-    fit = fit_covariate_y1(ds, _intercept_basis(), ["gaussian"])
+    fit = Estimation(ds, _intercept_basis(), ["gaussian"]).covar(1)
     assert fit.params.gamma[0, 0] == pytest.approx(0.5, rel=1e-12)
-    assert fit.response_level == 1
     # altering y=0 rows changes nothing
     z2 = z.copy()
     z2[y == 0] = -123.0
-    fit2 = fit_covariate_y1(Dataset(y, z2, np.zeros((6, 1))), _intercept_basis(), ["gaussian"])
+    fit2 = Estimation(Dataset(y, z2, np.zeros((6, 1))), _intercept_basis(), ["gaussian"]).covar(1)
     np.testing.assert_array_equal(fit.params.gamma, fit2.params.gamma)
 
 
@@ -165,7 +158,7 @@ def test_covariate_synthetic_normal_equations(rng, lin_basis):
     z = (0.4 + 0.9 * x[:, 0] + rng.normal(0, 0.8, n))[:, None]
     y = (rng.random(n) < 0.5).astype(int)
     ds = Dataset(y, z, x)
-    fit = fit_covariate(ds, lin_basis, ["gaussian"])
+    fit = Estimation(ds, lin_basis, ["gaussian"]).covar(0)
     sub = ds.y == 0
     b0 = lin_basis.design(ds.x[sub])
     resid = ds.z[sub, 0] - b0 @ fit.params.gamma[0]
@@ -180,7 +173,7 @@ def test_covariate_bernoulli_logistic(rng, lin_basis):
     z = (rng.random(n) < expit(0.3 + 1.1 * x[:, 0])).astype(float)[:, None]
     y = (rng.random(n) < 0.4).astype(int)
     ds = Dataset(y, z, x)
-    fit = fit_covariate(ds, lin_basis, ["bernoulli"])
+    fit = Estimation(ds, lin_basis, ["bernoulli"]).covar(0)
     sub = ds.y == 0
     b0 = lin_basis.design(ds.x[sub])
     fhat = expit(b0 @ fit.params.gamma[0])
@@ -192,19 +185,19 @@ def test_covariate_bernoulli_rejects_nonbinary(lin_basis):
     ds = Dataset(np.array([0, 0, 0, 1]), np.array([0.0, 0.5, 1.0, 1.0])[:, None],
                  np.array([[0.0], [1.0], [2.0], [3.0]]))
     with pytest.raises(ValueError, match="non-binary"):
-        fit_covariate(ds, lin_basis, ["bernoulli"])
+        Estimation(ds, lin_basis, ["bernoulli"]).covar(0)
 
 
 def test_covariate_needs_enough_rows(lin_basis):
     ds = Dataset(np.array([0, 1, 1, 1]), np.ones((4, 1)), np.arange(4.0)[:, None])
     with pytest.raises(ValueError, match="at least"):
-        fit_covariate(ds, lin_basis, ["gaussian"])
+        Estimation(ds, lin_basis, ["gaussian"]).covar(0)
 
 
 def test_covariate_family_count_mismatch(lin_basis, rng):
     ds = _synthetic(rng, n=50)
     with pytest.raises(ValueError, match="family"):
-        fit_covariate(ds, lin_basis, ["gaussian", "gaussian"])
+        Estimation(ds, lin_basis, ["gaussian", "gaussian"]).covar(0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +216,7 @@ def test_s1_influence_consistency_monte_carlo(lin_basis):
     for r in range(reps):
         rng = np.random.default_rng(1000 + r)
         ds = _synthetic(rng, n=n, beta=0.7, alpha=tuple(alpha_star))
-        fit = fit_outcome_mle(ds, lin_basis)
+        fit = Estimation(ds, lin_basis).outcome
         draws.append(np.concatenate([fit.params.beta, fit.params.alpha]))
         est_var += np.diag(fit.s1.T @ fit.s1 / n) / reps
     draws = np.asarray(draws)
@@ -241,11 +234,11 @@ def test_s1_influence_consistency_monte_carlo(lin_basis):
 
 @pytest.mark.parametrize("q, values", [(1, 3), (9, 3), (2, 40)])
 def test_distinct_rows_group_equal_rows(q, values, rng):
-    """_distinct gives each distinct (y, z, x) row once with its count, and maps
-    every observation to its own row; with 9 three-valued x columns the key's
-    radix passes n and is re-coded on the way, and 40 values per column are
-    coded by binary search.  All-distinct data stays as it stands with counts
-    of 1."""
+    """_distinct gives each distinct (y, z, x) row once, at its first
+    occurrence, with the count of observations equal to it; with 9
+    three-valued x columns the key's radix passes n and is re-coded on the
+    way, and 40 values per column are coded by binary search.  All-distinct
+    data stays as it stands with counts of 1."""
     n = 300
     pick = rng.integers(0, 200, n)  # 300 draws from 200 rows repeat some
     ds = Dataset(rng.integers(0, 2, 200)[pick], rng.integers(0, 2, (200, 1))[pick].astype(float),
@@ -254,15 +247,16 @@ def test_distinct_rows_group_equal_rows(q, values, rng):
     full = np.column_stack([ds.y, ds.z, ds.x])
     distinct = np.column_stack([rows.data.y, rows.data.z, rows.data.x])
     assert rows.data.n == np.unique(full, axis=0).shape[0] < n
-    assert np.array_equal(distinct[rows.inverse], full)
+    # each observation's distinct row
+    inverse = np.array([np.flatnonzero((distinct == row).all(axis=1))[0] for row in full])
+    assert np.array_equal(distinct[inverse], full)
     assert np.array_equal(distinct, full[rows.first])
-    assert rows.counts.tolist() == np.bincount(rows.inverse).tolist() and rows.total == n
-    assert (rows.first == [np.flatnonzero(rows.inverse == i)[0]
-                           for i in range(rows.data.n)]).all()
+    assert rows.counts.tolist() == np.bincount(inverse).tolist() and rows.total == n
+    assert (rows.first == [np.flatnonzero(inverse == i)[0] for i in range(rows.data.n)]).all()
 
     continuous = _synthetic(rng, n=50)
     plain = _distinct(continuous)
-    assert plain.data is continuous and plain.first is None and plain.inverse is None
+    assert plain.data is continuous and plain.first is None
     assert plain.counts.tolist() == [1.0] * 50
 
 
@@ -275,26 +269,21 @@ def test_covariate_counts_observations_not_distinct_rows():
     ds = Dataset(y, np.ones((6, 1)), np.array([0.5, 0.5, 0.0, 1.0, 2.0, 3.0])[:, None])
     with pytest.raises(ValueError, match=r"^covariate fit needs at least m=3 rows with y=0, "
                                          r"have 2$"):
-        fit_covariate(ds, basis, ["gaussian"])
+        Estimation(ds, basis, ["gaussian"]).covar(0)
     ds = Dataset(np.r_[0, y], np.ones((7, 1)), np.r_[0.5, ds.x[:, 0]][:, None])
     with pytest.raises(ValueError, match="rank deficient on the y=0 subsample"):
-        fit_covariate(ds, basis, ["gaussian"])
+        Estimation(ds, basis, ["gaussian"]).covar(0)
 
 
-def test_public_fits_expand_influence_rows_to_observations(rng):
-    """fit_outcome_mle and fit_covariate on data with repeated rows return n
-    influence rows, equal wherever the data rows are equal, with the same
+def test_stacked_rows_give_the_same_fits():
+    """The outcome and covariate fits on data with repeated rows have the same
     parameters as the fits on the rows stacked twice."""
     sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
     ds = sample_dataset(sc.law, 400, 3)
-    rows = _distinct(ds)
     twice = Dataset(np.r_[ds.y, ds.y], np.r_[ds.z, ds.z], np.r_[ds.x, ds.x])
-    outcome, outcome2 = (fit_outcome_mle(d, sc.working_basis) for d in (ds, twice))
-    covar, covar2 = (fit_covariate(d, sc.working_basis, sc.z_families) for d in (ds, twice))
-    for per_obs in (outcome.s1, covar.s2):
-        assert per_obs.shape[0] == ds.n
-        assert np.array_equal(per_obs, per_obs[rows.first][rows.inverse])
-    for a, b in ((outcome.params.beta, outcome2.params.beta),
-                 (outcome.params.alpha, outcome2.params.alpha),
-                 (covar.params.gamma, covar2.params.gamma)):
+    est, est2 = (Estimation(d, sc.working_basis, sc.z_families) for d in (ds, twice))
+    assert est.rows.data.n < ds.n
+    for a, b in ((est.outcome.params.beta, est2.outcome.params.beta),
+                 (est.outcome.params.alpha, est2.outcome.params.alpha),
+                 (est.covar(0).params.gamma, est2.covar(0).params.gamma)):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)

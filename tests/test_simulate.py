@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate, stats
 
 from drlogit.model import Basis, BasisTerm, Dataset, EstimationError, expit
-from drlogit.nuisance import fit_outcome_mle
+from drlogit.estimators import Estimation
 from drlogit.simulate import (
     BernoulliComponent,
     GaussianComponent,
@@ -132,7 +132,7 @@ def test_gaussian_sampler_recovers_logistic_model():
     )
     ds = sample_gaussian_tilted(law, 1_000_000, 31)
     saturated = Basis.linear_in(1).plus(BasisTerm("square", 0))
-    fit = fit_outcome_mle(ds, saturated)
+    fit = Estimation(ds, saturated).outcome
     cov = fit.s1.T @ fit.s1 / ds.n**2
     se = math.sqrt(cov[0, 0])
     assert abs(fit.params.beta[0] - 0.8) <= 3 * se
