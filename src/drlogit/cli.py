@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from itertools import chain, islice
 from pathlib import Path
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from .estimators import DEFAULT_ESTIMATORS, KNOWN_ESTIMATORS, Estimation, wald_interval
 from .model import FAMILIES, VARIANTS, Basis, BasisTerm, Dataset, EstimationError
+from .nuisance import _distinct, _Rows
 from .simulate import (
     SUMMARY_COLUMNS,
     MonteCarloSummary,
@@ -203,9 +205,10 @@ def _decode_utf8(path, data: bytes) -> str:
                        f"offset {exc.start} ({exc.reason})") from None
 
 
-def _plain_body(text: str) -> list[str] | None:
+def _plain_body(text: str) -> tuple[list[str], Counter | None] | None:
     """The data lines of text when numpy's C parser reads them as the csv
-    module and float() do; None when only the csv path can read them."""
+    module and float() do, with their counts in order of first occurrence
+    when a line repeats; None when only the csv path can read them."""
     plain = text.replace("\r\n", "\n") if "\r" in text else text
     # csv unquotes '"', ends a row at a lone CR and reads a blank line as a
     # row of 0 cells, which loadtxt skips; loadtxt strips \x1c-\x1f around a
@@ -217,10 +220,13 @@ def _plain_body(text: str) -> list[str] | None:
     if lines[-1] == "":
         lines.pop()
     body = lines[1:]
+    # a body that repeats a line is checked and parsed once per distinct line;
+    # on an all-distinct body the set test costs less than a Counter
+    distinct = Counter(body) if len(set(body)) < len(body) else None
     # a line past csv's field size limit may hold a cell that csv refuses
-    if max(map(len, body), default=0) > csv.field_size_limit():
+    if max(map(len, distinct or body), default=0) > csv.field_size_limit():
         return None
-    return body
+    return body, distinct
 
 
 def _parse_plain(body: list[str], width: int, y_col: int, zx_cols: list[int]):
@@ -239,17 +245,19 @@ def _parse_plain(body: list[str], width: int, y_col: int, zx_cols: list[int]):
     return cells
 
 
-def read_dataset_csv(path) -> Dataset:
-    """Read a dataset with header y,z1..zp,x1..xq (column order free,
-    numbering dense from 1).  Raises CliError naming the offending
-    column, row or cell on malformed input.
+def _read_lines(path) -> tuple[Dataset, list[str] | None, Counter | None]:
+    """The dataset of the CSV at path, and, when its body is plain and repeats
+    a line, its data lines and their Counter: the dataset then holds one row
+    per distinct line, in the Counter's order.  Raises CliError naming the
+    offending column, row or cell on malformed input.
 
-    A plain body goes through numpy's C parser; anything else, and any
-    body that parser refuses, through the csv module and Python's float,
-    which define the accepted input and every error."""
+    A plain body goes through numpy's C parser, each distinct line once;
+    anything else, and any body that parser refuses, through the csv module
+    and Python's float over every row, which define the accepted input and
+    every error."""
     with open(path, "rb") as fh:
         text = _decode_utf8(path, fh.read())
-    body = _plain_body(text)
+    body, distinct = _plain_body(text) or (None, None)
     reader = csv.reader(io.StringIO(text, newline=""))
     head = _csv_rows(path, reader, 1, 1)
     if not head:
@@ -287,8 +295,10 @@ def read_dataset_csv(path) -> Dataset:
     y_col = cols["y"]
     z_cols = [cols[name] for name in z_names]
     x_cols = [cols[name] for name in x_names]
-    cells = None if body is None else _parse_plain(body, width, y_col, z_cols + x_cols)
+    lines = body if distinct is None else list(distinct)
+    cells = None if body is None else _parse_plain(lines, width, y_col, z_cols + x_cols)
     if cells is None:
+        distinct = None
         if rows is None:
             rows = _csv_rows(path, reader, 2)
         try:
@@ -311,8 +321,36 @@ def read_dataset_csv(path) -> Dataset:
                         if not math.isfinite(v))
             raise CliError(f"{path}: row {i + 2}, column {name!r} has non-finite value "
                            f"{rows[i][cols[name]]!r}")
-    return Dataset._trusted(cells[:, y_col].astype(np.int64), cells[:, z_cols],
+    data = Dataset._trusted(cells[:, y_col].astype(np.int64), cells[:, z_cols],
                             cells[:, x_cols])
+    return data, body, distinct
+
+
+def read_dataset_csv(path) -> Dataset:
+    """Read a dataset with header y,z1..zp,x1..xq (column order free,
+    numbering dense from 1), one row per data row.  Raises CliError naming
+    the offending column, row or cell on malformed input."""
+    data, body, distinct = _read_lines(path)
+    if distinct is None:
+        return data
+    index = {line: i for i, line in enumerate(distinct)}
+    rows = np.array(list(map(index.__getitem__, body)))
+    return Dataset._trusted(data.y[rows], data.z[rows], data.x[rows])
+
+
+def _read_rows(path) -> _Rows:
+    """The distinct rows of the dataset that read_dataset_csv(path) reads,
+    as nuisance._distinct gives them, without building its n rows when the
+    body is plain and repeats a line."""
+    data, body, distinct = _read_lines(path)
+    if distinct is None:
+        return _distinct(data)
+    # the first occurrences ascend in the Counter's order
+    first = [-1]
+    for line in distinct:
+        first.append(body.index(line, first[-1] + 1))
+    return _distinct(data, np.array(list(distinct.values()), dtype=float),
+                     np.array(first[1:], dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +371,8 @@ def cmd_fit(args, cfg: dict) -> int:
     level = _level(args, cfg)
     out_dir = _out_dir(args, cfg)
 
-    data = read_dataset_csv(path)
+    rows = _read_rows(path)
+    data = rows.data
     z_families = z_families or ["gaussian"] * data.p
     if len(z_families) != data.p:
         raise CliError(f"config lists {len(z_families)} z_families but data has p={data.p}")
@@ -342,7 +381,7 @@ def cmd_fit(args, cfg: dict) -> int:
     for name in estimators:
         try:
             if ctx is None:  # the outcome fit's failure is the first estimator's
-                ctx = Estimation(data, basis, z_families)
+                ctx = Estimation._of_rows(rows, basis, z_families)
             beta, se, diag = ctx.estimate(name)
         except (EstimationError, ValueError) as exc:
             raise CliError(f"estimator {name!r} failed: {exc}") from exc
@@ -350,7 +389,8 @@ def cmd_fit(args, cfg: dict) -> int:
                          "ci": wald_interval(beta, se, level).tolist(), "diagnostics": diag}
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"n": data.n, "p": data.p, "q": data.q, "level": level, "estimators": results}
+    payload = {"n": int(rows.total), "p": data.p, "q": data.q, "level": level,
+               "estimators": results}
     out_path = out_dir / "estimates.json"
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

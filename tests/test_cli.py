@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from drlogit import cli, simulate
 from drlogit.cli import CliError, main, read_dataset_csv
 from drlogit.model import Basis, Dataset, InstrumentSpec
+from drlogit.nuisance import _distinct
 from drlogit.estimators import Estimation
 from drlogit.simulate import (
     KNOWN_ESTIMATORS,
@@ -126,7 +127,7 @@ def test_fit_menu_shares_one_design_and_validates_no_copy(tmp_path, monkeypatch)
     at most twice and validates no Dataset after the CSV read: the menu
     shares one per-dataset context, and the Y=1 mirror is a reflected view."""
     counts = {"design": 0, "validated": 0, "validated_by_read": None}
-    design, post_init, read = Basis.design, Dataset.__post_init__, cli.read_dataset_csv
+    design, post_init, read = Basis.design, Dataset.__post_init__, cli._read_rows
 
     def counted_design(self, x):
         counts["design"] += 1
@@ -137,13 +138,13 @@ def test_fit_menu_shares_one_design_and_validates_no_copy(tmp_path, monkeypatch)
         post_init(self)
 
     def counted_read(path):
-        data = read(path)
+        rows = read(path)
         counts["validated_by_read"] = counts["validated"]
-        return data
+        return rows
 
     monkeypatch.setattr(Basis, "design", counted_design)
     monkeypatch.setattr(Dataset, "__post_init__", counted_post_init)
-    monkeypatch.setattr(cli, "read_dataset_csv", counted_read)
+    monkeypatch.setattr(cli, "_read_rows", counted_read)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "basis": [{"kind": "intercept"}, {"kind": "linear", "j": 0}],
@@ -373,6 +374,85 @@ def test_read_csv_matches_per_cell_reader(text):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+# 1 and 0, each spelled three ways: lines that differ as text and agree as values
+_SPELLINGS = ("1", "1.0", "1e0", "0", "-0", "0.0")
+
+
+@st.composite
+def _repeating_csv_texts(draw):
+    """Data lines drawn from a pool of at most four, so that they repeat: a
+    pool line spells its cells from _SPELLINGS, or is a `_csv_line`, which
+    may carry faults, repeated wherever the line is."""
+    header = draw(st.sampled_from(_HEADERS))
+    pool = [",".join(draw(st.sampled_from(_SPELLINGS)) for _ in header)
+            if draw(st.booleans()) else _csv_line(header, draw)
+            for _ in range(draw(st.integers(1, 4)))]
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([",".join(header), *lines]) + draw(st.sampled_from([end, ""]))
+
+
+@given(_repeating_csv_texts())
+@example("y,z1,x1\n1,0,0\n1.0,-0,0.0\n1e0,0.0,-0\n1,0,0\n0,1,1\n1,0,0\n")
+@example("y,z1,x1\n0,1,2\n0,oops,2\n0,1,2\n0,oops,2\n")  # a repeated fault, first at row 3
+@example("y,z1,x1\n0,1,2\n0,1,2\n2,1,2\n0,1,inf\n2,1,2\n")
+@example("y,z1,x1\n0,1,2\n0,1_0,2\n0,1_0,2\n")  # float() reads 1_0, loadtxt does not
+@settings(max_examples=300, deadline=None)
+def test_fit_rows_match_the_per_cell_reader_on_repeated_lines(text):
+    """On bodies whose lines repeat, the rows `fit` reads (`_read_rows`) are
+    the distinct rows of the per-cell reader's dataset: the same rows, bytes,
+    order, counts, total and first occurrences; `read_dataset_csv` returns
+    the per-cell reader's arrays byte for byte; a faulty body raises the
+    per-cell reader's exact CliError, naming its first faulty row, from both."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = Path(tmp) / "d.csv"
+        path.write_text(text, newline="")
+        try:
+            want = _per_cell_read_csv(path)
+        except CliError as exc:
+            for read in (cli._read_rows, read_dataset_csv):
+                with pytest.raises(CliError) as got:
+                    read(path)
+                assert str(got.value) == str(exc)
+            return
+        got, rows, ref = read_dataset_csv(path), cli._read_rows(path), _distinct(want)
+        for name in ("y", "z", "x"):
+            for a, b in ((got, want), (rows.data, ref.data)):
+                assert getattr(a, name).dtype == getattr(b, name).dtype
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert rows.counts.dtype == ref.counts.dtype
+        assert rows.counts.tobytes() == ref.counts.tobytes() and rows.total == ref.total
+        assert (rows.first is None) == (ref.first is None)
+        if ref.first is not None:
+            assert rows.first.dtype == ref.first.dtype
+            assert rows.first.tolist() == ref.first.tolist()
+
+
+def test_fit_parses_each_distinct_line_once(tmp_path, monkeypatch):
+    """A `write_dataset_csv` file of 2,000 S1-binary rows, which repeat 12
+    lines, is parsed by numpy's C parser once per distinct line, and neither
+    `fit` nor `read_dataset_csv` converts a cell one at a time."""
+    sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
+    path = tmp_path / "d.csv"
+    write_dataset_csv(path, sample_dataset(sc.law, 2000, 3))
+    parsed, loadtxt = [], np.loadtxt
+
+    def counted_loadtxt(lines, *args, **kwargs):
+        parsed.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the per-cell float conversion ran")
+
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    monkeypatch.setattr(np, "fromiter", refuse)
+    rows = cli._read_rows(path)
+    assert read_dataset_csv(path).n == rows.total == 2000
+    assert parsed == [len(set(path.read_text().splitlines()[1:]))] * 2
+    assert rows.data.n <= parsed[0] <= 12
+
+
 @pytest.mark.parametrize("head, row", [
     ("y,z1,x1\n0,1,2\n1,0.5,", 3),
     ('y,z1,x1\n0,"1\n",2\n1,0.5,', 3),  # row 2 spans two lines
@@ -566,7 +646,7 @@ def test_malformed_config_exits_2_naming_the_field(case):
             data = ["--data", str(EXAMPLE_CSV)] if command == "fit" else []
             refuse = mock.Mock(side_effect=AssertionError("ran before the config was checked"))
             with mock.patch.dict(os.environ, env), \
-                    mock.patch.object(cli, "read_dataset_csv", refuse), \
+                    mock.patch.object(cli, "_read_rows", refuse), \
                     mock.patch.object(cli, "run_scenarios", refuse):
                 if env_seed is None:
                     os.environ.pop("DRLOGIT_SEED", None)

@@ -800,6 +800,21 @@ def test_stacked_sample_keeps_beta_and_shrinks_se():
         np.testing.assert_allclose(stacked[name][1], se / math.sqrt(3.0), rtol=1e-12)
 
 
+@pytest.mark.parametrize("scenario", ["S2-gaussian", "S1-binary"])
+def test_rows_counted_twice_weigh_as_the_rows_stacked_twice(scenario):
+    """Rows given as they stand, each with a count of 2, give every estimator
+    the beta and SE of the rows stacked twice: the counts weigh every sum,
+    whether or not the rows came from a collapse."""
+    sc = next(s for s in scenario_catalog() if s.name == scenario)
+    ds = sample_dataset(sc.law, 300, 3)
+    est = Estimation._of_rows(_Rows(ds, np.full(ds.n, 2.0)), sc.working_basis, sc.z_families)
+    twice = Dataset(np.tile(ds.y, 2), np.tile(ds.z, (2, 1)), np.tile(ds.x, (2, 1)))
+    for name, (beta, se) in _menu(twice, sc).items():
+        got = est.estimate(name)
+        np.testing.assert_allclose(got[0], beta, rtol=1e-12, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(got[1], se, rtol=1e-12, err_msg=name)
+
+
 def test_refused_optimal_instrument_names_a_data_row():
     """On collapsed data the optimal instrument's refusal names a data row, as
     without the collapse: the first x = 1 row, where the covariate mean
