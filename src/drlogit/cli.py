@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from itertools import chain, islice
@@ -205,28 +206,38 @@ def _decode_utf8(path, data: bytes) -> str:
                        f"offset {exc.start} ({exc.reason})") from None
 
 
-def _plain_body(text: str) -> tuple[list[str], Counter | None] | None:
-    """The data lines of text when numpy's C parser reads them as the csv
-    module and float() do, with their counts in order of first occurrence
-    when a line repeats; None when only the csv path can read them."""
-    plain = text.replace("\r\n", "\n") if "\r" in text else text
-    # csv unquotes '"', ends a row at a lone CR and reads a blank line as a
-    # row of 0 cells, which loadtxt skips; loadtxt strips \x1c-\x1f around a
-    # number, which float() refuses
-    if any(c in plain for c in '"\r\x1c\x1d\x1e\x1f') or "\n\n" in plain:
-        return None
+# a CR that does not end its line
+_INNER_CR = re.compile("\r[^\n]")
+
+
+def _plain_lines(text: str) -> tuple[str, list[str], Counter | None] | None:
+    """The header line and the data lines of text when numpy's C parser reads
+    the data lines as the csv module and float() do, with their counts in
+    order of first occurrence when a line repeats; None when only the csv
+    path can read them.  Each check is a property of one line, so it runs on
+    the header and the distinct data lines only."""
     # not splitlines(): csv keeps \x0b, \x0c, \x85 and \u2028 inside a cell
-    lines = plain.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    body = lines[1:]
-    # a body that repeats a line is checked and parsed once per distinct line;
-    # on an all-distinct body the set test costs less than a Counter
-    distinct = Counter(body) if len(set(body)) < len(body) else None
-    # a line past csv's field size limit may hold a cell that csv refuses
-    if max(map(len, distinct or body), default=0) > csv.field_size_limit():
+    body = text.split("\n")
+    if body[-1] == "":
+        body.pop()
+    if not body:
         return None
-    return body, distinct
+    head = body.pop(0)
+    counts = Counter(body)
+    # csv and loadtxt both end a line at a CR before its LF (or at the end);
+    # csv unquotes '"', ends a row at any other CR and reads a blank line as
+    # a row of 0 cells, which loadtxt skips; loadtxt strips \x1c-\x1f around
+    # a number, which float() refuses
+    joined = "\n".join([head, *counts])
+    if (any(c in joined for c in '"\x1c\x1d\x1e\x1f') or _INNER_CR.search(joined)
+            or "" in counts or "\r" in counts):
+        return None
+    # a line past csv's field size limit may hold a cell that csv refuses
+    if max(map(len, counts), default=0) > csv.field_size_limit():
+        return None
+    # lines that differ only in a final CR parse to one row, which
+    # nuisance._distinct merges by value
+    return head, body, counts if len(counts) < len(body) else None
 
 
 def _parse_plain(body: list[str], width: int, y_col: int, zx_cols: list[int]):
@@ -257,8 +268,13 @@ def _read_lines(path) -> tuple[Dataset, list[str] | None, Counter | None]:
     every error."""
     with open(path, "rb") as fh:
         text = _decode_utf8(path, fh.read())
-    body, distinct = _plain_body(text) or (None, None)
-    reader = csv.reader(io.StringIO(text, newline=""))
+    plain = _plain_lines(text)
+    if plain is None:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        body = distinct = None
+    else:  # the header line holds no quote, so it is the csv header row
+        line, body, distinct = plain
+        reader = csv.reader([line])
     head = _csv_rows(path, reader, 1, 1)
     if not head:
         raise CliError(f"{path}: empty file, expected a header row")
@@ -299,8 +315,8 @@ def _read_lines(path) -> tuple[Dataset, list[str] | None, Counter | None]:
     cells = None if body is None else _parse_plain(lines, width, y_col, z_cols + x_cols)
     if cells is None:
         distinct = None
-        if rows is None:
-            rows = _csv_rows(path, reader, 2)
+        if rows is None:  # each plain line is a csv row
+            rows = _csv_rows(path, csv.reader(body), 2)
         try:
             if any(len(row) != width for row in rows):
                 raise ValueError("ragged rows")

@@ -14,7 +14,7 @@ covariate model.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from statistics import NormalDist
 from typing import Sequence
@@ -168,7 +168,7 @@ class Estimation:
         est = self.mirror if name.startswith("dr_y1_") else self
         rep = est.solve(InstrumentSpec(name.rpartition("_")[2]))
         beta = rep.beta_hat if est is self else -rep.beta_hat
-        return beta, rep.std_errors, asdict(rep.diagnostics)
+        return beta, rep.std_errors, dict(vars(rep.diagnostics))
 
     def solve(self, instrument: InstrumentSpec) -> EstimateReport:
         """Solve the doubly robust estimating equation for beta by Newton's

@@ -378,18 +378,39 @@ def test_read_csv_matches_per_cell_reader(text):
 _SPELLINGS = ("1", "1.0", "1e0", "0", "-0", "0.0")
 
 
+# what a line may carry that the plain path leaves to the csv module
+_TAINTS = ("\r", '"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _tainted(line: str, draw) -> str:
+    """line, or (one time in four) line with a lone CR, a quote or a \\x1c-\\x1f
+    character inserted, or a blank line in its place."""
+    if draw(st.integers(0, 3)):
+        return line
+    taint = draw(st.sampled_from(("", *_TAINTS)))
+    if not taint:
+        return ""
+    cut = draw(st.integers(0, len(line)))
+    return line[:cut] + taint + line[cut:]
+
+
 @st.composite
 def _repeating_csv_texts(draw):
     """Data lines drawn from a pool of at most four, so that they repeat: a
     pool line spells its cells from _SPELLINGS, or is a `_csv_line`, which
-    may carry faults, repeated wherever the line is."""
+    may carry faults, repeated wherever the line is; the header and a pool
+    line may carry a lone CR, a quote or a \\x1c-\\x1f character, or be blank.
+    Each line ends in LF or CRLF of its own, the last also in a bare CR or
+    in nothing."""
     header = draw(st.sampled_from(_HEADERS))
-    pool = [",".join(draw(st.sampled_from(_SPELLINGS)) for _ in header)
-            if draw(st.booleans()) else _csv_line(header, draw)
+    pool = [_tainted(",".join(draw(st.sampled_from(_SPELLINGS)) for _ in header)
+                     if draw(st.booleans()) else _csv_line(header, draw), draw)
             for _ in range(draw(st.integers(1, 4)))]
-    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join([",".join(header), *lines]) + draw(st.sampled_from([end, ""]))
+    lines = [_tainted(",".join(header), draw),
+             *draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))]
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines[:-1]]
+    ends.append(draw(st.sampled_from(["\n", "\r\n", "\r", ""])))
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 @given(_repeating_csv_texts())
@@ -397,6 +418,13 @@ def _repeating_csv_texts(draw):
 @example("y,z1,x1\n0,1,2\n0,oops,2\n0,1,2\n0,oops,2\n")  # a repeated fault, first at row 3
 @example("y,z1,x1\n0,1,2\n0,1,2\n2,1,2\n0,1,inf\n2,1,2\n")
 @example("y,z1,x1\n0,1,2\n0,1_0,2\n0,1_0,2\n")  # float() reads 1_0, loadtxt does not
+# 0,1,2 ends in CRLF and then in LF: one row of count 3, first at row 2
+@example("y,z1,x1\r\n0,1,2\r\n1,0,0\n0,1,2\n0,1,2\n")
+@example("y,z1,x1\n0,1\r,2\n1,0,0\n0,1\r,2\n")  # a repeated lone CR
+@example("y,z1,x1\n0,1,2\n\n0,1,2\n\n")  # a repeated blank line
+@example('y,"z1",x1\n0,1,2\n0,1,2\n')  # a quote in the header only
+@example("y,z1,x1\n0,1,2\n0,1,2\r")  # the last line ends in a bare CR
+@example("")  # an empty file
 @settings(max_examples=300, deadline=None)
 def test_fit_rows_match_the_per_cell_reader_on_repeated_lines(text):
     """On bodies whose lines repeat, the rows `fit` reads (`_read_rows`) are
@@ -451,6 +479,30 @@ def test_fit_parses_each_distinct_line_once(tmp_path, monkeypatch):
     assert read_dataset_csv(path).n == rows.total == 2000
     assert parsed == [len(set(path.read_text().splitlines()[1:]))] * 2
     assert rows.data.n <= parsed[0] <= 12
+
+
+def test_plain_read_builds_no_copy_of_the_text(tmp_path, monkeypatch):
+    """A `write_dataset_csv` file of 2,000 S1-binary rows (CRLF line ends) is
+    checked on its split lines: neither `fit` nor `read_dataset_csv` builds an
+    io.StringIO of its text, and the csv module reads its header line alone."""
+    sc = next(s for s in scenario_catalog() if s.name == "S1-binary")
+    path = tmp_path / "d.csv"
+    write_dataset_csv(path, sample_dataset(sc.law, 2000, 3))
+    head = path.read_bytes().decode().split("\n")[0]
+    assert head.endswith("\r")
+    seen, reader = [], csv.reader
+
+    def spied_reader(lines, *args, **kwargs):
+        seen.append(list(lines))
+        return reader(seen[-1], *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an io.StringIO was built")
+
+    monkeypatch.setattr(csv, "reader", spied_reader)
+    monkeypatch.setattr(io, "StringIO", refuse)
+    assert cli._read_rows(path).total == read_dataset_csv(path).n == 2000
+    assert seen == [[head]] * 2
 
 
 @pytest.mark.parametrize("head, row", [
