@@ -28,16 +28,6 @@ import numpy as np
 from .estimators import DEFAULT_ESTIMATORS, KNOWN_ESTIMATORS, Estimation, wald_interval
 from .model import FAMILIES, VARIANTS, Basis, BasisTerm, Dataset, EstimationError
 from .nuisance import _distinct, _Rows
-from .simulate import (
-    SUMMARY_COLUMNS,
-    MonteCarloSummary,
-    run_scenarios,
-    scenario_catalog,
-    summary_rows,
-    with_size,
-    write_summary_csv,
-    write_summary_json,
-)
 
 __all__ = ["main", "read_dataset_csv", "basis_from_terms"]
 
@@ -350,7 +340,7 @@ def read_dataset_csv(path) -> Dataset:
     if distinct is None:
         return data
     index = {line: i for i, line in enumerate(distinct)}
-    rows = np.array(list(map(index.__getitem__, body)))
+    rows = np.fromiter(map(index.__getitem__, body), dtype=np.intp, count=len(body))
     return Dataset._trusted(data.y[rows], data.z[rows], data.x[rows])
 
 
@@ -433,6 +423,7 @@ def _study(args, cfg: dict):
     or the config selects, all by default, resized by the config's n and
     replications; a seed from --seed, the config or DRLOGIT_SEED replaces
     the catalog seeds, offset by 1009 per scenario."""
+    from .simulate import scenario_catalog, with_size
     catalog = scenario_catalog()
     choices = {sc.name: [sc] for sc in catalog}
     for sc in catalog:
@@ -448,7 +439,9 @@ def _study(args, cfg: dict):
     return scenarios, _setting(args, cfg, "workers", 1, minimum=1), _out_dir(args, cfg)
 
 
-def markdown_table(summaries: list[MonteCarloSummary]) -> str:
+def markdown_table(summaries) -> str:
+    """simulate.MonteCarloSummary objects as one markdown table."""
+    from .simulate import SUMMARY_COLUMNS, summary_rows
     lines = ["| " + " | ".join(SUMMARY_COLUMNS) + " |", "|---" * len(SUMMARY_COLUMNS) + "|"]
     for s in summaries:
         for row in summary_rows(s):
@@ -458,6 +451,7 @@ def markdown_table(summaries: list[MonteCarloSummary]) -> str:
 
 
 def cmd_simulate(args, cfg: dict) -> int:
+    from .simulate import run_scenarios, write_summary_csv, write_summary_json
     estimators = _names(cfg, "estimators", KNOWN_ESTIMATORS) or list(DEFAULT_ESTIMATORS)
     level = _level(args, cfg)
     scenarios, workers, out_dir = _study(args, cfg)
@@ -481,6 +475,7 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 
 def cmd_compare(args, cfg: dict) -> int:
+    from .simulate import run_scenarios
     phis = _names(cfg, "phis", VARIANTS)
     if len(phis) < 2:
         raise CliError("compare needs at least 2 phi variants in the config field 'phis'")
@@ -517,42 +512,60 @@ def cmd_compare(args, cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _fit_parser(sub) -> None:
+    p = sub.add_parser("fit", help="fit estimators on a CSV dataset")
+    p.add_argument("--data", required=True)
+    p.add_argument("--config", required=True)
+    p.add_argument("--phi", choices=VARIANTS)
+    p.add_argument("--level", type=float)
+    p.add_argument("--out", default=None)
+
+
+def _simulate_parser(sub) -> None:
+    p = sub.add_parser("simulate", help="run Monte Carlo scenarios")
+    p.add_argument("--config", default=None)
+    p.add_argument("--scenarios", default=None,
+                   help="comma-separated scenario or family names (e.g. S1,S2)")
+    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None)
+
+
+def _compare_parser(sub) -> None:
+    p = sub.add_parser("compare", help="compare instrument choices on one scenario")
+    p.add_argument("--config", required=True)
+    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None)
+
+
+_COMMANDS = {"fit": (_fit_parser, cmd_fit), "simulate": (_simulate_parser, cmd_simulate),
+             "compare": (_compare_parser, cmd_compare)}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of command alone, or of every command
+    when command is None.  With one command, the metavar keeps every name
+    in the usage line; the full parser leaves it unset, since argparse would
+    also print it in place of "command" in its error messages."""
     parser = argparse.ArgumentParser(
         prog="drlogit",
         description="Doubly robust estimation for logistic partially linear models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit", help="fit estimators on a CSV dataset")
-    p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--config", required=True)
-    p_fit.add_argument("--phi", choices=VARIANTS)
-    p_fit.add_argument("--level", type=float)
-    p_fit.add_argument("--out", default=None)
-
-    p_sim = sub.add_parser("simulate", help="run Monte Carlo scenarios")
-    p_sim.add_argument("--config", default=None)
-    p_sim.add_argument("--scenarios", default=None,
-                       help="comma-separated scenario or family names (e.g. S1,S2)")
-    p_sim.add_argument("--workers", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--out", default=None)
-
-    p_cmp = sub.add_parser("compare", help="compare instrument choices on one scenario")
-    p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--workers", type=int, default=None)
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--out", default=None)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (add_parser, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_parser(sub)
     return parser
 
 
-_COMMANDS = {"fit": cmd_fit, "simulate": cmd_simulate, "compare": cmd_compare}
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # --help, no argv or an unknown command build every subparser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, _load_config(args.config, args.command))
+        return _COMMANDS[args.command][1](args, _load_config(args.config, args.command))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

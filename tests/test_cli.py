@@ -1,9 +1,12 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -33,6 +36,7 @@ REPO = Path(__file__).resolve().parent.parent
 EXAMPLE_CSV = REPO / "data" / "example_binary_beta0.csv"
 EXAMPLE_CFG = REPO / "data" / "example_fit_config.json"
 README = REPO / "README.md"
+CLI_TEXT = json.loads((REPO / "tests" / "cli_text.json").read_text())
 
 
 def test_fit_bundled_example(tmp_path, capsys):
@@ -457,6 +461,19 @@ def test_fit_rows_match_the_per_cell_reader_on_repeated_lines(text):
             assert rows.first.tolist() == ref.first.tolist()
 
 
+def _refuse_per_cell_floats(monkeypatch):
+    """Make the per-cell float conversion (np.fromiter to float) fail; an
+    integer np.fromiter, such as read_dataset_csv's line index, still runs."""
+    fromiter = np.fromiter
+
+    def refuse(it, dtype, *args, **kwargs):
+        if np.dtype(dtype).kind == "f":
+            raise AssertionError("the per-cell float conversion ran")
+        return fromiter(it, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fromiter", refuse)
+
+
 def test_fit_parses_each_distinct_line_once(tmp_path, monkeypatch):
     """A `write_dataset_csv` file of 2,000 S1-binary rows, which repeat 12
     lines, is parsed by numpy's C parser once per distinct line, and neither
@@ -470,11 +487,8 @@ def test_fit_parses_each_distinct_line_once(tmp_path, monkeypatch):
         parsed.append(len(lines))
         return loadtxt(lines, *args, **kwargs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the per-cell float conversion ran")
-
     monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
-    monkeypatch.setattr(np, "fromiter", refuse)
+    _refuse_per_cell_floats(monkeypatch)
     rows = cli._read_rows(path)
     assert read_dataset_csv(path).n == rows.total == 2000
     assert parsed == [len(set(path.read_text().splitlines()[1:]))] * 2
@@ -550,11 +564,7 @@ def test_plain_csv_takes_the_c_parser(tmp_path, monkeypatch):
     write_dataset_csv(written, sample_dataset(sc.law, 300, 11))
     assert b"\r\n" in written.read_bytes()
     wants = {path: _per_cell_read_csv(path) for path in (written, EXAMPLE_CSV)}
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the per-cell float conversion ran")
-
-    monkeypatch.setattr(np, "fromiter", refuse)
+    _refuse_per_cell_floats(monkeypatch)
     for path, want in wants.items():
         got = read_dataset_csv(path)
         for name in ("y", "z", "x"):
@@ -699,7 +709,7 @@ def test_malformed_config_exits_2_naming_the_field(case):
             refuse = mock.Mock(side_effect=AssertionError("ran before the config was checked"))
             with mock.patch.dict(os.environ, env), \
                     mock.patch.object(cli, "_read_rows", refuse), \
-                    mock.patch.object(cli, "run_scenarios", refuse):
+                    mock.patch.object(simulate, "run_scenarios", refuse):
                 if env_seed is None:
                     os.environ.pop("DRLOGIT_SEED", None)
                 rc, err = _main_stderr([command, *data, "--config", str(path), *out])
@@ -937,3 +947,50 @@ def test_cli_level_validation(tmp_path, capsys):
     rc = main(["fit", "--data", str(EXAMPLE_CSV), "--config", str(cfg)])
     assert rc == 2
     assert "level" in capsys.readouterr().err
+
+
+def test_fit_loads_no_monte_carlo_harness_and_builds_one_subparser(tmp_path):
+    """`import drlogit.cli`, read_dataset_csv and a fit leave the Monte Carlo
+    harness and the process-pool machinery unloaded (in a fresh
+    interpreter); a fit builds its own subparser alone, --help all three."""
+    code = (f"import sys\nimport drlogit.cli\n"
+            f"drlogit.cli.read_dataset_csv({str(EXAMPLE_CSV)!r})\n"
+            f"assert drlogit.cli.main(['fit', '--data', {str(EXAMPLE_CSV)!r}, '--config', "
+            f"{str(EXAMPLE_CFG)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            f"print([m for m in ('drlogit.simulate', 'concurrent.futures', 'multiprocessing') "
+            f"if m in sys.modules])")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.splitlines()[-1] == "[]", out.stdout
+
+    add_parser = argparse._SubParsersAction.add_parser
+    with mock.patch.object(argparse._SubParsersAction, "add_parser", autospec=True,
+                           side_effect=add_parser) as counted:
+        assert main(["fit", "--data", str(EXAMPLE_CSV), "--config", str(EXAMPLE_CFG),
+                     "--out", str(tmp_path)]) == 0
+        assert [c.args[1] for c in counted.call_args_list] == ["fit"]
+        counted.reset_mock()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert [c.args[1] for c in counted.call_args_list] == ["fit", "simulate", "compare"]
+
+
+@pytest.mark.skipif(f"{sys.version_info[0]}.{sys.version_info[1]}" != CLI_TEXT["python"],
+                    reason="argparse's wording changes between Python versions")
+@pytest.mark.parametrize("call", CLI_TEXT["calls"], ids=lambda c: " ".join(c["argv"]) or "[]")
+def test_cli_text_is_the_recorded_text(call, capsys, monkeypatch):
+    """Usage, help and error text and the exit code, for no argv, --help, an
+    unknown command, each command's --help, a fit missing its required
+    flags and a fit with an unknown flag, are the text recorded in
+    tests/cli_text.json; COLUMNS fixes argparse's wrap width."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        rc = main(call["argv"])
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (call["exit"], call["stdout"], call["stderr"])
