@@ -118,7 +118,7 @@ class Estimation:
     def _start(self, rows: _Rows, basis: Basis, z_families, bmat=None, covars=None):
         self.rows, self.data, self.basis = rows, rows.data, basis
         self.z_families, self._covars, self._kernels = tuple(z_families), dict(covars or {}), {}
-        self.bmat = basis.design(self.data.x) if bmat is None else bmat
+        self.bmat = _finite_design(basis, rows) if bmat is None else bmat
 
     @cached_property
     def outcome(self) -> OutcomeFit:
@@ -137,6 +137,10 @@ class Estimation:
     @cached_property
     def f(self) -> np.ndarray:
         return _means_from_design(self.covar(0).params, self.bmat)
+
+    @cached_property
+    def _level(self) -> "_LevelPieces":
+        return _LevelPieces(self)
 
     def kernel(self, instrument: InstrumentSpec) -> "_Kernel":
         if instrument not in self._kernels:
@@ -212,6 +216,38 @@ class Estimation:
         return -math.log(a_sum / b_sum)
 
 
+def _finite_design(basis: Basis, rows: _Rows) -> np.ndarray:
+    """b(x) on the distinct rows, refusing a non-finite entry (a square or a
+    product that overflows on finite x) before any fit or LAPACK call sees
+    it; the refusal names the basis term and the data row of the distinct
+    row's first occurrence."""
+    with np.errstate(over="ignore"):
+        bmat = basis.design(rows.data.x)
+    if not np.isfinite(bmat).all():
+        i, j = np.argwhere(~np.isfinite(bmat))[0]
+        row = i if rows.first is None else rows.first[i]
+        raise ValueError(f"basis term {basis.terms[j]} is non-finite ({float(bmat[i, j])!r}) "
+                         f"at data row {row} (counting from 0)")
+    return bmat
+
+
+class _LevelPieces:
+    """What every kernel of one estimation shares, whatever its instrument:
+    the Y=1 and Y!=1 row indices, z - f, z, g and b(x) on the Y=1 rows, and
+    the slope factor of the covariate means in their linear predictor,
+    f(1-f) for a Bernoulli component and 1 for a Gaussian one."""
+
+    def __init__(self, est: Estimation):
+        y, z, f = est.data.y, est.data.z, est.f
+        # row indices and take(): a boolean-mask gather of a 2-d array costs ~10x more
+        self.one, self.rest = np.flatnonzero(y == 1), np.flatnonzero(y != 1)
+        self.zf = z - f
+        self.z1, self.g1 = z.take(self.one, axis=0), est.g.take(self.one)
+        self.bmat1 = est.bmat.take(self.one, axis=0)
+        bernoulli = [fam == "bernoulli" for fam in est.covar(0).params.families]
+        self.slope = np.where(bernoulli, f * (1.0 - f), 1.0)
+
+
 class _Kernel:
     """The doubly robust estimating equation N^{-1} sum_i c_i r_i u_i = 0 in
     beta over the distinct rows i with counts c_i, the one array form of the
@@ -220,22 +256,20 @@ class _Kernel:
     at the plugged-in nuisance estimates of est.  A Y=0 row has r = -1, so a
     beta costs one exp over the Y=1 rows, whose u are held times their counts
     as cu1, plus c0 = sum_{Y=0} c_i u_i; an overflowing one gives an inf/NaN
-    norm, no improvement to damped_newton."""
+    norm, no improvement to damped_newton.  The instrument-free pieces come
+    from the estimation's _LevelPieces."""
 
     def __init__(self, est: Estimation, instrument: InstrumentSpec):
         self.rows, self.outcome, self.covar = est.rows, est.outcome, est.covar(0)
-        y, z = est.data.y, est.data.z
-        self.bmat, self.f = est.bmat, est.f
+        self.bmat, self.f, self.level = est.bmat, est.f, est._level
         # a refusal names the data row of a distinct row's first occurrence
         self.phi = _instruments(instrument, est.g, self.f, self.outcome.params.beta,
                                 self.covar.params, self.rows.first)[0]
-        u = np.einsum("nij,nj->ni", self.phi, z - self.f)
-        # row indices and take(): a boolean-mask gather of a 2-d array costs ~10x more
+        u = np.einsum("nij,nj->ni", self.phi, self.level.zf)
         cu = self.rows.weigh(u)
-        self.n, self.u, self.one = self.rows.total, u, np.flatnonzero(y == 1)
-        self.cu1, self.z1 = cu.take(self.one, axis=0), z.take(self.one, axis=0)
-        self.c0 = cu.take(np.flatnonzero(y != 1), axis=0).sum(axis=0)
-        self.g1 = est.g.take(self.one)
+        self.n, self.u, self.one = self.rows.total, u, self.level.one
+        self.cu1, self.z1, self.g1 = cu.take(self.one, axis=0), self.level.z1, self.level.g1
+        self.c0 = cu.take(self.level.rest, axis=0).sum(axis=0)
 
     def weight(self, beta: np.ndarray) -> np.ndarray:
         """exp(-eta) on the Y=1 rows, the negated derivative of their residual
@@ -285,11 +319,12 @@ def _assemble(kernel: _Kernel, beta: np.ndarray) -> InfluencePieces:
     rows, n, p, m = kernel.rows, kernel.n, beta.shape[0], kernel.bmat.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         w1 = kernel.weight(beta)  # one exp over the Y=1 rows serves resid, h_matrix and b1
-    resid, h_matrix = kernel.residual(w1), kernel.jacobian(beta, w1)
-    b1 = -(kernel.cu1 * w1[:, None]).T @ kernel.bmat.take(kernel.one, axis=0) / n
+        cw1 = kernel.cu1 * w1[:, None]
+        h_matrix = -cw1.T @ kernel.z1 / n  # kernel.jacobian(beta, w1)
+    resid = kernel.residual(w1)
+    b1 = -cw1.T @ kernel.level.bmat1 / n
     # d r / d gamma_{jk} = -resid * phi[:, j] * link'(f_j) * b_k: one (n, p*p)' (n, m) product
-    bernoulli = [fam == "bernoulli" for fam in kernel.covar.params.families]
-    slope = rows.weigh(resid)[:, None] * np.where(bernoulli, kernel.f * (1.0 - kernel.f), 1.0)
+    slope = rows.weigh(resid)[:, None] * kernel.level.slope
     b2 = (-(kernel.phi.reshape(-1, p * p) * np.tile(slope, p)).T @ kernel.bmat / n
           ).reshape(p, p * m)
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -849,6 +850,30 @@ def test_simulate_runs_every_scenario_through_one_pool(tmp_path, monkeypatch):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("replications, worker_counts", [(7, ("1", "2", "3")), (2, ("1", "5"))],
+                         ids=["R7", "R2-more-workers-than-replications"])
+def test_simulate_and_compare_bytes_do_not_depend_on_the_worker_count(
+        tmp_path, capsys, replications, worker_counts):
+    """simulate and compare write the same files and print the same text at
+    every worker count, each worker running one interleaved share of the
+    replications, also when the workers outnumber the replications; no
+    worker process is left running after a call."""
+    size = {"n": 250, "replications": replications, "scenarios": ["S1"]}
+    for command, config in [("simulate", {"estimators": ["mle", "dr_simple", "dr_optimal"]}),
+                            ("compare", {"phis": ["simple", "identity"]})]:
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({**size, **config}))
+        outputs = []
+        for workers in worker_counts:
+            out = tmp_path / command / workers
+            assert main([command, "--config", str(cfg), "--workers", workers, "--seed", "4",
+                         "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
+        assert all(o == outputs[0] for o in outputs[1:]), command
+
+
 def test_simulate_mass_failure_keeps_earlier_scenario_files(tmp_path, monkeypatch, capsys):
     """A second scenario failing in more than 20% of its replications exits
     1 naming it, after the first scenario's files are written."""
@@ -977,6 +1002,34 @@ def test_fit_loads_no_monte_carlo_harness_and_builds_one_subparser(tmp_path):
             main(["--help"])
         assert exc.value.code == 0
         assert [c.args[1] for c in counted.call_args_list] == ["fit", "simulate", "compare"]
+
+
+@pytest.mark.parametrize("term", [{"kind": "square", "j": 0},
+                                  {"kind": "interaction", "j": 0, "k": 1}])
+def test_fit_overflowing_basis_term_exits_2_with_one_error_line(tmp_path, term):
+    """A basis term that overflows on finite x (x near 1e158) is refused where
+    b(x) is built, before any LAPACK call: `drlogit fit` in a fresh process
+    exits 2 and writes one `error:` line naming the term and the data row,
+    and nothing else, to stderr (no numpy warning, no LAPACK message)."""
+    data = tmp_path / "data.csv"
+    lines = ["y,z1,x1,x2"] + [f"{i % 2},{(i // 2) % 2},{0.5 * i},{1.0 - 0.1 * i}"
+                              for i in range(12)]
+    lines.insert(8, "1,0,1.5e158,2e158")  # data row 7, counting from 0
+    data.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": [{"kind": "intercept"}, {"kind": "linear", "j": 0},
+                                         term], "z_families": ["bernoulli"]}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-m", "drlogit.cli", "fit", "--data", str(data),
+                          "--config", str(cfg), "--out", str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    kind = term["kind"]
+    assert out.stderr.count("\n") == 1 and out.stderr.startswith("error: "), out.stderr
+    assert f"kind='{kind}'" in out.stderr and "non-finite (inf) at data row 7 " in out.stderr
 
 
 @pytest.mark.skipif(f"{sys.version_info[0]}.{sys.version_info[1]}" != CLI_TEXT["python"],

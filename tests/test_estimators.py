@@ -20,6 +20,7 @@ from drlogit.model import (
     ConvergenceError,
     CovariateModelParams,
     Dataset,
+    EstimationError,
     InstrumentSpec,
     LinearInstrument,
     OutcomeModelParams,
@@ -879,3 +880,58 @@ def test_collapse_matches_the_forced_off_run(scenario, monkeypatch):
             assert got.tobytes() == want.tobytes()
         else:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Pieces shared across the menu
+# ---------------------------------------------------------------------------
+
+
+def _gauss2_dataset(n=1500, seed=29):
+    """p=2 Gaussian Z on a two-column uniform X, both models correct under
+    the linear basis."""
+    from drlogit.simulate import GaussianComponent, TrueLaw, XLawUniform
+    lin2 = Basis.linear_in(2)
+    law = TrueLaw(beta_star=(0.5, -0.3), x_law=XLawUniform((-1.5, -1.5), (1.5, 1.5)),
+                  g_basis=lin2, g_coef=(0.2, 0.5, -0.4),
+                  components=(GaussianComponent(lin2, (0.1, 0.6, -0.2), 0.8),
+                              GaussianComponent(lin2, (-0.1, 0.3, 0.4), 1.0)))
+    return sample_dataset(law, n, seed), lin2, ("gaussian", "gaussian")
+
+
+def _menu_in_order(data, basis, families, names):
+    """estimate(name) for each name in order on one fresh estimation, as
+    name -> the bytes of beta and se and the diagnostics, or the refusal."""
+    est, out = Estimation(data, basis, families), {}
+    for name in names:
+        try:
+            beta, se, diag = est.estimate(name)
+            out[name] = (beta.tobytes(), se.tobytes(), diag)
+        except (ValueError, EstimationError) as exc:
+            out[name] = (type(exc).__name__, str(exc))
+    return out
+
+
+@pytest.mark.parametrize("case", ["S1-binary", "gauss2"])
+def test_estimates_do_not_depend_on_the_request_order(case):
+    """Every estimator's beta, se and diagnostics are the same bits whichever
+    estimator an estimation runs first: the pieces its kernels share (the
+    Y=1 rows, z - f, b(x) on them, the slope factor) are built once, from
+    the estimation, not from the first kernel's instrument."""
+    if case == "gauss2":
+        data, basis, families = _gauss2_dataset()
+        names = [e for e in KNOWN_ESTIMATORS if e != "closed_form"]
+    else:
+        sc = next(s for s in scenario_catalog() if s.name == case)
+        data, basis, families = sample_dataset(sc.law, 2000, 41), sc.working_basis, sc.z_families
+        names = list(KNOWN_ESTIMATORS)
+    want = _menu_in_order(data, basis, families, names)
+    assert any(len(v) == 3 for v in want.values())
+    y1 = [e for e in names if e.startswith("dr_y1_")]
+    orders = [["dr_optimal"] + [e for e in names if e != "dr_optimal"],
+              y1 + [e for e in names if e not in y1],
+              names[::-1]]
+    if "closed_form" in names:
+        orders.append(["closed_form"] + names[:-1])
+    for order in orders:
+        assert _menu_in_order(data, basis, families, order) == want, order[0]
