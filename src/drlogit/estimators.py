@@ -288,10 +288,15 @@ class _Kernel:
             w1 = self.weight(beta)
             return (self.cu1.T @ w1 - self.c0) / self.n, lambda: self.jacobian(beta, w1)
 
-    def jacobian(self, beta: np.ndarray, w1: np.ndarray | None = None) -> np.ndarray:
+    def jacobian(self, beta: np.ndarray, w1: np.ndarray | None = None, *,
+                 cw1: np.ndarray | None = None) -> np.ndarray:
+        """The equation's derivative in beta; cw1 = cu1 * w1[:, None], when
+        the caller has it already."""
         with np.errstate(over="ignore", invalid="ignore"):
-            w1 = self.weight(beta) if w1 is None else w1
-            return -(self.cu1 * w1[:, None]).T @ self.z1 / self.n
+            if cw1 is None:
+                w1 = self.weight(beta) if w1 is None else w1
+                cw1 = self.cu1 * w1[:, None]
+            return -cw1.T @ self.z1 / self.n
 
 
 def _solve(kernel: _Kernel, start: np.ndarray):
@@ -319,8 +324,8 @@ def _assemble(kernel: _Kernel, beta: np.ndarray) -> InfluencePieces:
     rows, n, p, m = kernel.rows, kernel.n, beta.shape[0], kernel.bmat.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         w1 = kernel.weight(beta)  # one exp over the Y=1 rows serves resid, h_matrix and b1
-        cw1 = kernel.cu1 * w1[:, None]
-        h_matrix = -cw1.T @ kernel.z1 / n  # kernel.jacobian(beta, w1)
+        cw1 = kernel.cu1 * w1[:, None]  # serves h_matrix and b1
+        h_matrix = kernel.jacobian(beta, cw1=cw1)
     resid = kernel.residual(w1)
     b1 = -cw1.T @ kernel.level.bmat1 / n
     # d r / d gamma_{jk} = -resid * phi[:, j] * link'(f_j) * b_k: one (n, p*p)' (n, m) product

@@ -26,7 +26,6 @@ import numpy as np
 
 from .estimators import DEFAULT_ESTIMATORS, KNOWN_ESTIMATORS, Estimation, _wald_quantile
 from .model import Basis, BasisTerm, Dataset, EstimationError, expit
-from .nuisance import _distinct, _Rows
 
 __all__ = [
     "XLawGrid",
@@ -90,11 +89,6 @@ class XLawGrid:
         cdf = np.cumsum(np.asarray(self.probs, dtype=float))
         cdf /= cdf[-1]
         object.__setattr__(self, "_cdf", cdf)
-        # each point's rank among the distinct points in lexicographic order,
-        # the order nuisance._distinct gives x rows; equal points share a rank
-        ranked = sorted(set(self.points))
-        rank = {pt: i for i, pt in enumerate(ranked)}
-        object.__setattr__(self, "_ranks", np.array([rank[pt] for pt in self.points]))
 
     def draw_index(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Indices into `points` of n draws; draw(n, rng) is points[draw_index(n, rng)].
@@ -200,34 +194,25 @@ def sample_binary(law: TrueLaw, n: int, seed) -> Dataset:
     On a grid X law the table is built once per support point and gathered
     by the drawn point index, which gives the rows the per-row table's
     values; a support point that is never drawn is not checked."""
-    support, index, cell = _draw_cells(law, n, seed)
-    return _binary_dataset(support if index is None else support[index], cell)
-
-
-def _draw_cells(law: TrueLaw, n: int, seed):
-    """The binary sampler's draws: (support, index, cell), with the rows'
-    x = support[index] on a grid X law and x = support, index None, otherwise,
-    and each row's cell index 2y + z."""
     if law.p != 1 or not isinstance(law.components[0], BernoulliComponent):
         raise ValueError("sample_binary needs a single Bernoulli Z component")
     rng = np.random.default_rng(seed)
     if isinstance(law.x_law, XLawGrid):
         support = np.asarray(law.x_law.points, dtype=float)
         index = law.x_law.draw_index(n, rng)
+        x = support[index]
         cum = _cell_cumsum(law, support, np.bincount(index, minlength=support.shape[0]) > 0)
         cum = cum.take(index, axis=0)
     else:
-        support, index = law.x_law.draw(n, rng), None
-        cum = _cell_cumsum(law, support, None)
+        x = law.x_law.draw(n, rng)
+        cum = _cell_cumsum(law, x, None)
     passed = rng.random(n)[:, None] > cum
     # the cell index counts the cumulative sums the uniform passes; four
     # column adds cost half of a sum along the short axis
-    cell = passed[:, 0].astype(np.int64) + passed[:, 1] + passed[:, 2] + passed[:, 3]
-    return support, index, cell
-
-
-def _binary_dataset(x: np.ndarray, cell: np.ndarray) -> Dataset:
-    return Dataset._trusted((cell >= 2).astype(np.int64), (cell & 1).astype(float)[:, None], x)
+    idx = passed[:, 0].astype(np.int64) + passed[:, 1] + passed[:, 2] + passed[:, 3]
+    y = (idx >= 2).astype(np.int64)
+    z = (idx & 1).astype(float)[:, None]
+    return Dataset._trusted(y, z, x)
 
 
 def _cell_cumsum(law: TrueLaw, x: np.ndarray, drawn: np.ndarray | None) -> np.ndarray:
@@ -283,31 +268,6 @@ def sample_dataset(law: TrueLaw, n: int, seed) -> Dataset:
     if law.p == 1 and isinstance(law.components[0], BernoulliComponent):
         return sample_binary(law, n, seed)
     return sample_gaussian_tilted(law, n, seed)
-
-
-def _sample_rows(law: TrueLaw, n: int, seed) -> _Rows:
-    """_distinct(sample_dataset(law, n, seed)), the same rows, counts and
-    first occurrences.  Binary Z on a grid X law is counted from the
-    sampler's draws, without building the n rows: one bincount of the key
-    cell * K + rank of the point among the K distinct points, which is
-    _distinct's key order (y, then z, then x), and n rows all distinct are
-    kept as they stand, as _distinct keeps them."""
-    if not (law.p == 1 and isinstance(law.components[0], BernoulliComponent)
-            and isinstance(law.x_law, XLawGrid)):
-        return _distinct(sample_dataset(law, n, seed))
-    support, index, cell = _draw_cells(law, n, seed)
-    ranks = law.x_law._ranks
-    radix = int(ranks.max()) + 1
-    key = cell * radix + ranks.take(index)
-    counts = np.bincount(key, minlength=4 * radix)
-    present = np.flatnonzero(counts)
-    if present.size == n:
-        return _Rows(_binary_dataset(support[index], cell), np.ones(n))
-    first = np.empty(4 * radix, dtype=np.intp)
-    first[key[::-1]] = np.arange(n - 1, -1, -1)  # the last write, the first occurrence, wins
-    first = first.take(present)
-    return _Rows(_binary_dataset(support.take(index.take(first), axis=0), cell.take(first)),
-                 counts.take(present).astype(float), first)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +353,7 @@ def _run_replication(sc: Scenario, rep: int, estimators: Sequence[str]) -> dict:
     seed = np.random.SeedSequence(sc.seed, spawn_key=(rep,))
     out: dict = {}
     try:
-        ctx = Estimation._of_rows(_sample_rows(sc.law, sc.n, seed), sc.working_basis,
-                                  sc.z_families)
+        ctx = Estimation(sample_dataset(sc.law, sc.n, seed), sc.working_basis, sc.z_families)
         ctx.outcome  # a failed outcome fit fails every estimator, and is tried once
     except (EstimationError, ValueError):
         return {name: None for name in estimators}
@@ -433,8 +392,8 @@ def run_scenarios(jobs: Sequence[tuple[Scenario, Sequence[str]]], *, level: floa
                 raise ValueError(f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}")
     args = [(sc, rep, tuple(estimators)) for sc, estimators in jobs
             for rep in range(sc.replications)]
+    workers = min(workers, len(args))
     if workers > 1:
-        workers = min(workers, len(args))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shares = list(pool.map(_run_share, [args[k::workers] for k in range(workers)]))
         results = [None] * len(args)

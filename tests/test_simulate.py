@@ -13,7 +13,6 @@ from scipy import integrate, stats
 from drlogit import simulate
 from drlogit.model import Basis, BasisTerm, Dataset, EstimationError, expit
 from drlogit.estimators import Estimation
-from drlogit.nuisance import _distinct
 from drlogit.simulate import (
     BernoulliComponent,
     GaussianComponent,
@@ -22,8 +21,8 @@ from drlogit.simulate import (
     XLawUniform,
     _gaussian_law,
     _run_replication,
-    _sample_rows,
     run_scenario,
+    run_scenarios,
     sample_binary,
     sample_dataset,
     sample_gaussian_tilted,
@@ -312,54 +311,6 @@ def test_grid_draw_index_is_generator_choice(k):
             assert mine.random() == theirs.random()
 
 
-def _grid_binary_law(points, probs):
-    """Binary Z over the grid X law of points and probs, g and the logit linear."""
-    q = len(points[0])
-    lin = Basis.linear_in(q)
-    return TrueLaw(beta_star=(0.7,), x_law=XLawGrid(points=points, probs=probs), g_basis=lin,
-                   g_coef=(0.1,) + (0.5,) * q,
-                   components=(BernoulliComponent(lin, (-0.3,) + (0.8,) * q),))
-
-
-def _assert_same_rows(got, want):
-    for a, b in ((got.data.y, want.data.y), (got.data.z, want.data.z),
-                 (got.data.x, want.data.x), (got.counts, want.counts)):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-    assert (got.first is None) == (want.first is None)
-    if want.first is not None:
-        assert got.first.dtype == want.first.dtype
-        assert got.first.tobytes() == want.first.tobytes()
-    assert got.total == want.total
-
-
-def test_sampled_rows_are_the_distinct_rows_of_the_sample():
-    """A binary replication's rows, counted from the sampler's draws, are
-    _distinct(sample_dataset(...)) byte for byte: rows in its key order, its
-    counts and first occurrences, and at small n, where the rows are all
-    distinct, the n rows as they stand.  Every binary catalog law, n in
-    {1, 2, 3, 12, 300, 2000}, 50 seeds each; then grids with repeated points
-    and two X columns."""
-    laws = [sc.law for sc in scenario_catalog() if sc.name.endswith("-binary")]
-    for law in laws:
-        for n in (1, 2, 3, 12, 300, 2000):
-            for seed in range(50):
-                _assert_same_rows(_sample_rows(law, n, seed),
-                                  _distinct(sample_dataset(law, n, seed)))
-    odd_grids = [
-        _grid_binary_law(((1.0,), (-0.0,), (1.0,), (0.0,), (-2.0,)), (0.2, 0.2, 0.2, 0.2, 0.2)),
-        _grid_binary_law(((1.0, 0.0), (0.0, 1.0), (1.0, -1.0), (0.0, 1.0), (-1.0, 3.0)),
-                         (0.1, 0.3, 0.2, 0.15, 0.25)),
-    ]
-    for law in odd_grids:
-        for n in (1, 2, 3, 5, 40, 500):
-            for seed in range(20):
-                _assert_same_rows(_sample_rows(law, n, seed),
-                                  _distinct(sample_dataset(law, n, seed)))
-    gaussian = next(sc.law for sc in scenario_catalog() if sc.name == "S1-gaussian")
-    _assert_same_rows(_sample_rows(gaussian, 50, 3), _distinct(sample_dataset(gaussian, 50, 3)))
-
-
 # ---------------------------------------------------------------------------
 # Scenarios and the runner
 # ---------------------------------------------------------------------------
@@ -415,23 +366,33 @@ def test_run_scenario_worker_count_invariance(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_uncaught_error_in_a_share_propagates_and_leaves_no_process(monkeypatch):
-    """An exception that _run_replication does not catch, raised in one
-    worker's share, propagates from run_scenario after the pool is shut
-    down: no worker process is left running."""
-    run_replication = simulate._run_replication
-
-    def failing(sc, rep, estimators):
-        if rep == 4:
-            raise RuntimeError(f"replication {rep} broke")
-        return run_replication(sc, rep, estimators)
-
-    monkeypatch.setattr(simulate, "_run_replication", failing)
+def test_uncaught_error_in_a_share_propagates_and_leaves_no_process():
+    """An exception that _run_replication does not catch, raised in the
+    workers' shares, propagates from run_scenario after the pool is shut
+    down: no worker process is left running.  A sample size that is not an
+    integer makes the sampler raise TypeError in the workers, whatever the
+    start method of the pool."""
     sc = with_size(next(s for s in scenario_catalog() if s.name == "S1-binary"),
-                   n=200, replications=6)
-    with pytest.raises(RuntimeError, match="replication 4 broke"):
+                   n=200.5, replications=6)
+    with pytest.raises(TypeError, match="integer"):
         run_scenario(sc, ("dr_simple",), workers=3)
     assert multiprocessing.active_children() == []
+
+
+def test_no_pool_without_two_replications(monkeypatch):
+    """The worker count is capped at the number of replications: no jobs,
+    or one replication, run in this process and start no pool."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+    assert list(run_scenarios([], workers=2)) == []
+    sc = with_size(next(s for s in scenario_catalog() if s.name == "S1-binary"),
+                   n=200, replications=1)
+    pooled, = run_scenarios([(sc, ("dr_simple",))], workers=3)
+    monkeypatch.undo()
+    serial, = run_scenarios([(sc, ("dr_simple",))], workers=1)
+    assert pooled == serial
 
 
 def test_run_scenario_aborts_on_mass_failure():
