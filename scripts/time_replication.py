@@ -9,9 +9,9 @@ its distinct (y, z, x) rows, b(x), the outcome fit, the covariate fit and,
 per estimator, the kernel build, the Newton solve and the sandwich.  It
 prints the median ms per replication of every phase, the median and range
 of the distinct rows per replication, then the median number of Newton
-equation evaluations (`system` calls) and of kernel weights
-(`_Kernel.weight`, one exp over the Y=1 rows each) per beta solve, the mean
-number of `np.linalg.solve` and `np.linalg.inv` calls per replication, and
+equation evaluations (`system` calls) and of residual weights
+(`_LevelPieces.weight`, one exp over the Y=1 rows each) per beta solve, the
+mean number of `np.linalg.solve` and `np.linalg.inv` calls per replication, and
 one JSON line with the same numbers.
 
     PYTHONPATH=src python3 scripts/time_replication.py \
@@ -89,7 +89,7 @@ def _counts(sc, reps: int) -> tuple[dict, dict]:
     """Median `system` calls and weight evaluations per beta solve, per
     estimator, and mean `np.linalg.solve`/`np.linalg.inv` calls per
     replication, from an untimed pass with counting wrappers installed."""
-    real_newton, real_weight = estimators.damped_newton, estimators._Kernel.weight
+    real_newton, real_weight = estimators.damped_newton, estimators._LevelPieces.weight
     real_linalg = {"solve": np.linalg.solve, "inv": np.linalg.inv}
     counts = {"system": 0, "weight": 0}
     linalg_calls = dict.fromkeys(real_linalg, 0)
@@ -121,13 +121,13 @@ def _counts(sc, reps: int) -> tuple[dict, dict]:
             per_solve[phase.removesuffix(".newton")][key].append(counts[key] - before[key])
         return out
 
-    estimators.damped_newton, estimators._Kernel.weight = counting_newton, counting_weight
+    estimators.damped_newton, estimators._LevelPieces.weight = counting_newton, counting_weight
     np.linalg.solve, np.linalg.inv = counting_linalg("solve"), counting_linalg("inv")
     try:
         for rep in range(reps):
             _replication(sc, rep, solve_clock)
     finally:
-        estimators.damped_newton, estimators._Kernel.weight = real_newton, real_weight
+        estimators.damped_newton, estimators._LevelPieces.weight = real_newton, real_weight
         np.linalg.solve, np.linalg.inv = real_linalg["solve"], real_linalg["inv"]
     newton = {name: {"system_calls_per_solve": statistics.median(c["system"]),
                      "weight_evaluations_per_solve": statistics.median(c["weight"])}

@@ -96,7 +96,7 @@ class Estimation:
     one instrument and `closed_form` its scalar binary root.  What they share
     is built on the distinct rows of the dataset, each lazily and once: the
     outcome fit, g = alpha'b(x), the covariate fit per response level, the
-    Y=0 means f, the kernel per instrument and `mirror`: the Y=1 anchor as the
+    Y=0 means f, the kernels' arrays and `mirror`: the Y=1 anchor as the
     Y=0 estimation of 1 - Y under the negated outcome fit (odds-ratio
     symmetry), sharing the rows, their counts and b(x) from one design call."""
 
@@ -143,9 +143,7 @@ class Estimation:
         return _LevelPieces(self)
 
     def kernel(self, instrument: InstrumentSpec) -> "_Kernel":
-        if instrument not in self._kernels:
-            self._kernels[instrument] = _Kernel(self, instrument)
-        return self._kernels[instrument]
+        return _Kernel(self, instrument)
 
     @cached_property
     def mirror(self) -> Estimation:
@@ -206,7 +204,7 @@ class Estimation:
         if not (z0 | z1).all():
             raise ValueError("closed-form estimator needs binary Z values")
         kernel = self.kernel(InstrumentSpec("simple"))
-        e, f, y, weigh = kernel.phi[:, 0, 0], kernel.f[:, 0], self.data.y, self.rows.weigh
+        e, f, y, weigh = kernel.phi[:, 0, 0], self.f[:, 0], self.data.y, self.rows.weigh
         b_sum = float(np.sum(weigh((1.0 - e) * (1.0 - f)) * ((y == 1) & z1)))
         a_sum = float(np.sum(weigh((1.0 - e) * f) * ((y == 1) & z0))
                       + np.sum(weigh(e)[y == 0] * (z[y == 0] - f[y == 0])))
@@ -232,44 +230,19 @@ def _finite_design(basis: Basis, rows: _Rows) -> np.ndarray:
 
 
 class _LevelPieces:
-    """What every kernel of one estimation shares, whatever its instrument:
-    the Y=1 and Y!=1 row indices, z - f, z, g and b(x) on the Y=1 rows, and
-    the slope factor of the covariate means in their linear predictor,
-    f(1-f) for a Bernoulli component and 1 for a Gaussian one."""
+    """The residual's factor of every kernel of one estimation, built once:
+    the Y=1 and Y!=1 row indices, z - f, z, g and b(x) on the Y=1 rows, the
+    slope of the covariate means in their linear predictor (f(1-f) Bernoulli,
+    1 Gaussian), and r = y*exp(-eta) - (1-y), eta = z beta + g(x)."""
 
     def __init__(self, est: Estimation):
         y, z, f = est.data.y, est.data.z, est.f
         # row indices and take(): a boolean-mask gather of a 2-d array costs ~10x more
         self.one, self.rest = np.flatnonzero(y == 1), np.flatnonzero(y != 1)
-        self.zf = z - f
-        self.z1, self.g1 = z.take(self.one, axis=0), est.g.take(self.one)
+        self.zf, self.z1, self.g1 = z - f, z.take(self.one, axis=0), est.g.take(self.one)
         self.bmat1 = est.bmat.take(self.one, axis=0)
         bernoulli = [fam == "bernoulli" for fam in est.covar(0).params.families]
         self.slope = np.where(bernoulli, f * (1.0 - f), 1.0)
-
-
-class _Kernel:
-    """The doubly robust estimating equation N^{-1} sum_i c_i r_i u_i = 0 in
-    beta over the distinct rows i with counts c_i, the one array form of the
-    calibrated equation: residual r = y*exp(-eta) - (1-y) with
-    eta = z beta + g(x), and u = phi(x)(z - f(x)), the instrument held fixed
-    at the plugged-in nuisance estimates of est.  A Y=0 row has r = -1, so a
-    beta costs one exp over the Y=1 rows, whose u are held times their counts
-    as cu1, plus c0 = sum_{Y=0} c_i u_i; an overflowing one gives an inf/NaN
-    norm, no improvement to damped_newton.  The instrument-free pieces come
-    from the estimation's _LevelPieces."""
-
-    def __init__(self, est: Estimation, instrument: InstrumentSpec):
-        self.rows, self.outcome, self.covar = est.rows, est.outcome, est.covar(0)
-        self.bmat, self.f, self.level = est.bmat, est.f, est._level
-        # a refusal names the data row of a distinct row's first occurrence
-        self.phi = _instruments(instrument, est.g, self.f, self.outcome.params.beta,
-                                self.covar.params, self.rows.first)[0]
-        u = np.einsum("nij,nj->ni", self.phi, self.level.zf)
-        cu = self.rows.weigh(u)
-        self.n, self.u, self.one = self.rows.total, u, self.level.one
-        self.cu1, self.z1, self.g1 = cu.take(self.one, axis=0), self.level.z1, self.level.g1
-        self.c0 = cu.take(self.level.rest, axis=0).sum(axis=0)
 
     def weight(self, beta: np.ndarray) -> np.ndarray:
         """exp(-eta) on the Y=1 rows, the negated derivative of their residual
@@ -279,24 +252,42 @@ class _Kernel:
         return np.exp(-(self.z1.dot(beta) + self.g1))
 
     def residual(self, w1: np.ndarray) -> np.ndarray:
-        r = np.full(self.u.shape[0], -1.0)
+        r = np.full(self.zf.shape[0], -1.0)
         r[self.one] = w1
         return r
 
+
+class _Kernel:
+    """The doubly robust estimating equation N^{-1} sum_i c_i r_i u_i = 0 in
+    beta over the distinct rows i with counts c_i, the one array form of the
+    calibrated equation: r from est's _LevelPieces (level) and the instrument's
+    factor u = phi(x)(z - f(x)), phi held fixed at est's nuisance estimates.
+    A Y=0 row has r = -1, so a beta costs one exp over the Y=1 rows, whose u
+    are held times their counts as cu1, plus c0 = sum_{Y=0} c_i u_i; an
+    overflowing one gives an inf/NaN norm, no improvement to damped_newton."""
+
+    def __init__(self, est: Estimation, instrument: InstrumentSpec):
+        self.est, self.level = est, est._level
+        # cached on est without the kernel, whose reference to est would make a cycle
+        if instrument not in est._kernels:
+            # a refusal names the data row of a distinct row's first occurrence
+            phi = _instruments(instrument, est.g, est.f, est.outcome.params.beta,
+                               est.covar(0).params, est.rows.first)[0]
+            u = np.einsum("nij,nj->ni", phi, self.level.zf)
+            cu = est.rows.weigh(u)
+            est._kernels[instrument] = (phi, u, cu.take(self.level.one, axis=0),
+                                        cu.take(self.level.rest, axis=0).sum(axis=0))
+        self.phi, self.u, self.cu1, self.c0 = est._kernels[instrument]
+
     def system(self, beta: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
-            w1 = self.weight(beta)
-            return (self.cu1.T @ w1 - self.c0) / self.n, lambda: self.jacobian(beta, w1)
+            w1 = self.level.weight(beta)
+            return (self.cu1.T @ w1 - self.c0) / self.est.rows.total, lambda: self.jacobian(w1)
 
-    def jacobian(self, beta: np.ndarray, w1: np.ndarray | None = None, *,
-                 cw1: np.ndarray | None = None) -> np.ndarray:
-        """The equation's derivative in beta; cw1 = cu1 * w1[:, None], when
-        the caller has it already."""
+    def jacobian(self, w1: np.ndarray) -> np.ndarray:
+        """The equation's derivative in beta, from the Y=1 rows' weight w1."""
         with np.errstate(over="ignore", invalid="ignore"):
-            if cw1 is None:
-                w1 = self.weight(beta) if w1 is None else w1
-                cw1 = self.cu1 * w1[:, None]
-            return -cw1.T @ self.z1 / self.n
+            return -(self.cu1 * w1[:, None]).T @ self.level.z1 / self.est.rows.total
 
 
 def _solve(kernel: _Kernel, start: np.ndarray):
@@ -321,19 +312,20 @@ def _assemble(kernel: _Kernel, beta: np.ndarray) -> InfluencePieces:
     the estimating-function values with the nuisance influence rows so that
     beta_hat - beta_bar is their mean to first order; the covariance is their
     scaled Gram matrix.  Each mean is weighted by the counts."""
-    rows, n, p, m = kernel.rows, kernel.n, beta.shape[0], kernel.bmat.shape[1]
+    est, level = kernel.est, kernel.level
+    rows, n, p, m = est.rows, est.rows.total, beta.shape[0], est.bmat.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        w1 = kernel.weight(beta)  # one exp over the Y=1 rows serves resid, h_matrix and b1
-        cw1 = kernel.cu1 * w1[:, None]  # serves h_matrix and b1
-        h_matrix = kernel.jacobian(beta, cw1=cw1)
-    resid = kernel.residual(w1)
-    b1 = -cw1.T @ kernel.level.bmat1 / n
+        w1 = level.weight(beta)  # one exp over the Y=1 rows serves resid, h_matrix and b1
+        h_matrix = kernel.jacobian(w1)
+        cw1 = kernel.cu1 * w1[:, None]
+    resid = level.residual(w1)
+    b1 = -cw1.T @ level.bmat1 / n
     # d r / d gamma_{jk} = -resid * phi[:, j] * link'(f_j) * b_k: one (n, p*p)' (n, m) product
-    slope = rows.weigh(resid)[:, None] * kernel.level.slope
-    b2 = (-(kernel.phi.reshape(-1, p * p) * np.tile(slope, p)).T @ kernel.bmat / n
+    slope = rows.weigh(resid)[:, None] * level.slope
+    b2 = (-(kernel.phi.reshape(-1, p * p) * np.tile(slope, p)).T @ est.bmat / n
           ).reshape(p, p * m)
 
-    combo = resid[:, None] * kernel.u + kernel.outcome.s1[:, p:] @ b1.T + kernel.covar.s2 @ b2.T
+    combo = resid[:, None] * kernel.u + est.outcome.s1[:, p:] @ b1.T + est.covar(0).s2 @ b2.T
     influence = -combo.dot(_inverse(h_matrix).T)  # @ is a slow loop for p = 1
     covariance = rows.weigh(influence).T @ influence / n**2
     return InfluencePieces(h_matrix=h_matrix, b1=b1, b2=b2, influence=influence,

@@ -129,10 +129,9 @@ def _distinct(data: Dataset, weights: np.ndarray | None = None,
                  first if first_seen is None else first_seen.take(first))
 
 
-def _fit_logistic_core(w: np.ndarray, cw: np.ndarray, y: np.ndarray, start: np.ndarray,
-                       total: float):
-    """Newton-Raphson on the mean score cw'(y - pi)/N = 0, cw the rows of w
-    times their counts and N their total, one expit per trial point, for the
+def _fit_logistic_core(w: np.ndarray, cw: np.ndarray, y: np.ndarray, total: float):
+    """Newton-Raphson from zero on the mean score cw'(y - pi)/N = 0, cw the rows
+    of w times their counts and N their total, one expit per trial point, for the
     outcome MLE and the Bernoulli covariate fits; returns the result and the
     pi of the last evaluation, which for a converged result is the one at its
     params."""
@@ -143,7 +142,7 @@ def _fit_logistic_core(w: np.ndarray, cw: np.ndarray, y: np.ndarray, start: np.n
         nonlocal last_pi
         last_pi = pi = expit(w @ th)
         return cw.T @ (y - pi) / total, lambda: _neg_info(w, cw, pi, total)
-    return damped_newton(system, start), last_pi
+    return damped_newton(system, np.zeros(w.shape[1])), last_pi
 
 
 def _fit_outcome_mle(rows: _Rows, bmat: np.ndarray) -> OutcomeFit:
@@ -172,7 +171,7 @@ def _fit_outcome_mle(rows: _Rows, bmat: np.ndarray) -> OutcomeFit:
         raise ValueError("outcome design matrix [z, b(x)] is rank deficient")
 
     cwa = rows.weigh(wa)
-    res, pi = _fit_logistic_core(wa, cwa, data.y, np.zeros(wa.shape[1]), rows.total)
+    res, pi = _fit_logistic_core(wa, cwa, data.y, rows.total)
     if not res.converged:
         raise ConvergenceError(
             f"logistic MLE did not converge in {res.iterations} iterations "
@@ -244,7 +243,7 @@ def _fit_covariate_level(rows: _Rows, bmat: np.ndarray, families: Sequence[str],
             if not ((zj == 0.0) | (zj == 1.0)).all():
                 raise ValueError(
                     f"Bernoulli component {j} has non-binary values on the fitting subsample")
-            res, fj = _fit_logistic_core(b0, cb0, zj, np.zeros(m), size)
+            res, fj = _fit_logistic_core(b0, cb0, zj, size)
             if not res.converged:
                 raise ConvergenceError(
                     f"logistic covariate fit for component {j} did not converge")

@@ -108,9 +108,17 @@ class XLawUniform:
     high: tuple[float, ...]
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        lo = np.asarray(self.low, dtype=float)
-        hi = np.asarray(self.high, dtype=float)
-        return rng.uniform(lo, hi, size=(n, lo.shape[0]))
+        """rng.uniform(low, high, size=(n, q))'s draws, bit for bit and from the
+        same uniforms, low + (high - low) u, with its two refusals made once on
+        the (q,) bounds instead of per element, and without a numpy warning."""
+        lo = [float(v) for v in self.low]
+        # Python floats: an overflowing or inf - inf width is inf or NaN, silently
+        span = [float(h) - v for v, h in zip(lo, self.high, strict=True)]
+        if not all(map(math.isfinite, span)):
+            raise OverflowError("Range exceeds valid bounds")
+        if any(s < 0.0 for s in span):
+            raise ValueError("high - low < 0")
+        return np.array(lo) + np.array(span) * rng.random((n, len(lo)))
 
 
 @dataclass(frozen=True)

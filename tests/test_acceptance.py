@@ -31,6 +31,7 @@ from drlogit.model import (
 )
 from drlogit.simulate import (
     run_scenario,
+    run_scenarios,
     sample_binary,
     scenario_catalog,
     with_size,
@@ -59,40 +60,46 @@ def _catalog():
 _DR_MENU = ("dr_identity", "dr_simple", "dr_optimal")
 
 
-@pytest.fixture(scope="module")
-def bias_study():
-    """S1-S4, both editions, catalog sizes (n=2000, R=500)."""
+def _study_jobs():
+    """(study, scenario, estimators) for criteria 7 (S1-S4, both editions,
+    catalog sizes n=2000, R=500), 8 (S1-S3, both editions, R=1000) and 9."""
     cat = _catalog()
+    editions = [f"{fam}-{ed}" for fam in ("S1", "S2", "S3", "S4") for ed in ("binary", "gaussian")]
+    return ([("bias", cat[name], ("mle",) + _DR_MENU) for name in editions]
+            + [("coverage", with_size(cat[name], replications=1000), _DR_MENU)
+               for name in editions[:6]]
+            + [("efficiency", cat[name], _DR_MENU) for name in ("S1b0-gaussian", "S1b1-gaussian")])
+
+
+@pytest.fixture(scope="module")
+def studies():
+    """Every Monte Carlo study's summaries by study and scenario, from one
+    run_scenarios call and so one pool; the bias study's elapsed time is the
+    whole call's, the budget of criterion 7."""
+    jobs = _study_jobs()
     t0 = time.time()
-    out = {}
-    for fam in ("S1", "S2", "S3", "S4"):
-        for ed in ("binary", "gaussian"):
-            name = f"{fam}-{ed}"
-            out[name] = run_scenario(cat[name], ("mle",) + _DR_MENU, workers=_WORKERS)
-    out["elapsed"] = time.time() - t0
+    summaries = list(run_scenarios([(sc, menu) for _, sc, menu in jobs], workers=_WORKERS))
+    elapsed = time.time() - t0
+    out = {"bias": {}, "coverage": {}, "efficiency": {}}
+    for (study, sc, _), summary in zip(jobs, summaries):
+        out[study][sc.name] = summary
+    out["bias"]["elapsed"] = elapsed
     return out
 
 
 @pytest.fixture(scope="module")
-def coverage_study():
-    """S1-S3, both editions, R=1000 for the coverage criterion."""
-    cat = _catalog()
-    out = {}
-    for fam in ("S1", "S2", "S3"):
-        for ed in ("binary", "gaussian"):
-            name = f"{fam}-{ed}"
-            sc = with_size(cat[name], replications=1000)
-            out[name] = run_scenario(sc, _DR_MENU, workers=_WORKERS)
-    return out
+def bias_study(studies):
+    return studies["bias"]
 
 
 @pytest.fixture(scope="module")
-def efficiency_study():
-    cat = _catalog()
-    out = {}
-    for name in ("S1b0-gaussian", "S1b1-gaussian"):
-        out[name] = run_scenario(cat[name], _DR_MENU, workers=_WORKERS)
-    return out
+def coverage_study(studies):
+    return studies["coverage"]
+
+
+@pytest.fixture(scope="module")
+def efficiency_study(studies):
+    return studies["efficiency"]
 
 
 # ---------------------------------------------------------------------------

@@ -1032,6 +1032,45 @@ def test_fit_overflowing_basis_term_exits_2_with_one_error_line(tmp_path, term):
     assert f"kind='{kind}'" in out.stderr and "non-finite (inf) at data row 7 " in out.stderr
 
 
+_EXTREME_TERMS = {"linear": {"kind": "linear", "j": 1}, "square": {"kind": "square", "j": 0},
+                  "interaction": {"kind": "interaction", "j": 0, "k": 1}}
+
+
+@pytest.mark.parametrize("k", [s * e for e in (6, 16, 155, 160, 300) for s in (1, -1)])
+@pytest.mark.parametrize("column", ["z", "x"])
+@pytest.mark.parametrize("term", sorted(_EXTREME_TERMS))
+@pytest.mark.parametrize("family", ["bernoulli", "gaussian"])
+def test_fit_on_extreme_finite_inputs_exits_0_or_one_error_line(tmp_path, capfd, family,
+                                                                 term, column, k):
+    """`drlogit fit`, in this process, on 60 rows whose z, or both x columns,
+    are scaled by 10^k: the run returns 0 with nothing on stderr, or 2 with
+    exactly one `error:` line and nothing else.  capfd reads fd 2, where
+    LAPACK prints, and the suite turns any numpy RuntimeWarning into an
+    error."""
+    rng = np.random.default_rng(11)
+    n = 60
+    y = rng.integers(0, 2, n)
+    z = (rng.random(n) < 0.5).astype(float) if family == "bernoulli" else rng.standard_normal(n)
+    x = rng.uniform(-1.0, 1.0, (n, 2))
+    if column == "z":
+        z = z * 10.0**k
+    else:
+        x = x * 10.0**k
+    data = tmp_path / "data.csv"
+    data.write_text("y,z1,x1,x2\n" + "".join(
+        f"{a},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(y.tolist(), z.tolist(), *x.T.tolist())))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "basis": [{"kind": "intercept"}, {"kind": "linear", "j": 0}, _EXTREME_TERMS[term]],
+        "z_families": [family], "estimators": [e for e in KNOWN_ESTIMATORS if e != "closed_form"]}))
+    rc = main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capfd.readouterr().err
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc == 2 and err.count("\n") == 1 and err.startswith("error: "), (rc, err)
+
+
 @pytest.mark.skipif(f"{sys.version_info[0]}.{sys.version_info[1]}" != CLI_TEXT["python"],
                     reason="argparse's wording changes between Python versions")
 @pytest.mark.parametrize("call", CLI_TEXT["calls"], ids=lambda c: " ".join(c["argv"]) or "[]")

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -124,10 +126,44 @@ def test_jacobian_condition_equals_svd_condition(rng):
     for est in (est1, est1.mirror, est2):
         for variant in ("identity", "simple", "optimal"):
             spec = InstrumentSpec(variant)
-            rep = est.solve(spec)
-            jac = est.kernel(spec).jacobian(rep.beta_hat)
+            rep, kernel = est.solve(spec), est.kernel(spec)
+            jac = kernel.jacobian(kernel.level.weight(rep.beta_hat))
             assert jac.shape == (est.data.p, est.data.p)
             assert rep.diagnostics.jacobian_condition == float(np.linalg.cond(jac))
+
+
+def test_kernel_holds_only_what_its_instrument_determines(rng):
+    """A kernel holds phi, u, cu1 and c0 and refers to its estimation and its
+    level pieces, which every kernel of the estimation shares and which hold
+    the residual's factor: the weight on the Y=1 rows and the residual."""
+    _, est = _binary_fixture(rng)
+    kernels = [est.kernel(InstrumentSpec(v)) for v in ("identity", "simple", "optimal")]
+    for kernel in kernels:
+        assert sorted(vars(kernel)) == ["c0", "cu1", "est", "level", "phi", "u"]
+        assert kernel.est is est and kernel.level is kernels[0].level
+    level, beta = est._level, np.array([0.3])
+    resid = level.residual(level.weight(beta))
+    y1 = est.data.y == 1
+    assert (resid[~y1] == -1.0).all()
+    assert resid[y1].tobytes() == np.exp(-(est.data.z[y1].dot(beta) + est.g[y1])).tobytes()
+
+
+def test_estimation_is_freed_without_the_cyclic_collector(rng):
+    """Once every estimator has run, dropping the last reference to an
+    estimation and to its kernels frees it at once: nothing it caches refers
+    back to it, so no cycle holds its arrays until the cyclic collector runs."""
+    _, est = _binary_fixture(rng)
+    for name in KNOWN_ESTIMATORS:
+        est.estimate(name)
+    kernel, ref = est.kernel(InstrumentSpec("optimal")), weakref.ref(est)
+    gc.disable()
+    try:
+        del est
+        assert ref() is not None  # the kernel holds it
+        del kernel
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("start, singular", [(40.0, False), (800.0, True)])
@@ -177,15 +213,15 @@ def _new_counts():
 
 
 def _counted_kernel(kernel):
-    """Route the kernel's system, and the weight it takes its exp from,
-    through counters; returns the counts."""
+    """Route the kernel's system, and the weight of its level pieces that it
+    takes its exp from, through counters; returns the counts."""
     counts, evaluations = _new_counts(), [0]
-    weight = kernel.weight
+    weight = kernel.level.weight
 
     def counted_weight(theta):
         evaluations[0] += 1
         return weight(theta)
-    kernel.weight = counted_weight
+    kernel.level.weight = counted_weight
     kernel.system = _counting(kernel.system, counts, evaluations)
     return counts
 

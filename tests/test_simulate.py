@@ -311,6 +311,46 @@ def test_grid_draw_index_is_generator_choice(k):
             assert mine.random() == theirs.random()
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_uniform_draw_is_generator_uniform(q):
+    """XLawUniform.draw gives rng.uniform(low, high, size=(n, q))'s values,
+    bytes and shape, on bounds of mixed sign, width and magnitude (a zero
+    width included), and leaves the generator where uniform leaves it."""
+    bounds_rng = np.random.default_rng(q)
+    for trial in range(40):
+        low = bounds_rng.uniform(-3.0, 3.0, q) * 10.0 ** bounds_rng.integers(-5, 6, q)
+        high = low + bounds_rng.random(q) * 10.0 ** bounds_rng.integers(-8, 8, q) * (trial % 7 > 0)
+        law = XLawUniform(tuple(low), tuple(high))
+        for n in (1, 777):
+            mine, theirs = np.random.default_rng(trial * 10 + n), np.random.default_rng(trial * 10 + n)
+            got, want = law.draw(n, mine), theirs.uniform(low, high, size=(n, q))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert mine.random() == theirs.random()
+
+
+@pytest.mark.parametrize("low, high, exc, message", [
+    ((0.0,), (math.inf,), OverflowError, "Range exceeds valid bounds"),
+    ((-math.inf, 0.0), (0.0, 1.0), OverflowError, "Range exceeds valid bounds"),
+    ((0.0,), (math.nan,), OverflowError, "Range exceeds valid bounds"),
+    ((math.inf,), (math.inf,), OverflowError, "Range exceeds valid bounds"),
+    ((-1e308,), (1e308,), OverflowError, "Range exceeds valid bounds"),
+    ((1.0,), (0.0,), ValueError, "high - low < 0"),
+    ((0.0, 1.0, 0.0), (1.0, 0.0, 1.0), ValueError, "high - low < 0"),
+])
+def test_uniform_draw_refuses_what_generator_uniform_refuses(low, high, exc, message):
+    """A non-finite width (overflowing, inf - inf or NaN) and a negative one
+    are refused with rng.uniform's exception and message, without a numpy
+    warning, and before the generator moves."""
+    rng = np.random.default_rng(5)
+    with pytest.raises(exc, match=f"^{message}$"):
+        XLawUniform(low, high).draw(10, rng)
+    assert rng.random() == np.random.default_rng(5).random()
+    if not all(map(math.isfinite, (h - lo for lo, h in zip(low, high)))):
+        return  # numpy warns on these before refusing them
+    with pytest.raises(exc, match=f"^{message}$"):
+        np.random.default_rng(5).uniform(low, high, size=(10, len(low)))
+
+
 # ---------------------------------------------------------------------------
 # Scenarios and the runner
 # ---------------------------------------------------------------------------
@@ -364,6 +404,20 @@ def test_run_scenario_worker_count_invariance(tmp_path):
     write_summary_json([s1], p1)
     write_summary_json([s2], p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_one_call_for_many_jobs_equals_one_call_per_job():
+    """The acceptance studies' shape at a reduced size: scenarios of both
+    editions, one of them twice at two sizes, with and without mle, run
+    through one pool, summarize as each job run through its own pool."""
+    cat = {s.name: s for s in scenario_catalog()}
+    menu = ("dr_identity", "dr_simple", "dr_optimal")
+    jobs = [(with_size(cat["S1-binary"], n=300, replications=7), ("mle",) + menu),
+            (with_size(cat["S2-gaussian"], n=300, replications=5), ("mle",) + menu),
+            (with_size(cat["S1-binary"], n=300, replications=10), menu),
+            (with_size(cat["S1b1-gaussian"], n=300, replications=4), menu)]
+    together = list(run_scenarios(jobs, workers=2))
+    assert together == [run_scenario(sc, names, workers=2) for sc, names in jobs]
 
 
 def test_uncaught_error_in_a_share_propagates_and_leaves_no_process():
